@@ -66,7 +66,6 @@ from .cpmaps import (
 )
 from .inequalities import (
     CheckReport,
-    WeightVector,
     check_cor_congruence,
     check_eigen_bohr,
     check_increasing_convex_eigen,

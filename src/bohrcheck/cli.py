@@ -29,6 +29,7 @@ from .harness import (
 from .linalg import DimensionError
 from .serialize import (
     SerializationError,
+    THEOREM_ALIASES,
     THEOREMS,
     map_from_json,
     matrix_to_json,
@@ -62,7 +63,7 @@ def _build_parser() -> _Parser:
     p_check.add_argument("--tol", type=float, default=None, help="absolute slack tolerance")
 
     p_fuzz = sub.add_parser("fuzz", help="run a seeded campaign")
-    p_fuzz.add_argument("--theorem", required=True, choices=THEOREMS)
+    p_fuzz.add_argument("--theorem", required=True, choices=THEOREMS + tuple(THEOREM_ALIASES))
     p_fuzz.add_argument("--trials", type=int, required=True)
     p_fuzz.add_argument("--seed", type=int, required=True)
     p_fuzz.add_argument("--n-max", type=int, default=8, help="largest input dimension (default 8)")

@@ -45,7 +45,6 @@ __all__ = [
     "map_dims",
     "apply_map",
     "applied_to_identity",
-    "is_subunital",
     "is_unital",
     "choi_matrix",
     "is_completely_positive",
@@ -238,12 +237,6 @@ def applied_to_identity(spec: MapSpec) -> np.ndarray:
     """Phi(I) on the input dimension."""
     n_in, _ = map_dims(spec)
     return hermitize(apply_map(spec, np.eye(n_in)))
-
-
-def is_subunital(spec: MapSpec, tol: float = PSD_TOL) -> bool:
-    """True when 0 < Phi(I) <= I within tolerance (strictly positive)."""
-    w = np.linalg.eigvalsh(applied_to_identity(spec))
-    return bool(w[0] > tol * max(1.0, float(w[-1])) and w[-1] <= 1.0 + tol)
 
 
 def is_unital(spec: MapSpec, tol: float = PSD_TOL) -> bool:

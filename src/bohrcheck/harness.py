@@ -8,6 +8,12 @@ plus a summary line. Timestamps and elapsed times never enter the output,
 so two runs of the same config produce identical bytes. Violating
 instances are additionally persisted as standalone JSON files next to the
 report for replay.
+
+:data:`THEOREM_TABLE` names each theorem's checker and generator. A
+generator returns checker arguments, which :func:`generate_instance`
+encodes with :func:`serialize.instance_to_json`; :func:`run_instance`
+decodes a payload with :func:`serialize.instance_from_json` and calls the
+checker.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import serialize
+from . import inequalities, serialize
 from .cpmaps import (
     BlockExtraction,
     Congruence,
@@ -29,23 +35,10 @@ from .cpmaps import (
     WeightedSum,
     applied_to_identity,
     normalize_unital,
+    stinespring,
 )
-from .inequalities import (
-    CheckReport,
-    check_cor_congruence,
-    check_eigen_bohr,
-    check_increasing_convex_eigen,
-    check_jensen_map,
-    check_jensen_vector,
-    check_norm_bohr,
-    check_pointwise_bohr_r2,
-    check_scalar_bohr,
-    check_sum_square,
-    check_thm_weak_major,
-    check_vasic_keckic,
-)
+from .inequalities import CheckReport
 from .calculus import make_function_spec
-from .cpmaps import stinespring
 from .linalg import (
     complex_gaussian,
     make_rng,
@@ -61,6 +54,8 @@ __all__ = [
     "CampaignConfig",
     "TrialRecord",
     "CampaignResult",
+    "THEOREM_TABLE",
+    "generate_instance",
     "run_instance",
     "run_campaign",
     "replay",
@@ -70,7 +65,7 @@ __all__ = [
 
 
 class GenerationError(RuntimeError):
-    """Instance generation exhausted its rejection-sampling budget."""
+    """Instance generation exhausted its rejection-sampling budget or overflowed."""
 
 
 class HarnessError(RuntimeError):
@@ -169,99 +164,10 @@ def run_instance(payload: dict, tol: float | None = None, rhs_scale: float = 1.0
     ``rhs_scale`` only affects the eigenvalue Bohr checker and is not part
     of the payload, so mutated runs keep the pristine instance digest.
     """
-    if not isinstance(payload, dict) or "theorem" not in payload:
-        raise serialize.SerializationError("instance payload must carry a 'theorem' field")
-    theorem = canonical_theorem(payload["theorem"])
-    try:
-        if theorem == "bohr":
-            return check_scalar_bohr(
-                serialize.scalar_from_json(payload["z"]),
-                serialize.scalar_from_json(payload["w"]),
-                float(payload["p"]),
-                tol,
-            )
-        if theorem == "vasic":
-            return check_vasic_keckic(
-                serialize.vector_from_json(payload["z"]),
-                [float(x) for x in payload["p"]],
-                float(payload["r"]),
-                tol,
-            )
-        if theorem == "jensen-vec":
-            return check_jensen_vector(
-                serialize.function_from_json(payload["f"]),
-                serialize.matrix_from_json(payload["A"]),
-                serialize.vector_from_json(payload["x"]),
-                tol,
-            )
-        if theorem == "jensen-map":
-            return check_jensen_map(
-                serialize.function_from_json(payload["f"]),
-                serialize.matrix_from_json(payload["A"]),
-                serialize.map_from_json(payload["map"]),
-                serialize.vector_from_json(payload["x"]),
-                str(payload["variant"]),
-                tol,
-            )
-        if theorem == "thm1":
-            return check_thm_weak_major(
-                serialize.function_from_json(payload["f"]),
-                serialize.matrix_from_json(payload["A"]),
-                [
-                    (float(t["alpha"]), serialize.map_from_json(t["map"]))
-                    for t in payload["maps"]
-                ],
-                tol,
-            )
-        if theorem == "cornew":
-            return check_cor_congruence(
-                serialize.function_from_json(payload["f"]),
-                [serialize.matrix_from_json(a) for a in payload["A"]],
-                [serialize.matrix_from_json(x) for x in payload["X"]],
-                [float(x) for x in payload["alpha"]],
-                tol,
-            )
-        if theorem == "cor45":
-            return check_eigen_bohr(
-                [serialize.matrix_from_json(a) for a in payload["A"]],
-                [serialize.matrix_from_json(x) for x in payload["X"]],
-                [float(x) for x in payload["p"]],
-                float(payload["r"]),
-                tol,
-                rhs_scale=rhs_scale,
-            )
-        if theorem == "zh":
-            return check_norm_bohr(
-                [serialize.matrix_from_json(a) for a in payload["A"]],
-                [float(x) for x in payload["p"]],
-                float(payload["r"]),
-                tol,
-            )
-        if theorem == "prop-r2":
-            return check_pointwise_bohr_r2(
-                [serialize.matrix_from_json(a) for a in payload["A"]],
-                [float(x) for x in payload["p"]],
-                float(payload["r"]),
-                tol,
-            )
-        if theorem == "sumsq":
-            return check_sum_square(
-                [serialize.matrix_from_json(a) for a in payload["A"]],
-                [float(x) for x in payload["p"]],
-                tol,
-            )
-        if theorem == "inc-convex":
-            return check_increasing_convex_eigen(
-                serialize.function_from_json(payload["f"]),
-                [serialize.matrix_from_json(a) for a in payload["A"]],
-                [float(x) for x in payload["p"]],
-                tol,
-            )
-    except KeyError as exc:
-        raise serialize.SerializationError(
-            f"instance for {theorem!r} is missing field {exc}"
-        ) from exc
-    raise serialize.SerializationError(f"unhandled theorem {theorem!r}")
+    theorem, args = serialize.instance_from_json(payload)
+    if theorem == "cor45":
+        args["rhs_scale"] = rhs_scale
+    return getattr(inequalities, THEOREM_TABLE[theorem][0])(**args, tol=tol)
 
 
 # --- random building blocks --------------------------------------------------
@@ -304,7 +210,10 @@ def _draw_function(cfg: CampaignConfig, rng, domain, ids=None):
     elif fid == "half_pow":
         # t^(r/2) is convex increasing only from r >= 2 on.
         r = _draw_r(cfg, rng, lo_cap=2.0)
-    return make_function_spec(fid, domain, r)
+    try:
+        return make_function_spec(fid, domain, r)
+    except ValueError as exc:  # the flag scan overflowed on this domain
+        raise GenerationError(f"cannot build {fid!r} on {tuple(domain)}: {exc}") from exc
 
 
 def _random_leaf_spec(n: int, m: int, rng, need_pd: bool) -> MapSpec:
@@ -375,27 +284,27 @@ def _short_vector(m: int, rng, unit: bool) -> np.ndarray:
 # --- per-theorem generators ---------------------------------------------------
 
 
-def _gen_bohr(cfg, rng) -> dict:
+def _gen_bohr(cfg, rng, trial) -> dict:
     p = _draw_r(cfg, rng)
     z = complex(complex_gaussian((), rng))
     w = complex(complex_gaussian((), rng))
-    return serialize.bohr_payload(z, w, p)
+    return {"z": z, "w": w, "p": p}
 
 
-def _gen_vasic(cfg, rng) -> dict:
+def _gen_vasic(cfg, rng, trial) -> dict:
     count = _draw_int(rng, cfg.ell_range)
     r = _draw_r(cfg, rng)
     p = rng.uniform(0.3, 3.0, size=count)
     z = complex_gaussian(count, rng)
-    return serialize.vasic_payload(z, p, r)
+    return {"z": z, "p": p, "r": r}
 
 
-def _gen_jensen_vec(cfg, rng) -> dict:
+def _gen_jensen_vec(cfg, rng, trial) -> dict:
     n = _draw_int(rng, cfg.n_range)
     f = _draw_function(cfg, rng, cfg.spectrum)
     a = random_hermitian(n, cfg.spectrum, rng)
     x = _short_vector(n, rng, unit=False)
-    return serialize.jensen_vec_payload(f, a, x)
+    return {"f": f, "a": a, "x": x}
 
 
 def _gen_jensen_map(cfg, rng, trial: int) -> dict:
@@ -420,10 +329,10 @@ def _gen_jensen_map(cfg, rng, trial: int) -> dict:
     else:
         raise GenerationError(f"unknown jensen-map variant {variant!r}")
     a = random_hermitian(n, domain, rng)
-    return serialize.jensen_map_payload(f, a, spec, x, variant)
+    return {"f": f, "a": a, "spec": spec, "x": x, "variant": variant}
 
 
-def _gen_thm1(cfg, rng) -> dict:
+def _gen_thm1(cfg, rng, trial) -> dict:
     n = _draw_int(rng, cfg.n_range)
     m = _draw_int(rng, cfg.m_range)
     ell = _draw_int(rng, cfg.ell_range)
@@ -439,11 +348,11 @@ def _gen_thm1(cfg, rng) -> dict:
         alphas = alphas * (float(rng.uniform(0.4, 0.98)) / top)
         f = _draw_function(cfg, rng, cfg.spectrum)
         a = random_hermitian(n, cfg.spectrum, rng)
-        return serialize.thm1_payload(f, a, list(zip(alphas, specs)))
+        return {"f": f, "a": a, "weighted_maps": list(zip(alphas, specs))}
     raise GenerationError(f"no usable map family after {cfg.max_attempts} attempts")
 
 
-def _gen_cornew(cfg, rng) -> dict:
+def _gen_cornew(cfg, rng, trial) -> dict:
     n = _draw_int(rng, cfg.n_range)
     ell = _draw_int(rng, cfg.ell_range)
     alphas = rng.uniform(0.2, 2.0, size=ell)
@@ -461,30 +370,34 @@ def _gen_cornew(cfg, rng) -> dict:
     window = (-10.0 * reach, 10.0 * reach)
     r = _draw_r(cfg, rng, hi_cap=3.0)
     f = make_function_spec("abs_pow", window, r)
-    return serialize.cornew_payload(f, mats, blocks, alphas)
+    return {"f": f, "a_list": mats, "x_list": blocks, "alpha": alphas}
 
 
-def _gen_cor45(cfg, rng) -> dict:
+def _gen_cor45(cfg, rng, trial) -> dict:
     n = _draw_int(rng, cfg.n_range)
     ell = _draw_int(rng, cfg.ell_range)
     r = _draw_r(cfg, rng)
     p = rng.uniform(0.3, 3.0, size=ell)
-    conj = p ** (1.0 / (1.0 - r))
-    blocks = random_map_family(ell, n, n, conj / conj.sum(), rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        conj = p ** (1.0 / (1.0 - r))
+        weights = conj / conj.sum()
+    if not np.all(np.isfinite(weights)):
+        raise GenerationError(f"conjugate powers p^(1/(1-r)) overflow at r={r!r}")
+    blocks = random_map_family(ell, n, n, weights, rng)
     mats = [random_hermitian(n, cfg.spectrum, rng) for _ in range(ell)]
-    return serialize.cor45_payload(mats, blocks, p, r)
+    return {"a_list": mats, "x_list": blocks, "p": p, "r": r}
 
 
-def _gen_zh(cfg, rng) -> dict:
+def _gen_zh(cfg, rng, trial) -> dict:
     n = _draw_int(rng, cfg.n_range)
     ell = _draw_int(rng, cfg.ell_range)
     r = _draw_r(cfg, rng, hi_cap=2.0)
     p = _sum_to_one_weights(ell, rng)
     mats = [random_hermitian(n, cfg.spectrum, rng) for _ in range(ell)]
-    return serialize.zh_payload(mats, p, r)
+    return {"a_list": mats, "p": p, "r": r}
 
 
-def _gen_prop_r2(cfg, rng) -> dict:
+def _gen_prop_r2(cfg, rng, trial) -> dict:
     n = _draw_int(rng, cfg.n_range)
     ell = _draw_int(rng, cfg.ell_range)
     r = _draw_r(cfg, rng, lo_cap=2.0)
@@ -492,20 +405,20 @@ def _gen_prop_r2(cfg, rng) -> dict:
     mats = [
         float(rng.uniform(0.3, 1.5)) * complex_gaussian((n, n), rng) for _ in range(ell)
     ]
-    return serialize.prop_r2_payload(mats, p, r)
+    return {"a_list": mats, "p": p, "r": r}
 
 
-def _gen_sumsq(cfg, rng) -> dict:
+def _gen_sumsq(cfg, rng, trial) -> dict:
     n = _draw_int(rng, cfg.n_range)
     ell = _draw_int(rng, cfg.ell_range)
     p = _sum_to_one_weights(ell, rng)
     mats = [
         float(rng.uniform(0.3, 1.5)) * complex_gaussian((n, n), rng) for _ in range(ell)
     ]
-    return serialize.sumsq_payload(mats, p)
+    return {"a_list": mats, "p": p}
 
 
-def _gen_inc_convex(cfg, rng) -> dict:
+def _gen_inc_convex(cfg, rng, trial) -> dict:
     n = _draw_int(rng, cfg.n_range)
     ell = _draw_int(rng, cfg.ell_range)
     p = _sum_to_one_weights(ell, rng)
@@ -520,35 +433,33 @@ def _gen_inc_convex(cfg, rng) -> dict:
         domain = cfg.spectrum
     f = _draw_function(cfg, rng, domain, ids=(fid,))
     mats = [random_hermitian(n, domain, rng) for _ in range(ell)]
-    return serialize.inc_convex_payload(f, mats, p)
+    return {"f": f, "a_list": mats, "p": p}
+
+
+#: Theorem id -> (checker name in :mod:`bohrcheck.inequalities`, generator).
+#: A generator draws the checker's keyword arguments from (cfg, rng, trial).
+#: Checkers are looked up by name at call time, so a rebound module
+#: attribute (a wrapper installed by a profiler, say) takes effect.
+THEOREM_TABLE = {
+    "bohr": ("check_scalar_bohr", _gen_bohr),
+    "vasic": ("check_vasic_keckic", _gen_vasic),
+    "jensen-vec": ("check_jensen_vector", _gen_jensen_vec),
+    "jensen-map": ("check_jensen_map", _gen_jensen_map),
+    "thm1": ("check_thm_weak_major", _gen_thm1),
+    "cornew": ("check_cor_congruence", _gen_cornew),
+    "cor45": ("check_eigen_bohr", _gen_cor45),
+    "zh": ("check_norm_bohr", _gen_zh),
+    "prop-r2": ("check_pointwise_bohr_r2", _gen_prop_r2),
+    "sumsq": ("check_sum_square", _gen_sumsq),
+    "inc-convex": ("check_increasing_convex_eigen", _gen_inc_convex),
+}
 
 
 def generate_instance(cfg: CampaignConfig, trial: int, rng) -> dict:
     """Constraint-aware random instance payload for the configured theorem."""
     theorem = canonical_theorem(cfg.theorem)
-    if theorem == "bohr":
-        return _gen_bohr(cfg, rng)
-    if theorem == "vasic":
-        return _gen_vasic(cfg, rng)
-    if theorem == "jensen-vec":
-        return _gen_jensen_vec(cfg, rng)
-    if theorem == "jensen-map":
-        return _gen_jensen_map(cfg, rng, trial)
-    if theorem == "thm1":
-        return _gen_thm1(cfg, rng)
-    if theorem == "cornew":
-        return _gen_cornew(cfg, rng)
-    if theorem == "cor45":
-        return _gen_cor45(cfg, rng)
-    if theorem == "zh":
-        return _gen_zh(cfg, rng)
-    if theorem == "prop-r2":
-        return _gen_prop_r2(cfg, rng)
-    if theorem == "sumsq":
-        return _gen_sumsq(cfg, rng)
-    if theorem == "inc-convex":
-        return _gen_inc_convex(cfg, rng)
-    raise GenerationError(f"no generator for theorem {theorem!r}")
+    args = THEOREM_TABLE[theorem][1](cfg, rng, trial)
+    return serialize.instance_to_json(theorem, **args)
 
 
 # --- campaign loop ------------------------------------------------------------
@@ -683,7 +594,7 @@ def demo() -> list[dict]:
     """Worked examples: each row reports LHS, RHS, and slack (or residual)."""
     rows = []
 
-    rep = check_scalar_bohr(1.0 + 0.0j, 1.0 + 0.0j, 2.0)
+    rep = inequalities.check_scalar_bohr(1.0 + 0.0j, 1.0 + 0.0j, 2.0)
     rows.append(
         {
             "name": "scalar Bohr at the equality point w = (p-1)z",
@@ -697,7 +608,7 @@ def demo() -> list[dict]:
     p = np.array([0.5, 1.0, 2.0])
     r = 2.5
     z = p ** (1.0 / (1.0 - r))
-    rep = check_vasic_keckic(z.astype(complex), p, r)
+    rep = inequalities.check_vasic_keckic(z.astype(complex), p, r)
     rows.append(
         {
             "name": "Vasic-Keckic at the stationary family z_j = p_j^(1/(1-r))",
@@ -725,7 +636,7 @@ def demo() -> list[dict]:
     a1 = np.diag([1.0, 0.0]).astype(complex)
     a2 = np.diag([0.0, 1.0]).astype(complex)
     eye = np.eye(2, dtype=complex)
-    rep = check_eigen_bohr([a1, a2], [eye, eye], [0.5, 0.5], 2.0)
+    rep = inequalities.check_eigen_bohr([a1, a2], [eye, eye], [0.5, 0.5], 2.0)
     rows.append(
         {
             "name": "eigenvalue Bohr on diag(1,0), diag(0,1), r=2, p=(1/2,1/2)",

@@ -22,7 +22,6 @@ traced to the exact input that produced it.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -47,7 +46,6 @@ __all__ = [
     "EQUALITY_RTOL",
     "WEIGHT_SUM_TOL",
     "OPERATOR_HYP_TOL",
-    "WeightVector",
     "CheckReport",
     "default_tolerance",
     "check_scalar_bohr",
@@ -84,55 +82,13 @@ _DOMAIN_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """Positive weights with a named constraint, validated at construction.
-
-    Constraints: ``positive`` (every w_i > 0), ``sum_to_one`` (every
-    w_i in (0, 1] and the total is 1 within WEIGHT_SUM_TOL), and ``bohr``
-    (every w_i > 0 together with an exponent r > 1; the derived quantities
-    are w_i^(1/(1-r)), always read with exponent 1/(1-r)).
-    """
-
-    values: tuple[float, ...]
-    constraint: str = "positive"
-    r: float | None = None
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
-            raise ValueError("weight vector must be nonempty")
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("weights must be finite")
-        if self.constraint not in ("positive", "sum_to_one", "bohr"):
-            raise ValueError(f"unknown weight constraint {self.constraint!r}")
-        if any(v <= 0 for v in vals):
-            raise ValueError("weights must be strictly positive")
-        if self.constraint == "sum_to_one":
-            if any(v > 1.0 + _NORM_TOL for v in vals):
-                raise ValueError("sum-to-one weights must lie in (0, 1]")
-            if abs(sum(vals) - 1.0) > WEIGHT_SUM_TOL:
-                raise ValueError(f"weights sum to {sum(vals)!r}, expected 1")
-        if self.constraint == "bohr":
-            if self.r is None or not math.isfinite(self.r) or self.r <= 1.0:
-                raise ValueError("bohr weights require an exponent r > 1")
-        object.__setattr__(self, "values", vals)
-
-    def conjugate_powers(self) -> np.ndarray:
-        """w_i^(1/(1-r)) for the bohr constraint."""
-        if self.constraint != "bohr":
-            raise ValueError("conjugate powers are defined for the bohr constraint")
-        return np.asarray(self.values, dtype=float) ** (1.0 / (1.0 - self.r))
-
-
-@dataclass(frozen=True)
 class CheckReport:
     """Outcome of one inequality check.
 
     ``verdict`` is one of "held", "violated", "not_applicable";
     ``hypothesis_report`` records every hypothesis by name, and any False
     entry forces "not_applicable". ``min_slack`` is None for inapplicable
-    instances. ``elapsed`` (seconds) is informational only and excluded
-    from serialized reports so campaign output stays byte-deterministic.
+    instances.
     """
 
     theorem_id: str
@@ -143,7 +99,6 @@ class CheckReport:
     tol_used: float
     hypothesis_report: Mapping[str, bool]
     input_digest: str
-    elapsed: float
     extras: Mapping[str, object] = field(default_factory=dict)
 
     @property
@@ -162,7 +117,7 @@ class CheckReport:
         return tuple(k for k, v in self.hypothesis_report.items() if not v)
 
     def to_json(self) -> dict:
-        """JSON-ready dict; deterministic (elapsed deliberately excluded)."""
+        """JSON-ready dict of every field."""
         return {
             "theorem_id": self.theorem_id,
             "verdict": self.verdict,
@@ -187,8 +142,7 @@ def default_tolerance(lhs, rhs) -> float:
 
 
 def _weights(p) -> np.ndarray:
-    vals = p.values if isinstance(p, WeightVector) else p
-    w = np.asarray(vals, dtype=float)
+    w = np.asarray(p, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise DimensionError(f"expected a nonempty weight vector, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
@@ -196,7 +150,7 @@ def _weights(p) -> np.ndarray:
     return w
 
 
-def _na_report(theorem_id, hyps, payload, t0, tol, extras=None) -> CheckReport:
+def _na_report(theorem_id, hyps, payload, tol, extras=None) -> CheckReport:
     return CheckReport(
         theorem_id=theorem_id,
         verdict="not_applicable",
@@ -206,13 +160,12 @@ def _na_report(theorem_id, hyps, payload, t0, tol, extras=None) -> CheckReport:
         tol_used=float(tol) if tol is not None else 0.0,
         hypothesis_report=dict(hyps),
         input_digest=serialize.digest(payload),
-        elapsed=time.perf_counter() - t0,
         extras=dict(extras or {}),
     )
 
 
 def _graded_report(
-    theorem_id, lhs, rhs, hyps, payload, t0, tol, extras=None, comparison="partial-sums"
+    theorem_id, lhs, rhs, hyps, payload, tol, extras=None, comparison="partial-sums"
 ) -> CheckReport:
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -232,7 +185,6 @@ def _graded_report(
         tol_used=tol_used,
         hypothesis_report=dict(hyps),
         input_digest=serialize.digest(payload),
-        elapsed=time.perf_counter() - t0,
         extras=merged,
     )
 
@@ -285,16 +237,15 @@ def check_scalar_bohr(z, w, p, tol: float | None = None) -> CheckReport:
     Hypothesis: p > 1 (q is derived as p/(p-1)). Equality occurs exactly
     at w = (p-1) z, which is flagged in extras["equality_case"].
     """
-    t0 = time.perf_counter()
     z = complex(z)
     w = complex(w)
     p = float(p)
     if not all(map(math.isfinite, (z.real, z.imag, w.real, w.imag, p))):
         raise ValueError("inputs must be finite")
-    payload = serialize.bohr_payload(z, w, p)
+    payload = serialize.instance_to_json("bohr", z=z, w=w, p=p)
     hyps = {"p > 1": p > 1.0}
     if not all(hyps.values()):
-        return _na_report("bohr", hyps, payload, t0, tol)
+        return _na_report("bohr", hyps, payload, tol)
     q = p / (p - 1.0)
     lhs = abs(z + w) ** 2
     rhs = p * abs(z) ** 2 + q * abs(w) ** 2
@@ -303,7 +254,7 @@ def check_scalar_bohr(z, w, p, tol: float | None = None) -> CheckReport:
         "q": q,
         "equality_case": bool(abs(w - (p - 1.0) * z) <= 1e-12 * scale),
     }
-    return _graded_report("bohr", [lhs], [rhs], hyps, payload, t0, tol, extras)
+    return _graded_report("bohr", [lhs], [rhs], hyps, payload, tol, extras)
 
 
 def check_vasic_keckic(z, p, r, tol: float | None = None) -> CheckReport:
@@ -314,7 +265,6 @@ def check_vasic_keckic(z, p, r, tol: float | None = None) -> CheckReport:
     z_j = p_j^(1/(1-r)) makes both sides equal and is flagged in
     extras["stationary_point"].
     """
-    t0 = time.perf_counter()
     zv = np.asarray(z, dtype=complex).ravel()
     if zv.size == 0:
         raise DimensionError("expected at least one term")
@@ -324,10 +274,10 @@ def check_vasic_keckic(z, p, r, tol: float | None = None) -> CheckReport:
     if pw.shape != zv.shape:
         raise DimensionError(f"{zv.size} terms but {pw.size} weights")
     r = float(r)
-    payload = serialize.vasic_payload(zv, pw, r)
+    payload = serialize.instance_to_json("vasic", z=zv, p=pw, r=r)
     hyps = {"r > 1": r > 1.0, "weights positive": bool(np.all(pw > 0))}
     if not all(hyps.values()):
-        return _na_report("vasic", hyps, payload, t0, tol)
+        return _na_report("vasic", hyps, payload, tol)
     conj = pw ** (1.0 / (1.0 - r))
     const = float(np.sum(conj)) ** (r - 1.0)
     lhs = abs(np.sum(zv)) ** r
@@ -337,7 +287,7 @@ def check_vasic_keckic(z, p, r, tol: float | None = None) -> CheckReport:
         "constant": const,
         "stationary_point": bool(np.all(np.abs(zv - conj) <= 1e-12 * scale)),
     }
-    return _graded_report("vasic", [lhs], [rhs], hyps, payload, t0, tol, extras)
+    return _graded_report("vasic", [lhs], [rhs], hyps, payload, tol, extras)
 
 
 # --- Jensen-type inequalities ------------------------------------------------
@@ -350,14 +300,13 @@ def check_jensen_vector(f: ConvexFunctionSpec, a, x, tol: float | None = None) -
     ||x|| <= 1, and the spectrum of A inside the domain. The short vector
     is what lets the missing mass sit at 0, where f is nonpositive.
     """
-    t0 = time.perf_counter()
     am = require_hermitian(a)
     xv = np.asarray(x, dtype=complex).ravel()
     if xv.size != am.shape[0]:
         raise DimensionError(f"vector length {xv.size} does not match matrix {am.shape}")
     if not np.all(np.isfinite(xv.real)) or not np.all(np.isfinite(xv.imag)):
         raise ValueError("vector entries must be finite")
-    payload = serialize.jensen_vec_payload(f, am, xv)
+    payload = serialize.instance_to_json("jensen-vec", f=f, a=am, x=xv)
     w, _ = eig_hermitian(am)
     norm = float(np.linalg.norm(xv))
     hyps = {
@@ -368,12 +317,12 @@ def check_jensen_vector(f: ConvexFunctionSpec, a, x, tol: float | None = None) -
         "spectrum within domain": _spectrum_in_domain(f, w),
     }
     if not all(hyps.values()):
-        return _na_report("jensen-vec", hyps, payload, t0, tol)
+        return _na_report("jensen-vec", hyps, payload, tol)
     t = float(np.real(xv.conj() @ am @ xv))
     lhs = float(f(f.domain.clamp(t)))
     rhs = float(np.real(xv.conj() @ apply_fun(f, am) @ xv))
     return _graded_report(
-        "jensen-vec", [lhs], [rhs], hyps, payload, t0, tol, {"evaluation_point": t}
+        "jensen-vec", [lhs], [rhs], hyps, payload, tol, {"evaluation_point": t}
     )
 
 
@@ -393,7 +342,6 @@ def check_jensen_map(
       domain and f(0) <= 0;
     - "unital": Phi(I) = I and ||x|| = 1, f convex; no condition at 0.
     """
-    t0 = time.perf_counter()
     if variant not in ("subunital", "unital"):
         raise ValueError(f"variant must be 'subunital' or 'unital', got {variant!r}")
     am = require_hermitian(a)
@@ -405,7 +353,9 @@ def check_jensen_map(
         raise DimensionError(f"vector length {xv.size} does not match output dim {m_out}")
     if not np.all(np.isfinite(xv.real)) or not np.all(np.isfinite(xv.imag)):
         raise ValueError("vector entries must be finite")
-    payload = serialize.jensen_map_payload(f, am, spec, xv, variant)
+    payload = serialize.instance_to_json(
+        "jensen-map", f=f, a=am, spec=spec, x=xv, variant=variant
+    )
 
     w, _ = eig_hermitian(am)
     norm = float(np.linalg.norm(xv))
@@ -432,7 +382,7 @@ def check_jensen_map(
     t_scale = max(1.0, abs(t))
     hyps["evaluation point within domain"] = f.domain.contains(t, _DOMAIN_RTOL * t_scale)
     if not all(hyps.values()):
-        return _na_report("jensen-map", hyps, payload, t0, tol, {"variant": variant})
+        return _na_report("jensen-map", hyps, payload, tol, {"variant": variant})
     lhs = float(f(f.domain.clamp(t)))
     rhs = float(np.real(xv.conj() @ apply_map(spec, apply_fun(f, am)) @ xv))
     return _graded_report(
@@ -441,7 +391,6 @@ def check_jensen_map(
         [rhs],
         hyps,
         payload,
-        t0,
         tol,
         {"variant": variant, "evaluation_point": t},
     )
@@ -461,7 +410,6 @@ def check_thm_weak_major(
     descending-cumulative sums; f's eigenvalues are sorted after applying f
     because f need not be monotone.
     """
-    t0 = time.perf_counter()
     am = require_hermitian(a)
     pairs = [(float(alpha), spec) for alpha, spec in weighted_maps]
     if not pairs:
@@ -474,7 +422,7 @@ def check_thm_weak_major(
             raise DimensionError("all maps must share the same input/output dimensions")
     if not all(math.isfinite(alpha) for alpha, _ in pairs):
         raise ValueError("combination weights must be finite")
-    payload = serialize.thm1_payload(f, am, pairs)
+    payload = serialize.instance_to_json("thm1", f=f, a=am, weighted_maps=pairs)
 
     w, _ = eig_hermitian(am)
     t_id = hermitize(sum(alpha * applied_to_identity(spec) for alpha, spec in pairs))
@@ -493,13 +441,13 @@ def check_thm_weak_major(
     mu = np.linalg.eigvalsh(mixed)
     hyps["mixed spectrum within domain"] = _spectrum_in_domain(f, mu)
     if not all(hyps.values()):
-        return _na_report("thm1", hyps, payload, t0, tol)
+        return _na_report("thm1", hyps, payload, tol)
 
     lhs = np.cumsum(_descending(f(f.domain.clamp(mu))))
     fa = apply_fun(f, am)
     right = hermitize(sum(alpha * apply_map(spec, fa) for alpha, spec in pairs))
     rhs = np.cumsum(_descending(np.linalg.eigvalsh(right)))
-    return _graded_report("thm1", lhs, rhs, hyps, payload, t0, tol)
+    return _graded_report("thm1", lhs, rhs, hyps, payload, tol)
 
 
 def check_cor_congruence(
@@ -513,7 +461,6 @@ def check_cor_congruence(
     f(0) <= 0. The domain must cover the spectra of every A_i and of the
     congruence sum, and every scalar 1/a_i.
     """
-    t0 = time.perf_counter()
     mats = _hermitian_family(a_list)
     n = mats[0].shape[0]
     blocks = [require_square(x) for x in x_list]
@@ -523,7 +470,7 @@ def check_cor_congruence(
     for i, b in enumerate(blocks):
         if b.shape != (n, n):
             raise DimensionError(f"block {i} has shape {b.shape}, expected {(n, n)}")
-    payload = serialize.cornew_payload(f, mats, blocks, aw)
+    payload = serialize.instance_to_json("cornew", f=f, a_list=mats, x_list=blocks, alpha=aw)
 
     gram = hermitize(sum(b.conj().T @ b * w for w, b in zip(aw, blocks)))
     wg = np.linalg.eigvalsh(gram)
@@ -543,14 +490,14 @@ def check_cor_congruence(
     else:
         hyps["domain covers evaluation points"] = False
     if not all(hyps.values()):
-        return _na_report("cornew", hyps, payload, t0, tol)
+        return _na_report("cornew", hyps, payload, tol)
 
     lhs = np.cumsum(_descending(f(f.domain.clamp(mu))))
     right = np.zeros((n, n), dtype=complex)
     for w, m, b in zip(aw, mats, blocks):
         right += w * float(f(f.domain.clamp(1.0 / w))) * (b.conj().T @ apply_fun(f, m) @ b)
     rhs = np.cumsum(_descending(np.linalg.eigvalsh(hermitize(right))))
-    return _graded_report("cornew", lhs, rhs, hyps, payload, t0, tol)
+    return _graded_report("cornew", lhs, rhs, hyps, payload, tol)
 
 
 def check_eigen_bohr(
@@ -572,7 +519,6 @@ def check_eigen_bohr(
     mutation hook for sensitivity testing; it is not part of the instance
     payload.
     """
-    t0 = time.perf_counter()
     mats = _hermitian_family(a_list)
     n = mats[0].shape[0]
     blocks = [require_square(x) for x in x_list]
@@ -586,7 +532,7 @@ def check_eigen_bohr(
     rhs_scale = float(rhs_scale)
     if not math.isfinite(rhs_scale) or rhs_scale <= 0:
         raise ValueError("rhs_scale must be finite and positive")
-    payload = serialize.cor45_payload(mats, blocks, pw, r)
+    payload = serialize.instance_to_json("cor45", a_list=mats, x_list=blocks, p=pw, r=r)
 
     hyps = {"r > 1": r > 1.0, "weights positive": bool(np.all(pw > 0))}
     if all(hyps.values()):
@@ -600,7 +546,7 @@ def check_eigen_bohr(
     else:
         hyps["sum p_i^(1/(1-r)) X_i*X_i <= (sum p_i^(1/(1-r))) I"] = False
     if not all(hyps.values()):
-        return _na_report("cor45", hyps, payload, t0, tol)
+        return _na_report("cor45", hyps, payload, tol)
 
     mixed = hermitize(sum(b.conj().T @ m @ b for m, b in zip(mats, blocks)))
     lhs = np.cumsum(_descending(np.abs(np.linalg.eigvalsh(mixed)) ** r))
@@ -610,7 +556,7 @@ def check_eigen_bohr(
     extras = {"constant": const}
     if rhs_scale != 1.0:
         extras["rhs_scale"] = rhs_scale
-    return _graded_report("cor45", lhs, rhs, hyps, payload, t0, tol, extras)
+    return _graded_report("cor45", lhs, rhs, hyps, payload, tol, extras)
 
 
 def check_norm_bohr(a_list, p, r, tol: float | None = None) -> CheckReport:
@@ -622,17 +568,16 @@ def check_norm_bohr(a_list, p, r, tol: float | None = None) -> CheckReport:
     inequality in every unitarily invariant norm at once. extras carries a
     Schatten cross-check at orders {1, 1.5, 2, 3, 10}.
     """
-    t0 = time.perf_counter()
     mats = _hermitian_family(a_list)
     pw = _weights(p)
     if pw.size != len(mats):
         raise DimensionError(f"{len(mats)} matrices but {pw.size} weights")
     r = float(r)
-    payload = serialize.zh_payload(mats, pw, r)
+    payload = serialize.instance_to_json("zh", a_list=mats, p=pw, r=r)
     hyps = {"1 < r <= 2": 1.0 < r <= 2.0 + _NORM_TOL}
     hyps.update(_sum_weight_hyps(pw))
     if not all(hyps.values()):
-        return _na_report("zh", hyps, payload, t0, tol)
+        return _na_report("zh", hyps, payload, tol)
 
     total = hermitize(sum(mats))
     left_mat = abs_power(total, r)
@@ -651,7 +596,7 @@ def check_norm_bohr(a_list, p, r, tol: float | None = None) -> CheckReport:
         if ln > rn + DEFAULT_RTOL * max(1.0, ln, rn):
             schatten_ok = False
     extras = {"schatten_orders": schatten, "schatten_ok": schatten_ok}
-    return _graded_report("zh", lhs, rhs, hyps, payload, t0, tol, extras)
+    return _graded_report("zh", lhs, rhs, hyps, payload, tol, extras)
 
 
 def _schatten_of_psd(mat: np.ndarray, order: float) -> float:
@@ -671,24 +616,23 @@ def check_pointwise_bohr_r2(a_list, p, r, tol: float | None = None) -> CheckRepo
     summing to 1; p_i^(1-r) = 1/p_i^(r-1) >= 1. The comparison is
     pointwise, strictly stronger than its partial-sum consequence.
     """
-    t0 = time.perf_counter()
     mats = _square_family(a_list)
     pw = _weights(p)
     if pw.size != len(mats):
         raise DimensionError(f"{len(mats)} matrices but {pw.size} weights")
     r = float(r)
-    payload = serialize.prop_r2_payload(mats, pw, r)
+    payload = serialize.instance_to_json("prop-r2", a_list=mats, p=pw, r=r)
     hyps = {"r >= 2": r >= 2.0 - _NORM_TOL}
     hyps.update(_sum_weight_hyps(pw))
     if not all(hyps.values()):
-        return _na_report("prop-r2", hyps, payload, t0, tol)
+        return _na_report("prop-r2", hyps, payload, tol)
 
     total = sum(mats)
     lhs = singular_values(total) ** r
     right = hermitize(sum(w ** (1.0 - r) * abs_power(m, r) for w, m in zip(pw, mats)))
     rhs = _descending(np.linalg.eigvalsh(right))
     return _graded_report(
-        "prop-r2", lhs, rhs, hyps, payload, t0, tol, comparison="pointwise"
+        "prop-r2", lhs, rhs, hyps, payload, tol, comparison="pointwise"
     )
 
 
@@ -703,16 +647,15 @@ def check_sum_square(a_list, p, tol: float | None = None) -> CheckReport:
     rather than the looser slack tolerance. Weights must be positive and
     sum to 1.
     """
-    t0 = time.perf_counter()
     mats = _square_family(a_list)
     pw = _weights(p)
     if pw.size != len(mats):
         raise DimensionError(f"{len(mats)} matrices but {pw.size} weights")
-    payload = serialize.sumsq_payload(mats, pw)
+    payload = serialize.instance_to_json("sumsq", a_list=mats, p=pw)
     hyps = {"weights positive": bool(np.all(pw > 0))}
     hyps["weights sum to 1"] = bool(abs(float(np.sum(pw)) - 1.0) <= WEIGHT_SUM_TOL)
     if not all(hyps.values()):
-        return _na_report("sumsq", hyps, payload, t0, tol)
+        return _na_report("sumsq", hyps, payload, tol)
 
     n = mats[0].shape[0]
     spread = np.zeros((n, n), dtype=complex)
@@ -738,7 +681,7 @@ def check_sum_square(a_list, p, tol: float | None = None) -> CheckReport:
         "identity_budget": budget,
     }
     return _graded_report(
-        "sumsq", lhs, rhs, hyps, payload, t0, tol, extras, comparison="certificate"
+        "sumsq", lhs, rhs, hyps, payload, tol, extras, comparison="certificate"
     )
 
 
@@ -751,12 +694,11 @@ def check_increasing_convex_eigen(
     with weights in [0, 1] summing to 1. Monotonicity is what upgrades the
     weak-majorization statement to a pointwise one.
     """
-    t0 = time.perf_counter()
     mats = _hermitian_family(a_list)
     pw = _weights(p)
     if pw.size != len(mats):
         raise DimensionError(f"{len(mats)} matrices but {pw.size} weights")
-    payload = serialize.inc_convex_payload(f, mats, pw)
+    payload = serialize.instance_to_json("inc-convex", f=f, a_list=mats, p=pw)
     spectra = np.concatenate([np.linalg.eigvalsh(m) for m in mats])
     hyps = {
         "f convex on domain": f.flag("convex_on_J"),
@@ -765,16 +707,16 @@ def check_increasing_convex_eigen(
     }
     hyps.update(_sum_weight_hyps(pw))
     if not all(hyps.values()):
-        return _na_report("inc-convex", hyps, payload, t0, tol)
+        return _na_report("inc-convex", hyps, payload, tol)
 
     mixture = hermitize(sum(w * m for w, m in zip(pw, mats)))
     mu = np.linalg.eigvalsh(mixture)
     hyps["mixture spectrum within domain"] = _spectrum_in_domain(f, mu)
     if not all(hyps.values()):
-        return _na_report("inc-convex", hyps, payload, t0, tol)
+        return _na_report("inc-convex", hyps, payload, tol)
     lhs = _descending(f(f.domain.clamp(mu)))
     right = hermitize(sum(w * apply_fun(f, m) for w, m in zip(pw, mats)))
     rhs = _descending(np.linalg.eigvalsh(right))
     return _graded_report(
-        "inc-convex", lhs, rhs, hyps, payload, t0, tol, comparison="pointwise"
+        "inc-convex", lhs, rhs, hyps, payload, tol, comparison="pointwise"
     )

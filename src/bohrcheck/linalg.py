@@ -29,11 +29,9 @@ __all__ = [
     "require_square",
     "require_hermitian",
     "hermitize",
-    "hermiticity_defect",
     "frob",
     "EigenDecomposition",
     "eig_hermitian",
-    "eigvals_descending",
     "abs_matrix",
     "complex_gaussian",
     "random_unitary",
@@ -157,12 +155,6 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def hermiticity_defect(a) -> float:
-    """||A - A*||_F relative to max(1, ||A||_F)."""
-    m = require_square(a)
-    return frob(m - m.conj().T) / max(1.0, frob(m))
-
-
 def require_hermitian(a, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     m = require_square(a)
     defect = frob(m - m.conj().T)
@@ -201,11 +193,6 @@ def eig_hermitian(a, rtol: float = HERMITIAN_RTOL) -> EigenDecomposition:
         raise EigenConvergenceError(f"eigensolver failed to converge: {exc}") from exc
     order = np.argsort(-w, kind="stable")
     return EigenDecomposition(w[order], u[:, order])
-
-
-def eigvals_descending(a) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, descending."""
-    return eig_hermitian(a).eigenvalues
 
 
 def abs_matrix(a) -> np.ndarray:

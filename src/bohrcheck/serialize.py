@@ -12,15 +12,18 @@ Wire formats:
             {"kind": "block", "i": 0, "ell": 3, "X": {matrix}}
 
 An instance payload is one flat JSON object per theorem with a "theorem"
-key; :func:`digest` hashes the canonical rendering (sorted keys, no
-whitespace) with 64-bit FNV-1a, and the checkers stamp that value into
-their reports so any report line can be traced back to its exact input.
+key. :data:`INSTANCE_SCHEMA` describes each theorem's payload once, as
+ordered (payload key, checker argument, codec) triples;
+:func:`instance_to_json` and :func:`instance_from_json` are the only
+encoder and decoder of payloads. :func:`digest` hashes the canonical
+rendering (sorted keys, no whitespace) with 64-bit FNV-1a, and the checkers
+stamp that value into their reports so any report line can be traced back
+to its exact input.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +40,9 @@ from .linalg import as_complex_matrix
 
 __all__ = [
     "SerializationError",
+    "INSTANCE_SCHEMA",
     "THEOREMS",
+    "THEOREM_ALIASES",
     "canonical_theorem",
     "matrix_to_json",
     "matrix_from_json",
@@ -52,44 +57,13 @@ __all__ = [
     "canonical_json",
     "fnv1a64",
     "digest",
+    "instance_to_json",
+    "instance_from_json",
 ]
 
 
 class SerializationError(ValueError):
     """Malformed wire-format object."""
-
-
-#: Canonical theorem identifiers, in CLI order.
-THEOREMS = (
-    "bohr",
-    "vasic",
-    "jensen-vec",
-    "jensen-map",
-    "thm1",
-    "cornew",
-    "cor45",
-    "zh",
-    "prop-r2",
-    "sumsq",
-    "inc-convex",
-)
-
-_THEOREM_ALIASES = {
-    "cor4.5": "cor45",
-    "jensen-vector": "jensen-vec",
-    "jensen_vec": "jensen-vec",
-    "jensen_map": "jensen-map",
-    "prop_r2": "prop-r2",
-    "inc_convex": "inc-convex",
-}
-
-
-def canonical_theorem(name: str) -> str:
-    """Resolve a theorem identifier or alias to its canonical form."""
-    t = _THEOREM_ALIASES.get(str(name), str(name))
-    if t not in THEOREMS:
-        raise SerializationError(f"unknown theorem {name!r}; known: {', '.join(THEOREMS)}")
-    return t
 
 
 # --- primitive codecs -------------------------------------------------------
@@ -246,108 +220,111 @@ def digest(obj) -> str:
     return f"{fnv1a64(canonical_json(obj).encode('utf-8')):016x}"
 
 
-# --- instance payload builders ---------------------------------------------
+# --- instance payloads ------------------------------------------------------
 
 
-def weights_to_json(p: Sequence[float]) -> list[float]:
-    return [float(x) for x in p]
+def _each(convert):
+    """Lift a one-value conversion to lists."""
+    return lambda items: [convert(x) for x in items]
 
 
-def bohr_payload(z: complex, w: complex, p: float) -> dict:
-    return {"theorem": "bohr", "p": float(p), "z": scalar_to_json(z), "w": scalar_to_json(w)}
+def _weighted_maps_to_json(weighted_maps) -> list[dict]:
+    return [{"alpha": float(alpha), "map": map_to_json(spec)} for alpha, spec in weighted_maps]
 
 
-def vasic_payload(z: Sequence[complex], p: Sequence[float], r: float) -> dict:
-    return {
-        "theorem": "vasic",
-        "r": float(r),
-        "p": weights_to_json(p),
-        "z": vector_to_json(np.asarray(z, dtype=complex)),
-    }
+def _weighted_maps_from_json(terms) -> list[tuple[float, MapSpec]]:
+    return [(float(t["alpha"]), map_from_json(t["map"])) for t in terms]
 
 
-def jensen_vec_payload(f: ConvexFunctionSpec, a, x) -> dict:
-    return {
-        "theorem": "jensen-vec",
-        "f": function_to_json(f),
-        "A": matrix_to_json(a),
-        "x": vector_to_json(x),
-    }
+# A codec is an (encode, decode) pair for one payload field.
+_FLOAT = (float, float)
+_TEXT = (str, str)
+_WEIGHTS = (_each(float), _each(float))
+_SCALAR = (scalar_to_json, scalar_from_json)
+_VECTOR = (vector_to_json, vector_from_json)
+_MATRIX = (matrix_to_json, matrix_from_json)
+_MATRICES = (_each(matrix_to_json), _each(matrix_from_json))
+_FUNCTION = (function_to_json, function_from_json)
+_MAP = (map_to_json, map_from_json)
+_WEIGHTED_MAPS = (_weighted_maps_to_json, _weighted_maps_from_json)
+
+#: Wire format of every theorem, in CLI order: the payload's fields as
+#: (payload key, checker argument, codec) triples, in payload key order.
+INSTANCE_SCHEMA = {
+    "bohr": (("p", "p", _FLOAT), ("z", "z", _SCALAR), ("w", "w", _SCALAR)),
+    "vasic": (("r", "r", _FLOAT), ("p", "p", _WEIGHTS), ("z", "z", _VECTOR)),
+    "jensen-vec": (("f", "f", _FUNCTION), ("A", "a", _MATRIX), ("x", "x", _VECTOR)),
+    "jensen-map": (
+        ("variant", "variant", _TEXT),
+        ("f", "f", _FUNCTION),
+        ("A", "a", _MATRIX),
+        ("map", "spec", _MAP),
+        ("x", "x", _VECTOR),
+    ),
+    "thm1": (
+        ("f", "f", _FUNCTION),
+        ("A", "a", _MATRIX),
+        ("maps", "weighted_maps", _WEIGHTED_MAPS),
+    ),
+    "cornew": (
+        ("f", "f", _FUNCTION),
+        ("A", "a_list", _MATRICES),
+        ("X", "x_list", _MATRICES),
+        ("alpha", "alpha", _WEIGHTS),
+    ),
+    "cor45": (
+        ("r", "r", _FLOAT),
+        ("p", "p", _WEIGHTS),
+        ("A", "a_list", _MATRICES),
+        ("X", "x_list", _MATRICES),
+    ),
+    "zh": (("r", "r", _FLOAT), ("p", "p", _WEIGHTS), ("A", "a_list", _MATRICES)),
+    "prop-r2": (("r", "r", _FLOAT), ("p", "p", _WEIGHTS), ("A", "a_list", _MATRICES)),
+    "sumsq": (("p", "p", _WEIGHTS), ("A", "a_list", _MATRICES)),
+    "inc-convex": (("f", "f", _FUNCTION), ("p", "p", _WEIGHTS), ("A", "a_list", _MATRICES)),
+}
+
+#: Canonical theorem identifiers, in CLI order.
+THEOREMS = tuple(INSTANCE_SCHEMA)
+
+#: Accepted spellings of theorem identifiers besides the canonical ones.
+THEOREM_ALIASES = {
+    "cor4.5": "cor45",
+    "jensen-vector": "jensen-vec",
+    "jensen_vec": "jensen-vec",
+    "jensen_map": "jensen-map",
+    "prop_r2": "prop-r2",
+    "inc_convex": "inc-convex",
+}
 
 
-def jensen_map_payload(f: ConvexFunctionSpec, a, spec: MapSpec, x, variant: str) -> dict:
-    return {
-        "theorem": "jensen-map",
-        "variant": str(variant),
-        "f": function_to_json(f),
-        "A": matrix_to_json(a),
-        "map": map_to_json(spec),
-        "x": vector_to_json(x),
-    }
+def canonical_theorem(name: str) -> str:
+    """Resolve a theorem identifier or alias to its canonical form."""
+    t = THEOREM_ALIASES.get(str(name), str(name))
+    if t not in INSTANCE_SCHEMA:
+        raise SerializationError(f"unknown theorem {name!r}; known: {', '.join(THEOREMS)}")
+    return t
 
 
-def thm1_payload(f: ConvexFunctionSpec, a, weighted_maps) -> dict:
-    return {
-        "theorem": "thm1",
-        "f": function_to_json(f),
-        "A": matrix_to_json(a),
-        "maps": [
-            {"alpha": float(alpha), "map": map_to_json(spec)}
-            for alpha, spec in weighted_maps
-        ],
-    }
+def instance_to_json(theorem: str, **args) -> dict:
+    """Instance payload of a canonical ``theorem`` from its checker's arguments."""
+    payload = {"theorem": theorem}
+    for key, arg, (encode, _) in INSTANCE_SCHEMA[theorem]:
+        payload[key] = encode(args[arg])
+    return payload
 
 
-def cornew_payload(f: ConvexFunctionSpec, a_list, x_list, alpha: Sequence[float]) -> dict:
-    return {
-        "theorem": "cornew",
-        "f": function_to_json(f),
-        "A": [matrix_to_json(a) for a in a_list],
-        "X": [matrix_to_json(x) for x in x_list],
-        "alpha": weights_to_json(alpha),
-    }
+def instance_from_json(payload) -> tuple[str, dict]:
+    """Canonical theorem id and checker keyword arguments of a payload.
 
+    Keys outside the theorem's schema are ignored.
+    """
+    if not isinstance(payload, dict) or "theorem" not in payload:
+        raise SerializationError("instance payload must carry a 'theorem' field")
+    theorem = canonical_theorem(payload["theorem"])
+    try:
+        args = {arg: decode(payload[key]) for key, arg, (_, decode) in INSTANCE_SCHEMA[theorem]}
+    except KeyError as exc:
+        raise SerializationError(f"instance for {theorem!r} is missing field {exc}") from exc
+    return theorem, args
 
-def cor45_payload(a_list, x_list, p: Sequence[float], r: float) -> dict:
-    return {
-        "theorem": "cor45",
-        "r": float(r),
-        "p": weights_to_json(p),
-        "A": [matrix_to_json(a) for a in a_list],
-        "X": [matrix_to_json(x) for x in x_list],
-    }
-
-
-def zh_payload(a_list, p: Sequence[float], r: float) -> dict:
-    return {
-        "theorem": "zh",
-        "r": float(r),
-        "p": weights_to_json(p),
-        "A": [matrix_to_json(a) for a in a_list],
-    }
-
-
-def prop_r2_payload(a_list, p: Sequence[float], r: float) -> dict:
-    return {
-        "theorem": "prop-r2",
-        "r": float(r),
-        "p": weights_to_json(p),
-        "A": [matrix_to_json(a) for a in a_list],
-    }
-
-
-def sumsq_payload(a_list, p: Sequence[float]) -> dict:
-    return {
-        "theorem": "sumsq",
-        "p": weights_to_json(p),
-        "A": [matrix_to_json(a) for a in a_list],
-    }
-
-
-def inc_convex_payload(f: ConvexFunctionSpec, a_list, p: Sequence[float]) -> dict:
-    return {
-        "theorem": "inc-convex",
-        "f": function_to_json(f),
-        "p": weights_to_json(p),
-        "A": [matrix_to_json(a) for a in a_list],
-    }

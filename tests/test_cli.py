@@ -24,12 +24,12 @@ def write_bohr_instance(path):
 
 
 def cor45_diag_payload():
-    from bohrcheck.serialize import cor45_payload
+    from bohrcheck.serialize import instance_to_json
 
     a1 = np.diag([1.0, 0.0]).astype(complex)
     a2 = np.diag([0.0, 1.0]).astype(complex)
     eye = np.eye(2, dtype=complex)
-    return cor45_payload([a1, a2], [eye, eye], [0.5, 0.5], 2.0)
+    return instance_to_json("cor45", a_list=[a1, a2], x_list=[eye, eye], p=[0.5, 0.5], r=2.0)
 
 
 # --- check -----------------------------------------------------------------
@@ -107,6 +107,16 @@ def test_fuzz_clean_campaign(tmp_path, capsys):
     assert summary["theorem"] == "cor45"
     assert summary["total"] == 12 and summary["held"] == 12
     assert len(out.read_text().splitlines()) == 13
+
+
+def test_fuzz_accepts_theorem_alias(tmp_path, capsys):
+    out = tmp_path / "alias.jsonl"
+    code = main(
+        ["fuzz", "--theorem", "cor4.5", "--trials", "3", "--seed", "3",
+         "--n-max", "4", "--out", str(out)]
+    )
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["theorem"] == "cor45"
 
 
 def test_fuzz_violations_exit_two_and_persist(tmp_path, capsys):

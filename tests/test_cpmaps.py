@@ -14,7 +14,6 @@ from bohrcheck.cpmaps import (
     apply_map,
     choi_matrix,
     is_completely_positive,
-    is_subunital,
     is_unital,
     kraus_from_choi,
     kraus_operators,
@@ -144,9 +143,7 @@ def test_unitality_predicates():
     assert is_unital(Transpose(3))
     half = Congruence(np.sqrt(0.5) * np.eye(3))
     assert not is_unital(half)
-    assert is_subunital(half)
     big = Congruence(2.0 * np.eye(3))
-    assert not is_subunital(big)
     assert np.allclose(applied_to_identity(big), 4.0 * np.eye(3))
 
 

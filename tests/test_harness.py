@@ -226,6 +226,26 @@ def test_campaign_counts_generation_failures(tmp_path, monkeypatch):
     assert all(f["error"] == "forced failure" for f in failed)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "theorem, overrides",
+    [("cor45", {"r_range": (1.0000001, 1.0000002)})]
+    + [
+        (theorem, {"spectrum": (-800.0, 800.0)})
+        for theorem in ("jensen-vec", "jensen-map", "thm1", "inc-convex")
+    ],
+)
+def test_generation_overflow_is_a_generation_failure(tmp_path, theorem, overrides):
+    # cor45: p^(1/(1-r)) overflows for r next to 1; the others: expm1
+    # overflows in the flag scan on a wide spectrum.
+    out = tmp_path / "extreme.jsonl"
+    res = run_campaign(CampaignConfig(theorem, 40, seed=3, **overrides), out)
+    lines = out.read_text().splitlines()
+    assert len(lines) == 41
+    assert json.loads(lines[-1])["summary"] == res.summary
+    assert res.summary["generation_failures"] >= 1
+
+
 def test_campaign_persists_violations_for_replay(tmp_path):
     out = tmp_path / "mutated.jsonl"
     cfg = CampaignConfig("cor45", 40, seed=5, rhs_scale=0.4)

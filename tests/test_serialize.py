@@ -1,4 +1,4 @@
-"""Wire formats, canonical JSON, digests, and instance payload builders."""
+"""Wire formats, canonical JSON, digests, and the instance schema."""
 
 import json
 
@@ -14,20 +14,21 @@ from bohrcheck.cpmaps import (
     WeightedSum,
     apply_map,
 )
+from bohrcheck.harness import THEOREM_TABLE, CampaignConfig, generate_instance
 from bohrcheck.linalg import complex_gaussian, frob, make_rng
 from bohrcheck.serialize import (
+    INSTANCE_SCHEMA,
+    THEOREM_ALIASES,
     THEOREMS,
     SerializationError,
-    bohr_payload,
     canonical_json,
     canonical_theorem,
-    cor45_payload,
     digest,
     fnv1a64,
     function_from_json,
     function_to_json,
-    jensen_map_payload,
-    jensen_vec_payload,
+    instance_from_json,
+    instance_to_json,
     map_from_json,
     map_to_json,
     matrix_from_json,
@@ -205,11 +206,11 @@ def test_digest_is_16_hex_and_insertion_order_free():
     assert digest({"a": 1, "b": 3}) != d1
 
 
-# --- payload builders -----------------------------------------------------------------------
+# --- instance payloads ----------------------------------------------------------------------
 
 
 def test_bohr_payload_fields():
-    obj = bohr_payload(1 + 2j, 3 - 1j, 2.0)
+    obj = instance_to_json("bohr", z=1 + 2j, w=3 - 1j, p=2.0)
     assert obj["theorem"] == "bohr"
     assert scalar_from_json(obj["z"]) == 1 + 2j
     assert scalar_from_json(obj["w"]) == 3 - 1j
@@ -219,7 +220,7 @@ def test_bohr_payload_fields():
 def test_cor45_payload_fields_and_digest_stability():
     a = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
     x = [np.eye(2, dtype=complex)] * 2
-    obj = cor45_payload(a, x, [0.5, 0.5], 2.0)
+    obj = instance_to_json("cor45", a_list=a, x_list=x, p=[0.5, 0.5], r=2.0)
     assert obj["theorem"] == "cor45"
     assert obj["r"] == 2.0
     assert obj["p"] == [0.5, 0.5]
@@ -231,10 +232,47 @@ def test_jensen_payloads_embed_function_and_variant():
     f = make_function_spec("square", (-3.0, 3.0))
     a = np.diag([1.0, -1.0]).astype(complex)
     xv = np.array([0.6, 0.8], dtype=complex)
-    vec = jensen_vec_payload(f, a, xv)
+    vec = instance_to_json("jensen-vec", f=f, a=a, x=xv)
     assert vec["theorem"] == "jensen-vec"
     assert vec["f"]["id"] == "square"
-    m = jensen_map_payload(f, a, Congruence(np.eye(2)), xv, "unital")
+    m = instance_to_json("jensen-map", f=f, a=a, spec=Congruence(np.eye(2)), x=xv, variant="unital")
     assert m["theorem"] == "jensen-map"
     assert m["variant"] == "unital"
     assert m["map"]["kind"] == "congruence"
+
+
+def _generated(theorem, trial=0):
+    cfg = CampaignConfig(theorem, 0, seed=11)
+    return generate_instance(cfg, trial, make_rng(cfg.seed, trial))
+
+
+def test_theorem_table_and_aliases_match_the_schema():
+    assert tuple(THEOREM_TABLE) == THEOREMS
+    assert set(THEOREM_ALIASES.values()) <= set(THEOREMS)
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_instance_round_trip_keeps_bytes_and_key_order(theorem):
+    for trial in (0, 1):
+        payload = _generated(theorem, trial)
+        assert list(payload) == ["theorem"] + [key for key, _, _ in INSTANCE_SCHEMA[theorem]]
+        name, args = instance_from_json(payload)
+        assert name == theorem
+        assert json.dumps(instance_to_json(name, **args)) == json.dumps(payload)
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_instance_from_json_missing_field_message(theorem):
+    payload = _generated(theorem)
+    key = INSTANCE_SCHEMA[theorem][-1][0]
+    del payload[key]
+    with pytest.raises(SerializationError) as exc:
+        instance_from_json(payload)
+    assert str(exc.value) == f"instance for {theorem!r} is missing field {key!r}"
+
+
+def test_instance_from_json_resolves_aliases_and_ignores_extra_keys():
+    payload = dict(_generated("cor45"), theorem="cor4.5", note="ignored")
+    theorem, args = instance_from_json(payload)
+    assert theorem == "cor45"
+    assert sorted(args) == ["a_list", "p", "r", "x_list"]
