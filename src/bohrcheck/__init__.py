@@ -66,6 +66,7 @@ from .cpmaps import (
 )
 from .inequalities import (
     CheckReport,
+    NumericalError,
     check_cor_congruence,
     check_eigen_bohr,
     check_increasing_convex_eigen,

@@ -5,8 +5,9 @@ campaign with JSONL output), ``dilate`` (Stinespring dilation of a map
 spec), and ``demo`` (worked equality examples).
 
 Exit codes: 0 clean, 1 usage or input error, 2 violations found,
-3 generation failures. The environment variable BOHR_TOL overrides the
-default slack tolerance; an explicit ``--tol`` beats both.
+3 generation failures or numerical errors. The environment variable
+BOHR_TOL overrides the default slack tolerance; an explicit ``--tol`` beats
+both.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATIONS = 2
-EXIT_GENERATION = 3
+EXIT_GENERATION = 3  # also numerical errors
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,7 +135,7 @@ def _cmd_fuzz(args) -> int:
         print(f"violation instance saved: {path}", file=sys.stderr)
     if result.summary["violations"] > 0:
         return EXIT_VIOLATIONS
-    if result.summary["generation_failures"] > 0:
+    if result.summary["generation_failures"] > 0 or result.summary["errors"] > 0:
         return EXIT_GENERATION
     return EXIT_OK
 

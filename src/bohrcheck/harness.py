@@ -13,7 +13,10 @@ report for replay.
 generator returns checker arguments, which :func:`generate_instance`
 encodes with :func:`serialize.instance_to_json`; :func:`run_instance`
 decodes a payload with :func:`serialize.instance_from_json` and calls the
-checker.
+checker. A campaign checks the arguments it generated and passes the
+digest of their payload, so it neither decodes nor re-encodes; replay
+passes no digest, so the checker digests the canonical re-encoding of
+whatever file it was given.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .cpmaps import (
     normalize_unital,
     stinespring,
 )
-from .inequalities import CheckReport
+from .inequalities import CheckReport, NumericalError
 from .calculus import make_function_spec
 from .linalg import (
     complex_gaussian,
@@ -118,8 +121,9 @@ class CampaignConfig:
 class TrialRecord:
     """One campaign trial: payload, its digest, stream id, and the report.
 
-    ``report`` is None exactly when generation failed; ``error`` then
-    carries the reason.
+    ``report`` is None when generation failed (``payload`` is None too) or
+    when the checker raised :class:`NumericalError`; ``error`` then carries
+    the reason.
     """
 
     trial_index: int
@@ -130,12 +134,19 @@ class TrialRecord:
     error: str | None = None
 
     def to_json_line(self) -> str:
-        if self.report is None:
+        if self.payload is None:
             obj = {
                 "trial": self.trial_index,
                 "stream": self.stream,
                 "generation_failed": True,
                 "error": self.error or "unknown",
+            }
+        elif self.report is None:
+            obj = {
+                "trial": self.trial_index,
+                "stream": self.stream,
+                "digest": self.digest,
+                "error": self.error,
             }
         else:
             obj = {
@@ -165,9 +176,15 @@ def run_instance(payload: dict, tol: float | None = None, rhs_scale: float = 1.0
     of the payload, so mutated runs keep the pristine instance digest.
     """
     theorem, args = serialize.instance_from_json(payload)
+    return _check(theorem, args, tol, rhs_scale)
+
+
+def _check(theorem, args, tol, rhs_scale, input_digest=None) -> CheckReport:
     if theorem == "cor45":
         args["rhs_scale"] = rhs_scale
-    return getattr(inequalities, THEOREM_TABLE[theorem][0])(**args, tol=tol)
+    # Looked up by name on every call, so rebinding a checker reaches here.
+    checker = getattr(inequalities, THEOREM_TABLE[theorem][0])
+    return checker(**args, tol=tol, input_digest=input_digest)
 
 
 # --- random building blocks --------------------------------------------------
@@ -455,11 +472,16 @@ THEOREM_TABLE = {
 }
 
 
-def generate_instance(cfg: CampaignConfig, trial: int, rng) -> dict:
-    """Constraint-aware random instance payload for the configured theorem."""
+def generate_instance(cfg: CampaignConfig, trial: int, rng) -> tuple[dict, dict]:
+    """Constraint-aware random instance for the configured theorem.
+
+    Returns ``(payload, args)``: the canonical payload and the checker
+    arguments it encodes. Checking ``args`` gives the report that
+    :func:`run_instance` gives for ``payload``.
+    """
     theorem = canonical_theorem(cfg.theorem)
     args = THEOREM_TABLE[theorem][1](cfg, rng, trial)
-    return serialize.instance_to_json(theorem, **args)
+    return serialize.instance_to_json(theorem, **args), args
 
 
 # --- campaign loop ------------------------------------------------------------
@@ -478,10 +500,13 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
     The emitted stream is one line per trial in index order plus a final
     ``{"summary": ...}`` line, and is byte-identical across runs with the
     same config. Violating payloads are persisted next to the report file.
+    A trial whose checker raises :class:`NumericalError` gets an error line
+    and counts under ``errors``; any other exception aborts the campaign.
     """
+    theorem = canonical_theorem(cfg.theorem)
     records: list[TrialRecord] = []
     violation_paths: list[str] = []
-    held = violations = not_applicable = generation_failures = 0
+    held = violations = not_applicable = generation_failures = errors = 0
     min_slack_overall: float | None = None
 
     out = Path(out_path) if out_path is not None else None
@@ -490,14 +515,20 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
         for trial in range(cfg.trials):
             rng = make_rng(cfg.seed, trial)
             stream = f"{stream_key(cfg.seed, trial):016x}"
+            payload = digest = report = error = None
             try:
-                payload = generate_instance(cfg, trial, rng)
+                payload, args = generate_instance(cfg, trial, rng)
+                # The payload is canonical, so this is the digest the checker
+                # would compute from its own arguments.
+                digest = serialize.digest(payload)
+                report = _check(theorem, args, cfg.tol_override, cfg.rhs_scale, digest)
             except GenerationError as exc:
                 generation_failures += 1
-                record = TrialRecord(trial, stream, None, None, None, str(exc))
+                error = str(exc)
+            except NumericalError as exc:
+                errors += 1
+                error = f"{type(exc).__name__}: {exc}"
             else:
-                report = run_instance(payload, cfg.tol_override, cfg.rhs_scale)
-                record = TrialRecord(trial, stream, report.input_digest, payload, report)
                 if report.holds:
                     held += 1
                 elif report.not_applicable:
@@ -522,17 +553,20 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
                         if min_slack_overall is None
                         else min(min_slack_overall, report.min_slack)
                     )
+            record = TrialRecord(trial, stream, digest, payload, report, error)
             records.append(record)
             if sink is not None:
                 sink.write(record.to_json_line() + "\n")
         summary = {
-            "theorem": canonical_theorem(cfg.theorem),
+            "theorem": theorem,
             "total": cfg.trials,
             "held": held,
             "not_applicable": not_applicable,
             "violations": violations,
             "generation_failures": generation_failures,
+            "errors": errors,
             "min_slack_overall": min_slack_overall,
+            "digest_alg": serialize.DIGEST_ALG,
         }
         if sink is not None:
             sink.write(json.dumps({"summary": summary}, separators=(",", ":")) + "\n")

@@ -14,9 +14,15 @@ Every checker follows one discipline:
 ``partial_sums_lhs/rhs`` hold top-k partial sums for the weak-majorization
 statements and per-index values for the pointwise ones (``extras`` carries
 a ``comparison`` tag). Near-ties within 1e-10 of scale are reported in
-``extras["equality_ks"]`` but never required. ``input_digest`` is the
-FNV-1a hash of the canonical instance payload, so every report line can be
-traced to the exact input that produced it.
+``extras["equality_ks"]`` but never required. A non-finite side or slack
+raises :class:`NumericalError` instead of yielding a verdict.
+
+``input_digest`` is :func:`serialize.digest` of the canonical instance
+payload, so every report line can be traced to the exact input that
+produced it. Every checker takes it as a keyword-only ``input_digest``: a
+caller that already digested the payload (a campaign) passes the value,
+and a checker called without one encodes its own arguments and digests
+that.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ __all__ = [
     "EQUALITY_RTOL",
     "WEIGHT_SUM_TOL",
     "OPERATOR_HYP_TOL",
+    "NumericalError",
     "CheckReport",
     "default_tolerance",
     "check_scalar_bohr",
@@ -79,6 +86,10 @@ _NORM_TOL = 1e-12
 #: Spectra may poke this far (times scale) outside a function domain before
 #: the domain hypothesis fails; within it they are clamped.
 _DOMAIN_RTOL = 1e-9
+
+
+class NumericalError(ValueError):
+    """A checker computed a non-finite side or slack; never a verdict."""
 
 
 @dataclass(frozen=True)
@@ -150,7 +161,14 @@ def _weights(p) -> np.ndarray:
     return w
 
 
-def _na_report(theorem_id, hyps, payload, tol, extras=None) -> CheckReport:
+def _digest(input_digest, theorem_id, **args) -> str:
+    """``input_digest``, or the digest of the arguments' canonical payload."""
+    if input_digest is not None:
+        return input_digest
+    return serialize.digest(serialize.instance_to_json(theorem_id, **args))
+
+
+def _na_report(theorem_id, hyps, digest, tol, extras=None) -> CheckReport:
     return CheckReport(
         theorem_id=theorem_id,
         verdict="not_applicable",
@@ -159,18 +177,23 @@ def _na_report(theorem_id, hyps, payload, tol, extras=None) -> CheckReport:
         min_slack=None,
         tol_used=float(tol) if tol is not None else 0.0,
         hypothesis_report=dict(hyps),
-        input_digest=serialize.digest(payload),
+        input_digest=digest,
         extras=dict(extras or {}),
     )
 
 
 def _graded_report(
-    theorem_id, lhs, rhs, hyps, payload, tol, extras=None, comparison="partial-sums"
+    theorem_id, lhs, rhs, hyps, digest, tol, extras=None, comparison="partial-sums"
 ) -> CheckReport:
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    tol_used = float(tol) if tol is not None else default_tolerance(lhs, rhs)
     slack = rhs - lhs
+    # The slack is non-finite whenever either side is.
+    if not np.all(np.isfinite(slack)):
+        raise NumericalError(
+            f"{theorem_id}: non-finite comparison, lhs {lhs.tolist()}, rhs {rhs.tolist()}"
+        )
+    tol_used = float(tol) if tol is not None else default_tolerance(lhs, rhs)
     min_slack = float(np.min(slack))
     scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     equality_ks = [int(k) + 1 for k in np.nonzero(np.abs(slack) <= EQUALITY_RTOL * scale)[0]]
@@ -184,7 +207,7 @@ def _graded_report(
         min_slack=min_slack,
         tol_used=tol_used,
         hypothesis_report=dict(hyps),
-        input_digest=serialize.digest(payload),
+        input_digest=digest,
         extras=merged,
     )
 
@@ -231,7 +254,9 @@ def _sum_weight_hyps(w: np.ndarray) -> dict[str, bool]:
 # --- scalar inequalities -----------------------------------------------------
 
 
-def check_scalar_bohr(z, w, p, tol: float | None = None) -> CheckReport:
+def check_scalar_bohr(
+    z, w, p, tol: float | None = None, *, input_digest: str | None = None
+) -> CheckReport:
     """|z + w|^2 <= p|z|^2 + q|w|^2 for conjugate exponents 1/p + 1/q = 1.
 
     Hypothesis: p > 1 (q is derived as p/(p-1)). Equality occurs exactly
@@ -242,10 +267,10 @@ def check_scalar_bohr(z, w, p, tol: float | None = None) -> CheckReport:
     p = float(p)
     if not all(map(math.isfinite, (z.real, z.imag, w.real, w.imag, p))):
         raise ValueError("inputs must be finite")
-    payload = serialize.instance_to_json("bohr", z=z, w=w, p=p)
+    digest = _digest(input_digest, "bohr", z=z, w=w, p=p)
     hyps = {"p > 1": p > 1.0}
     if not all(hyps.values()):
-        return _na_report("bohr", hyps, payload, tol)
+        return _na_report("bohr", hyps, digest, tol)
     q = p / (p - 1.0)
     lhs = abs(z + w) ** 2
     rhs = p * abs(z) ** 2 + q * abs(w) ** 2
@@ -254,10 +279,12 @@ def check_scalar_bohr(z, w, p, tol: float | None = None) -> CheckReport:
         "q": q,
         "equality_case": bool(abs(w - (p - 1.0) * z) <= 1e-12 * scale),
     }
-    return _graded_report("bohr", [lhs], [rhs], hyps, payload, tol, extras)
+    return _graded_report("bohr", [lhs], [rhs], hyps, digest, tol, extras)
 
 
-def check_vasic_keckic(z, p, r, tol: float | None = None) -> CheckReport:
+def check_vasic_keckic(
+    z, p, r, tol: float | None = None, *, input_digest: str | None = None
+) -> CheckReport:
     """|sum_j z_j|^r <= (sum_j p_j^(1/(1-r)))^(r-1) * sum_j p_j |z_j|^r.
 
     Hypotheses: r > 1 and every p_j > 0. The conjugate-power exponent is
@@ -274,10 +301,10 @@ def check_vasic_keckic(z, p, r, tol: float | None = None) -> CheckReport:
     if pw.shape != zv.shape:
         raise DimensionError(f"{zv.size} terms but {pw.size} weights")
     r = float(r)
-    payload = serialize.instance_to_json("vasic", z=zv, p=pw, r=r)
+    digest = _digest(input_digest, "vasic", z=zv, p=pw, r=r)
     hyps = {"r > 1": r > 1.0, "weights positive": bool(np.all(pw > 0))}
     if not all(hyps.values()):
-        return _na_report("vasic", hyps, payload, tol)
+        return _na_report("vasic", hyps, digest, tol)
     conj = pw ** (1.0 / (1.0 - r))
     const = float(np.sum(conj)) ** (r - 1.0)
     lhs = abs(np.sum(zv)) ** r
@@ -287,13 +314,15 @@ def check_vasic_keckic(z, p, r, tol: float | None = None) -> CheckReport:
         "constant": const,
         "stationary_point": bool(np.all(np.abs(zv - conj) <= 1e-12 * scale)),
     }
-    return _graded_report("vasic", [lhs], [rhs], hyps, payload, tol, extras)
+    return _graded_report("vasic", [lhs], [rhs], hyps, digest, tol, extras)
 
 
 # --- Jensen-type inequalities ------------------------------------------------
 
 
-def check_jensen_vector(f: ConvexFunctionSpec, a, x, tol: float | None = None) -> CheckReport:
+def check_jensen_vector(
+    f: ConvexFunctionSpec, a, x, tol: float | None = None, *, input_digest: str | None = None
+) -> CheckReport:
     """f(<Ax, x>) <= <f(A)x, x> for Hermitian A and ||x|| <= 1.
 
     Hypotheses: f convex on its domain, 0 in the domain with f(0) <= 0,
@@ -306,7 +335,7 @@ def check_jensen_vector(f: ConvexFunctionSpec, a, x, tol: float | None = None) -
         raise DimensionError(f"vector length {xv.size} does not match matrix {am.shape}")
     if not np.all(np.isfinite(xv.real)) or not np.all(np.isfinite(xv.imag)):
         raise ValueError("vector entries must be finite")
-    payload = serialize.instance_to_json("jensen-vec", f=f, a=am, x=xv)
+    digest = _digest(input_digest, "jensen-vec", f=f, a=am, x=xv)
     w, _ = eig_hermitian(am)
     norm = float(np.linalg.norm(xv))
     hyps = {
@@ -317,12 +346,12 @@ def check_jensen_vector(f: ConvexFunctionSpec, a, x, tol: float | None = None) -
         "spectrum within domain": _spectrum_in_domain(f, w),
     }
     if not all(hyps.values()):
-        return _na_report("jensen-vec", hyps, payload, tol)
+        return _na_report("jensen-vec", hyps, digest, tol)
     t = float(np.real(xv.conj() @ am @ xv))
     lhs = float(f(f.domain.clamp(t)))
     rhs = float(np.real(xv.conj() @ apply_fun(f, am) @ xv))
     return _graded_report(
-        "jensen-vec", [lhs], [rhs], hyps, payload, tol, {"evaluation_point": t}
+        "jensen-vec", [lhs], [rhs], hyps, digest, tol, {"evaluation_point": t}
     )
 
 
@@ -333,6 +362,8 @@ def check_jensen_map(
     x,
     variant: str = "subunital",
     tol: float | None = None,
+    *,
+    input_digest: str | None = None,
 ) -> CheckReport:
     """f(<Phi(A)x, x>) <= <Phi(f(A))x, x> for a positive map Phi.
 
@@ -353,9 +384,7 @@ def check_jensen_map(
         raise DimensionError(f"vector length {xv.size} does not match output dim {m_out}")
     if not np.all(np.isfinite(xv.real)) or not np.all(np.isfinite(xv.imag)):
         raise ValueError("vector entries must be finite")
-    payload = serialize.instance_to_json(
-        "jensen-map", f=f, a=am, spec=spec, x=xv, variant=variant
-    )
+    digest = _digest(input_digest, "jensen-map", f=f, a=am, spec=spec, x=xv, variant=variant)
 
     w, _ = eig_hermitian(am)
     norm = float(np.linalg.norm(xv))
@@ -382,7 +411,7 @@ def check_jensen_map(
     t_scale = max(1.0, abs(t))
     hyps["evaluation point within domain"] = f.domain.contains(t, _DOMAIN_RTOL * t_scale)
     if not all(hyps.values()):
-        return _na_report("jensen-map", hyps, payload, tol, {"variant": variant})
+        return _na_report("jensen-map", hyps, digest, tol, {"variant": variant})
     lhs = float(f(f.domain.clamp(t)))
     rhs = float(np.real(xv.conj() @ apply_map(spec, apply_fun(f, am)) @ xv))
     return _graded_report(
@@ -390,7 +419,7 @@ def check_jensen_map(
         [lhs],
         [rhs],
         hyps,
-        payload,
+        digest,
         tol,
         {"variant": variant, "evaluation_point": t},
     )
@@ -400,7 +429,8 @@ def check_jensen_map(
 
 
 def check_thm_weak_major(
-    f: ConvexFunctionSpec, a, weighted_maps, tol: float | None = None
+    f: ConvexFunctionSpec, a, weighted_maps, tol: float | None = None,
+    *, input_digest: str | None = None,
 ) -> CheckReport:
     """Top-k eigenvalue sums of f(sum_i a_i Phi_i(A)) vs sum_i a_i Phi_i(f(A)).
 
@@ -422,7 +452,7 @@ def check_thm_weak_major(
             raise DimensionError("all maps must share the same input/output dimensions")
     if not all(math.isfinite(alpha) for alpha, _ in pairs):
         raise ValueError("combination weights must be finite")
-    payload = serialize.instance_to_json("thm1", f=f, a=am, weighted_maps=pairs)
+    digest = _digest(input_digest, "thm1", f=f, a=am, weighted_maps=pairs)
 
     w, _ = eig_hermitian(am)
     t_id = hermitize(sum(alpha * applied_to_identity(spec) for alpha, spec in pairs))
@@ -441,17 +471,18 @@ def check_thm_weak_major(
     mu = np.linalg.eigvalsh(mixed)
     hyps["mixed spectrum within domain"] = _spectrum_in_domain(f, mu)
     if not all(hyps.values()):
-        return _na_report("thm1", hyps, payload, tol)
+        return _na_report("thm1", hyps, digest, tol)
 
     lhs = np.cumsum(_descending(f(f.domain.clamp(mu))))
     fa = apply_fun(f, am)
     right = hermitize(sum(alpha * apply_map(spec, fa) for alpha, spec in pairs))
     rhs = np.cumsum(_descending(np.linalg.eigvalsh(right)))
-    return _graded_report("thm1", lhs, rhs, hyps, payload, tol)
+    return _graded_report("thm1", lhs, rhs, hyps, digest, tol)
 
 
 def check_cor_congruence(
-    f: ConvexFunctionSpec, a_list, x_list, alpha, tol: float | None = None
+    f: ConvexFunctionSpec, a_list, x_list, alpha, tol: float | None = None,
+    *, input_digest: str | None = None,
 ) -> CheckReport:
     """Congruence form with submultiplicative f.
 
@@ -470,7 +501,7 @@ def check_cor_congruence(
     for i, b in enumerate(blocks):
         if b.shape != (n, n):
             raise DimensionError(f"block {i} has shape {b.shape}, expected {(n, n)}")
-    payload = serialize.instance_to_json("cornew", f=f, a_list=mats, x_list=blocks, alpha=aw)
+    digest = _digest(input_digest, "cornew", f=f, a_list=mats, x_list=blocks, alpha=aw)
 
     gram = hermitize(sum(b.conj().T @ b * w for w, b in zip(aw, blocks)))
     wg = np.linalg.eigvalsh(gram)
@@ -490,14 +521,14 @@ def check_cor_congruence(
     else:
         hyps["domain covers evaluation points"] = False
     if not all(hyps.values()):
-        return _na_report("cornew", hyps, payload, tol)
+        return _na_report("cornew", hyps, digest, tol)
 
     lhs = np.cumsum(_descending(f(f.domain.clamp(mu))))
     right = np.zeros((n, n), dtype=complex)
     for w, m, b in zip(aw, mats, blocks):
         right += w * float(f(f.domain.clamp(1.0 / w))) * (b.conj().T @ apply_fun(f, m) @ b)
     rhs = np.cumsum(_descending(np.linalg.eigvalsh(hermitize(right))))
-    return _graded_report("cornew", lhs, rhs, hyps, payload, tol)
+    return _graded_report("cornew", lhs, rhs, hyps, digest, tol)
 
 
 def check_eigen_bohr(
@@ -507,6 +538,8 @@ def check_eigen_bohr(
     r,
     tol: float | None = None,
     rhs_scale: float = 1.0,
+    *,
+    input_digest: str | None = None,
 ) -> CheckReport:
     """Eigenvalue Bohr inequality for congruence-compressed Hermitian families.
 
@@ -532,7 +565,7 @@ def check_eigen_bohr(
     rhs_scale = float(rhs_scale)
     if not math.isfinite(rhs_scale) or rhs_scale <= 0:
         raise ValueError("rhs_scale must be finite and positive")
-    payload = serialize.instance_to_json("cor45", a_list=mats, x_list=blocks, p=pw, r=r)
+    digest = _digest(input_digest, "cor45", a_list=mats, x_list=blocks, p=pw, r=r)
 
     hyps = {"r > 1": r > 1.0, "weights positive": bool(np.all(pw > 0))}
     if all(hyps.values()):
@@ -546,7 +579,7 @@ def check_eigen_bohr(
     else:
         hyps["sum p_i^(1/(1-r)) X_i*X_i <= (sum p_i^(1/(1-r))) I"] = False
     if not all(hyps.values()):
-        return _na_report("cor45", hyps, payload, tol)
+        return _na_report("cor45", hyps, digest, tol)
 
     mixed = hermitize(sum(b.conj().T @ m @ b for m, b in zip(mats, blocks)))
     lhs = np.cumsum(_descending(np.abs(np.linalg.eigvalsh(mixed)) ** r))
@@ -556,10 +589,12 @@ def check_eigen_bohr(
     extras = {"constant": const}
     if rhs_scale != 1.0:
         extras["rhs_scale"] = rhs_scale
-    return _graded_report("cor45", lhs, rhs, hyps, payload, tol, extras)
+    return _graded_report("cor45", lhs, rhs, hyps, digest, tol, extras)
 
 
-def check_norm_bohr(a_list, p, r, tol: float | None = None) -> CheckReport:
+def check_norm_bohr(
+    a_list, p, r, tol: float | None = None, *, input_digest: str | None = None
+) -> CheckReport:
     """Ky Fan certificate for the norm Bohr inequality, 1 < r <= 2.
 
     For Hermitian A_i and weights p_i in (0, 1] summing to 1, the singular
@@ -573,11 +608,11 @@ def check_norm_bohr(a_list, p, r, tol: float | None = None) -> CheckReport:
     if pw.size != len(mats):
         raise DimensionError(f"{len(mats)} matrices but {pw.size} weights")
     r = float(r)
-    payload = serialize.instance_to_json("zh", a_list=mats, p=pw, r=r)
+    digest = _digest(input_digest, "zh", a_list=mats, p=pw, r=r)
     hyps = {"1 < r <= 2": 1.0 < r <= 2.0 + _NORM_TOL}
     hyps.update(_sum_weight_hyps(pw))
     if not all(hyps.values()):
-        return _na_report("zh", hyps, payload, tol)
+        return _na_report("zh", hyps, digest, tol)
 
     total = hermitize(sum(mats))
     left_mat = abs_power(total, r)
@@ -596,7 +631,7 @@ def check_norm_bohr(a_list, p, r, tol: float | None = None) -> CheckReport:
         if ln > rn + DEFAULT_RTOL * max(1.0, ln, rn):
             schatten_ok = False
     extras = {"schatten_orders": schatten, "schatten_ok": schatten_ok}
-    return _graded_report("zh", lhs, rhs, hyps, payload, tol, extras)
+    return _graded_report("zh", lhs, rhs, hyps, digest, tol, extras)
 
 
 def _schatten_of_psd(mat: np.ndarray, order: float) -> float:
@@ -607,7 +642,9 @@ def _schatten_of_psd(mat: np.ndarray, order: float) -> float:
     return top * float(np.sum((w / top) ** order)) ** (1.0 / order)
 
 
-def check_pointwise_bohr_r2(a_list, p, r, tol: float | None = None) -> CheckReport:
+def check_pointwise_bohr_r2(
+    a_list, p, r, tol: float | None = None, *, input_digest: str | None = None
+) -> CheckReport:
     """Per-index Bohr inequality for r >= 2 and arbitrary square A_i.
 
     Compares s_j(sum_i A_i)^r (equivalently the descending eigenvalues of
@@ -621,22 +658,24 @@ def check_pointwise_bohr_r2(a_list, p, r, tol: float | None = None) -> CheckRepo
     if pw.size != len(mats):
         raise DimensionError(f"{len(mats)} matrices but {pw.size} weights")
     r = float(r)
-    payload = serialize.instance_to_json("prop-r2", a_list=mats, p=pw, r=r)
+    digest = _digest(input_digest, "prop-r2", a_list=mats, p=pw, r=r)
     hyps = {"r >= 2": r >= 2.0 - _NORM_TOL}
     hyps.update(_sum_weight_hyps(pw))
     if not all(hyps.values()):
-        return _na_report("prop-r2", hyps, payload, tol)
+        return _na_report("prop-r2", hyps, digest, tol)
 
     total = sum(mats)
     lhs = singular_values(total) ** r
     right = hermitize(sum(w ** (1.0 - r) * abs_power(m, r) for w, m in zip(pw, mats)))
     rhs = _descending(np.linalg.eigvalsh(right))
     return _graded_report(
-        "prop-r2", lhs, rhs, hyps, payload, tol, comparison="pointwise"
+        "prop-r2", lhs, rhs, hyps, digest, tol, comparison="pointwise"
     )
 
 
-def check_sum_square(a_list, p, tol: float | None = None) -> CheckReport:
+def check_sum_square(
+    a_list, p, tol: float | None = None, *, input_digest: str | None = None
+) -> CheckReport:
     """PSD certificate behind the r = 2 case.
 
     With S = sum_{i,j} p_i p_j (A_i - A_j)*(A_i - A_j) and
@@ -651,11 +690,11 @@ def check_sum_square(a_list, p, tol: float | None = None) -> CheckReport:
     pw = _weights(p)
     if pw.size != len(mats):
         raise DimensionError(f"{len(mats)} matrices but {pw.size} weights")
-    payload = serialize.instance_to_json("sumsq", a_list=mats, p=pw)
+    digest = _digest(input_digest, "sumsq", a_list=mats, p=pw)
     hyps = {"weights positive": bool(np.all(pw > 0))}
     hyps["weights sum to 1"] = bool(abs(float(np.sum(pw)) - 1.0) <= WEIGHT_SUM_TOL)
     if not all(hyps.values()):
-        return _na_report("sumsq", hyps, payload, tol)
+        return _na_report("sumsq", hyps, digest, tol)
 
     n = mats[0].shape[0]
     spread = np.zeros((n, n), dtype=complex)
@@ -681,12 +720,13 @@ def check_sum_square(a_list, p, tol: float | None = None) -> CheckReport:
         "identity_budget": budget,
     }
     return _graded_report(
-        "sumsq", lhs, rhs, hyps, payload, tol, extras, comparison="certificate"
+        "sumsq", lhs, rhs, hyps, digest, tol, extras, comparison="certificate"
     )
 
 
 def check_increasing_convex_eigen(
-    f: ConvexFunctionSpec, a_list, p, tol: float | None = None
+    f: ConvexFunctionSpec, a_list, p, tol: float | None = None,
+    *, input_digest: str | None = None,
 ) -> CheckReport:
     """Per-index f(lambda_j(sum p_i A_i)) <= lambda_j(sum p_i f(A_i)).
 
@@ -698,7 +738,7 @@ def check_increasing_convex_eigen(
     pw = _weights(p)
     if pw.size != len(mats):
         raise DimensionError(f"{len(mats)} matrices but {pw.size} weights")
-    payload = serialize.instance_to_json("inc-convex", f=f, a_list=mats, p=pw)
+    digest = _digest(input_digest, "inc-convex", f=f, a_list=mats, p=pw)
     spectra = np.concatenate([np.linalg.eigvalsh(m) for m in mats])
     hyps = {
         "f convex on domain": f.flag("convex_on_J"),
@@ -707,16 +747,16 @@ def check_increasing_convex_eigen(
     }
     hyps.update(_sum_weight_hyps(pw))
     if not all(hyps.values()):
-        return _na_report("inc-convex", hyps, payload, tol)
+        return _na_report("inc-convex", hyps, digest, tol)
 
     mixture = hermitize(sum(w * m for w, m in zip(pw, mats)))
     mu = np.linalg.eigvalsh(mixture)
     hyps["mixture spectrum within domain"] = _spectrum_in_domain(f, mu)
     if not all(hyps.values()):
-        return _na_report("inc-convex", hyps, payload, tol)
+        return _na_report("inc-convex", hyps, digest, tol)
     lhs = _descending(f(f.domain.clamp(mu)))
     right = hermitize(sum(w * apply_fun(f, m) for w, m in zip(pw, mats)))
     rhs = _descending(np.linalg.eigvalsh(right))
     return _graded_report(
-        "inc-convex", lhs, rhs, hyps, payload, tol, comparison="pointwise"
+        "inc-convex", lhs, rhs, hyps, digest, tol, comparison="pointwise"
     )

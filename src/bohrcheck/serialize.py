@@ -16,13 +16,16 @@ key. :data:`INSTANCE_SCHEMA` describes each theorem's payload once, as
 ordered (payload key, checker argument, codec) triples;
 :func:`instance_to_json` and :func:`instance_from_json` are the only
 encoder and decoder of payloads. :func:`digest` hashes the canonical
-rendering (sorted keys, no whitespace) with 64-bit FNV-1a, and the checkers
-stamp that value into their reports so any report line can be traced back
-to its exact input.
+rendering (sorted keys, no whitespace) with BLAKE2b cut to 64 bits
+(:data:`DIGEST_ALG`, RFC 7693), and every report carries that value so any
+report line can be traced back to its exact input. A campaign digests each
+payload once and hands the value to the checker; a checker called without
+one digests the canonical re-encoding of its own arguments.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -55,7 +58,7 @@ __all__ = [
     "map_to_json",
     "map_from_json",
     "canonical_json",
-    "fnv1a64",
+    "DIGEST_ALG",
     "digest",
     "instance_to_json",
     "instance_from_json",
@@ -73,8 +76,8 @@ def matrix_to_json(a) -> dict:
     m = as_complex_matrix(a)
     return {
         "n": int(m.shape[0]),
-        "re": [[float(x) for x in row] for row in m.real],
-        "im": [[float(x) for x in row] for row in m.imag],
+        "re": m.real.tolist(),
+        "im": m.imag.tolist(),
     }
 
 
@@ -97,8 +100,8 @@ def vector_to_json(x) -> dict:
     if v.ndim != 1:
         raise SerializationError(f"expected a 1-d vector, got shape {v.shape}")
     return {
-        "re": [float(t) for t in v.real],
-        "im": [float(t) for t in v.imag],
+        "re": v.real.tolist(),
+        "im": v.imag.tolist(),
     }
 
 
@@ -196,9 +199,8 @@ def map_from_json(obj) -> MapSpec:
 
 # --- canonical hashing ------------------------------------------------------
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
+#: Name of the digest algorithm, recorded in every campaign summary.
+DIGEST_ALG = "blake2b-64"
 
 
 def canonical_json(obj) -> str:
@@ -206,18 +208,9 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash."""
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
-
-
 def digest(obj) -> str:
-    """16-hex-digit FNV-1a digest of the canonical JSON rendering."""
-    return f"{fnv1a64(canonical_json(obj).encode('utf-8')):016x}"
+    """16-hex-digit BLAKE2b-64 digest of the canonical JSON rendering."""
+    return hashlib.blake2b(canonical_json(obj).encode("utf-8"), digest_size=8).hexdigest()
 
 
 # --- instance payloads ------------------------------------------------------

@@ -4,8 +4,8 @@ Everything here deliberately takes a different route from the library:
 singular values come from np.linalg.svd instead of the Gram
 eigendecomposition, Choi matrices are assembled with np.kron instead of
 block writes, complete positivity is decided by applying the lifted map
-to explicit positive inputs, hashes are recomputed with a literal byte
-loop, and partial sums are accumulated in plain Python.
+to explicit positive inputs, and partial sums are accumulated in plain
+Python.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import numpy as np
 
 from bohrcheck.cpmaps import MapSpec, apply_map, map_dims
 
-FNV_OFFSET = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
 MASK64 = (1 << 64) - 1
 
 
@@ -68,13 +66,6 @@ def splitmix64_ref(x: int) -> int:
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
     x = (x ^ (x >> 27)) * 0x94D049BB133111EB & MASK64
     return (x ^ (x >> 31)) & MASK64
-
-
-def fnv1a64_ref(data: bytes) -> int:
-    h = FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * FNV_PRIME) & MASK64
-    return h
 
 
 def choi_via_kron(spec: MapSpec) -> np.ndarray:

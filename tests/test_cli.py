@@ -138,7 +138,9 @@ def test_fuzz_exit_code_precedence(monkeypatch, tmp_path):
             "theorem": "bohr", "total": 3, "held": 0, "not_applicable": 0,
             "violations": fake_run_campaign.violations,
             "generation_failures": fake_run_campaign.failures,
+            "errors": fake_run_campaign.errors,
             "min_slack_overall": None,
+            "digest_alg": "blake2b-64",
         }
         return CampaignResult(cfg, [], summary, [])
 
@@ -146,14 +148,16 @@ def test_fuzz_exit_code_precedence(monkeypatch, tmp_path):
     args = ["fuzz", "--theorem", "bohr", "--trials", "3", "--seed", "1",
             "--out", str(tmp_path / "x.jsonl")]
 
-    fake_run_campaign.violations, fake_run_campaign.failures = 1, 2
-    assert main(args) == 2  # violations outrank generation failures
+    def outcome(violations, failures, errors):
+        fake_run_campaign.violations = violations
+        fake_run_campaign.failures = failures
+        fake_run_campaign.errors = errors
+        return main(args)
 
-    fake_run_campaign.violations, fake_run_campaign.failures = 0, 2
-    assert main(args) == 3
-
-    fake_run_campaign.violations, fake_run_campaign.failures = 0, 0
-    assert main(args) == 0
+    assert outcome(1, 2, 1) == 2  # violations outrank failures and errors
+    assert outcome(0, 2, 0) == 3
+    assert outcome(0, 0, 1) == 3  # numerical errors share the failure code
+    assert outcome(0, 0, 0) == 0
 
 
 def test_fuzz_usage_errors_exit_one(tmp_path, capsys):

@@ -66,7 +66,7 @@ def test_config_accepts_theorem_alias():
 def test_generated_instances_satisfy_hypotheses(theorem):
     cfg = CampaignConfig(theorem, 0, seed=314, n_range=(2, 6), m_range=(2, 6))
     for trial in range(20):
-        payload = generate_instance(cfg, trial, make_rng(cfg.seed, trial))
+        payload, _ = generate_instance(cfg, trial, make_rng(cfg.seed, trial))
         assert payload["theorem"] == serialize.canonical_theorem(theorem)
         report = run_instance(payload)
         assert report.holds, (theorem, trial, report.failed_hypotheses())
@@ -76,15 +76,15 @@ def test_generated_instances_satisfy_hypotheses(theorem):
 def test_generated_payloads_are_deterministic(theorem):
     cfg = CampaignConfig(theorem, 0, seed=2718)
     for trial in (0, 3, 7):
-        first = generate_instance(cfg, trial, make_rng(cfg.seed, trial))
-        second = generate_instance(cfg, trial, make_rng(cfg.seed, trial))
+        first, _ = generate_instance(cfg, trial, make_rng(cfg.seed, trial))
+        second, _ = generate_instance(cfg, trial, make_rng(cfg.seed, trial))
         assert serialize.digest(first) == serialize.digest(second)
 
 
 def test_generated_payloads_round_trip_canonical_json():
     for theorem in ALL_THEOREMS:
         cfg = CampaignConfig(theorem, 0, seed=1)
-        payload = generate_instance(cfg, 0, make_rng(1, 0))
+        payload, _ = generate_instance(cfg, 0, make_rng(1, 0))
         text = serialize.canonical_json(payload)
         assert serialize.digest(json.loads(text)) == serialize.digest(payload)
 
@@ -93,12 +93,12 @@ def test_jensen_map_variant_forcing():
     for variant in ("subunital", "unital"):
         cfg = CampaignConfig("jensen-map", 0, seed=9, variant=variant)
         for trial in range(6):
-            payload = generate_instance(cfg, trial, make_rng(9, trial))
+            payload, _ = generate_instance(cfg, trial, make_rng(9, trial))
             assert payload["variant"] == variant
     # Default alternates, so both profiles appear across trials.
     cfg = CampaignConfig("jensen-map", 0, seed=9)
     seen = {
-        generate_instance(cfg, t, make_rng(9, t))["variant"] for t in range(6)
+        generate_instance(cfg, t, make_rng(9, t))[0]["variant"] for t in range(6)
     }
     assert seen == {"subunital", "unital"}
 
@@ -107,8 +107,8 @@ def test_theorem_specific_r_clipping():
     zh_cfg = CampaignConfig("zh", 0, seed=3, r_range=(1.1, 4.0))
     prop_cfg = CampaignConfig("prop-r2", 0, seed=3, r_range=(1.1, 4.0))
     for trial in range(25):
-        assert generate_instance(zh_cfg, trial, make_rng(3, trial))["r"] <= 2.0
-        assert generate_instance(prop_cfg, trial, make_rng(3, trial))["r"] >= 2.0
+        assert generate_instance(zh_cfg, trial, make_rng(3, trial))[0]["r"] <= 2.0
+        assert generate_instance(prop_cfg, trial, make_rng(3, trial))[0]["r"] >= 2.0
 
 
 # --- run_instance dispatch ----------------------------------------------------------
@@ -138,6 +138,10 @@ def test_trial_record_json_line_shapes():
     obj = json.loads(bad.to_json_line())
     assert obj["generation_failed"] is True and obj["error"] == "rejection cap hit"
 
+    err = TrialRecord(6, "00ad", "00000000000000ff", {"theorem": "bohr"}, None, "NumericalError: x")
+    obj = json.loads(err.to_json_line())
+    assert obj == {"trial": 6, "stream": "00ad", "digest": "00000000000000ff", "error": "NumericalError: x"}
+
 
 # --- campaigns -----------------------------------------------------------------------
 
@@ -152,7 +156,9 @@ def test_campaign_zero_trials(tmp_path):
         "not_applicable": 0,
         "violations": 0,
         "generation_failures": 0,
+        "errors": 0,
         "min_slack_overall": None,
+        "digest_alg": "blake2b-64",
     }
     lines = out.read_text().splitlines()
     assert len(lines) == 1 and "summary" in json.loads(lines[0])
@@ -184,11 +190,47 @@ def test_campaign_lines_reproducible_from_seed(tmp_path):
     run_campaign(cfg, out)
     for line in out.read_text().splitlines()[:-1]:
         obj = json.loads(line)
-        payload = generate_instance(cfg, obj["trial"], make_rng(23, obj["trial"]))
+        payload, _ = generate_instance(cfg, obj["trial"], make_rng(23, obj["trial"]))
         assert serialize.digest(payload) == obj["digest"]
         fresh = run_instance(payload)
         assert fresh.verdict == obj["report"]["verdict"]
         assert fresh.min_slack == obj["report"]["min_slack"]
+
+
+@pytest.mark.parametrize("theorem", ALL_THEOREMS)
+def test_campaign_digest_matches_replay_digest(tmp_path, theorem):
+    # The campaign checks the generated arguments and hands the checker the
+    # digest of their payload; replay decodes the payload and lets the
+    # checker digest its re-encoding. Both must give the same report, so a
+    # campaign line is exactly what its persisted payload reproduces.
+    out = tmp_path / "c.jsonl"
+    res = run_campaign(CampaignConfig(theorem, 6, seed=11), out)
+    lines = [json.loads(line) for line in out.read_text().splitlines()[:-1]]
+    assert len(lines) == len(res.records) == 6
+    for line, rec in zip(lines, res.records):
+        assert rec.report is not None
+        expected = serialize.digest(rec.payload)
+        assert line["digest"] == line["report"]["input_digest"] == expected
+        fresh = run_instance(rec.payload)
+        assert fresh.to_json() == rec.report.to_json()
+        assert fresh.input_digest == expected
+        assert replay(json.loads(json.dumps(rec.payload))).input_digest == expected
+
+
+def test_replay_digests_the_canonical_re_encoding():
+    # An alias id, int-valued floats and an unknown key all vanish from the
+    # canonical payload, so they leave the replayed digest unchanged.
+    canonical = {
+        "theorem": "cor45",
+        "r": 2.0,
+        "p": [1.0, 2.0],
+        "A": [serialize.matrix_to_json(np.eye(2)), serialize.matrix_to_json(np.diag([1.0, -1.0]))],
+        "X": [serialize.matrix_to_json(np.eye(2))] * 2,
+    }
+    loose = dict(canonical, theorem="cor4.5", r=2, p=[1, 2], note="hand-written")
+    assert serialize.digest(loose) != serialize.digest(canonical)
+    assert replay(loose).input_digest == replay(canonical).input_digest
+    assert replay(canonical).input_digest == serialize.digest(canonical)
 
 
 def test_campaign_streams_are_byte_identical(tmp_path):
@@ -244,6 +286,26 @@ def test_generation_overflow_is_a_generation_failure(tmp_path, theorem, override
     assert len(lines) == 41
     assert json.loads(lines[-1])["summary"] == res.summary
     assert res.summary["generation_failures"] >= 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_numerical_error_is_a_trial_error_not_an_abort(tmp_path):
+    # p^(1/(1-r)) overflows inside the vasic checker for r next to 1, so
+    # the right side is infinite on many trials.
+    out = tmp_path / "extreme.jsonl"
+    res = run_campaign(CampaignConfig("vasic", 40, 3, r_range=(1.0000001, 1.0000002)), out)
+    lines = out.read_text().splitlines()
+    assert len(lines) == 41
+    assert json.loads(lines[-1])["summary"] == res.summary
+    s = res.summary
+    assert s["errors"] > 0
+    assert s["held"] + s["not_applicable"] + s["violations"] + s["generation_failures"] + s["errors"] == 40
+    errors = [json.loads(line) for line in lines[:-1] if '"report"' not in line]
+    assert len(errors) == s["errors"]
+    for obj in errors:
+        assert set(obj) == {"trial", "stream", "digest", "error"}
+        assert obj["error"].startswith("NumericalError: ")
+        assert obj["digest"] == serialize.digest(res.records[obj["trial"]].payload)
 
 
 def test_campaign_persists_violations_for_replay(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from bohrcheck.calculus import make_function_spec
 from bohrcheck.cpmaps import Congruence, DiagonalPOVM
 from bohrcheck.inequalities import (
+    NumericalError,
     check_cor_congruence,
     check_eigen_bohr,
     check_increasing_convex_eigen,
@@ -706,6 +707,20 @@ def test_report_digest_traces_back_to_payload():
         "cor45", a_list=[DIAG1, DIAG2], x_list=[EYE2, EYE2], p=[0.5, 0.5], r=2.0
     )
     assert rep.input_digest == serialize.digest(payload)
+    # A digest handed in by the caller is stamped as is, with no re-encoding.
+    given = check_eigen_bohr(
+        [DIAG1, DIAG2], [EYE2, EYE2], [0.5, 0.5], 2.0, input_digest="0123456789abcdef"
+    )
+    assert given.input_digest == "0123456789abcdef"
+    assert given.to_json() | {"input_digest": rep.input_digest} == rep.to_json()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_nonfinite_side_is_a_numerical_error_not_a_verdict():
+    # p^(1/(1-r)) overflows for r next to 1, so the right side is infinite.
+    with pytest.raises(NumericalError, match="non-finite"):
+        check_vasic_keckic([1.0, 1.0], [0.5, 2.0], 1.0000001)
+    assert issubclass(NumericalError, ValueError)
 
 
 def test_tolerance_override_is_respected():

@@ -1,5 +1,6 @@
 """Wire formats, canonical JSON, digests, and the instance schema."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -23,8 +24,8 @@ from bohrcheck.serialize import (
     SerializationError,
     canonical_json,
     canonical_theorem,
+    DIGEST_ALG,
     digest,
-    fnv1a64,
     function_from_json,
     function_to_json,
     instance_from_json,
@@ -38,7 +39,6 @@ from bohrcheck.serialize import (
     vector_from_json,
     vector_to_json,
 )
-from oracles import fnv1a64_ref
 
 
 # --- theorem ids -----------------------------------------------------------------
@@ -189,14 +189,6 @@ def test_canonical_json_rejects_nan():
         canonical_json({"v": float("nan")})
 
 
-def test_fnv1a64_reference_vectors():
-    # Offset basis for the empty string, then spot values recomputed by a
-    # separate byte-at-a-time loop.
-    assert fnv1a64(b"") == 0xCBF29CE484222325
-    for data in (b"a", b"bohr", b"\x00\xff\x10", b"the quick brown fox"):
-        assert fnv1a64(data) == fnv1a64_ref(data)
-
-
 def test_digest_is_16_hex_and_insertion_order_free():
     d1 = digest({"a": 1, "b": 2})
     d2 = digest({"b": 2, "a": 1})
@@ -204,6 +196,14 @@ def test_digest_is_16_hex_and_insertion_order_free():
     assert len(d1) == 16
     int(d1, 16)
     assert digest({"a": 1, "b": 3}) != d1
+
+
+def test_digest_is_blake2b_64_of_canonical_json():
+    assert DIGEST_ALG == "blake2b-64"
+    text = b'{"p":2.0,"theorem":"bohr"}'
+    assert digest({"theorem": "bohr", "p": 2.0}) == hashlib.blake2b(text, digest_size=8).hexdigest()
+    # Pinned, so a change of algorithm or rendering cannot pass unnoticed.
+    assert digest({"theorem": "bohr", "p": 2.0}) == "392909d12a556924"
 
 
 # --- instance payloads ----------------------------------------------------------------------
@@ -243,7 +243,7 @@ def test_jensen_payloads_embed_function_and_variant():
 
 def _generated(theorem, trial=0):
     cfg = CampaignConfig(theorem, 0, seed=11)
-    return generate_instance(cfg, trial, make_rng(cfg.seed, trial))
+    return generate_instance(cfg, trial, make_rng(cfg.seed, trial))[0]
 
 
 def test_theorem_table_and_aliases_match_the_schema():
