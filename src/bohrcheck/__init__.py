@@ -3,11 +3,11 @@
 The package is layered bottom-up:
 
 - :mod:`bohrcheck.linalg`: validated complex matrices, Hermitian
-  eigendecomposition, matrix absolute value, seeded random inputs;
+  eigendecomposition, seeded random inputs;
 - :mod:`bohrcheck.calculus`: scalar convex-function registry with scanned
-  hypothesis flags and Hermitian functional calculus;
-- :mod:`bohrcheck.majorization`: weak majorization verdicts, Ky Fan and
-  Schatten norms;
+  hypothesis flags, Hermitian functional calculus and |A|^r;
+- :mod:`bohrcheck.majorization`: singular values, Ky Fan and Schatten
+  norms;
 - :mod:`bohrcheck.cpmaps`: structured positive maps with Choi/Kraus/
   Stinespring machinery;
 - :mod:`bohrcheck.inequalities`: the inequality checkers;
@@ -20,7 +20,6 @@ from .linalg import (
     EigenConvergenceError,
     EigenDecomposition,
     Interval,
-    abs_matrix,
     eig_hermitian,
     hermitize,
     make_rng,
@@ -38,13 +37,11 @@ from .calculus import (
     validate_function_spec,
 )
 from .majorization import (
-    MajorizationVerdict,
-    ky_fan_dominates,
     ky_fan_max_estimate,
     ky_fan_norm,
     schatten_norm,
+    schatten_of_values,
     singular_values,
-    weakly_majorized_by,
 )
 from .cpmaps import (
     BlockExtraction,

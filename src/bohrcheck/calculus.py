@@ -294,7 +294,7 @@ def apply_fun(spec: ConvexFunctionSpec, a) -> np.ndarray:
 
 
 def abs_power(a, r: float) -> np.ndarray:
-    """|A|^r for any square A and real exponent r >= 1.
+    """|A|^r for any square A and real exponent r >= 1; r = 1 gives |A|.
 
     Computed from the spectral decomposition of A*A as (A*A)^(r/2), which
     avoids forming |A| first; r < 1 is rejected because the family used

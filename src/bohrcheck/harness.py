@@ -122,8 +122,8 @@ class TrialRecord:
     """One campaign trial: payload, its digest, stream id, and the report.
 
     ``report`` is None when generation failed (``payload`` is None too) or
-    when the checker raised :class:`NumericalError`; ``error`` then carries
-    the reason.
+    when the checker raised :class:`NumericalError` or
+    ``numpy.linalg.LinAlgError``; ``error`` then carries the reason.
     """
 
     trial_index: int
@@ -500,8 +500,10 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
     The emitted stream is one line per trial in index order plus a final
     ``{"summary": ...}`` line, and is byte-identical across runs with the
     same config. Violating payloads are persisted next to the report file.
-    A trial whose checker raises :class:`NumericalError` gets an error line
-    and counts under ``errors``; any other exception aborts the campaign.
+    A trial whose checker raises :class:`NumericalError` or
+    ``numpy.linalg.LinAlgError`` (an eigensolver that did not converge on
+    overflowed input) gets an error line and counts under ``errors``; any
+    other exception aborts the campaign.
     """
     theorem = canonical_theorem(cfg.theorem)
     records: list[TrialRecord] = []
@@ -525,7 +527,7 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
             except GenerationError as exc:
                 generation_failures += 1
                 error = str(exc)
-            except NumericalError as exc:
+            except (NumericalError, np.linalg.LinAlgError) as exc:
                 errors += 1
                 error = f"{type(exc).__name__}: {exc}"
             else:

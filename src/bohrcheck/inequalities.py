@@ -29,23 +29,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from . import serialize
 from .calculus import ConvexFunctionSpec, abs_power, apply_fun
 from .cpmaps import MapSpec, map_dims, apply_map, applied_to_identity
-from .linalg import (
-    DimensionError,
-    as_complex_matrix,
-    eig_hermitian,
-    frob,
-    hermitize,
-    require_hermitian,
-    require_square,
-)
-from .majorization import singular_values
+from .linalg import DimensionError, frob, hermitize, require_hermitian, require_square
+from .majorization import schatten_of_values, singular_values
 
 __all__ = [
     "DEFAULT_RTOL",
@@ -212,26 +204,28 @@ def _graded_report(
     )
 
 
-def _hermitian_family(a_list) -> list[np.ndarray]:
-    mats = [require_hermitian(a) for a in a_list]
+def _family(a_list, weights, x_list=None, hermitian=True):
+    """Validated family: n x n matrices A_i (Hermitian unless ``hermitian``
+    is False), one finite weight each and, given ``x_list``, one n x n
+    block X_i each. Returns ``(mats, weights, blocks)``.
+    """
+    # Validators are called by their module-global names, never captured,
+    # so rebinding them (as tracing does) reaches every family.
+    mats = [require_hermitian(a) if hermitian else require_square(a) for a in a_list]
     if not mats:
         raise DimensionError("expected at least one matrix")
+    blocks = [] if x_list is None else [require_square(x) for x in x_list]
+    w = _weights(weights)
+    if w.size != len(mats):
+        raise DimensionError(f"{len(mats)} matrices but {w.size} weights")
+    if x_list is not None and len(blocks) != len(mats):
+        raise DimensionError(f"{len(mats)} matrices but {len(blocks)} blocks")
     n = mats[0].shape[0]
-    for i, m in enumerate(mats):
-        if m.shape != (n, n):
-            raise DimensionError(f"matrix {i} has shape {m.shape}, expected {(n, n)}")
-    return mats
-
-
-def _square_family(a_list) -> list[np.ndarray]:
-    mats = [require_square(a) for a in a_list]
-    if not mats:
-        raise DimensionError("expected at least one matrix")
-    n = mats[0].shape[0]
-    for i, m in enumerate(mats):
-        if m.shape != (n, n):
-            raise DimensionError(f"matrix {i} has shape {m.shape}, expected {(n, n)}")
-    return mats
+    for kind, family in (("matrix", mats), ("block", blocks)):
+        for i, m in enumerate(family):
+            if m.shape != (n, n):
+                raise DimensionError(f"{kind} {i} has shape {m.shape}, expected {(n, n)}")
+    return mats, w, blocks
 
 
 def _descending(values) -> np.ndarray:
@@ -306,14 +300,18 @@ def check_vasic_keckic(
     if not all(hyps.values()):
         return _na_report("vasic", hyps, digest, tol)
     conj = pw ** (1.0 / (1.0 - r))
-    const = float(np.sum(conj)) ** (r - 1.0)
+    const = float(np.sum(conj) ** (r - 1.0))
+    if const == 0.0 or not math.isfinite(const):
+        # Near r = 1 the direct form under- or overflows although the
+        # constant tends to 1/min(p); log-sum-exp keeps it finite there.
+        x = np.log(pw) / (1.0 - r)
+        top = float(np.max(x))
+        const = float(np.exp((r - 1.0) * (top + np.log(np.sum(np.exp(x - top))))))
     lhs = abs(np.sum(zv)) ** r
     rhs = const * float(np.sum(pw * np.abs(zv) ** r))
     scale = max(1.0, float(np.max(np.abs(zv))), float(np.max(conj)))
-    extras = {
-        "constant": const,
-        "stationary_point": bool(np.all(np.abs(zv - conj) <= 1e-12 * scale)),
-    }
+    stationary = np.all(np.isfinite(conj)) and np.all(np.abs(zv - conj) <= 1e-12 * scale)
+    extras = {"constant": const, "stationary_point": bool(stationary)}
     return _graded_report("vasic", [lhs], [rhs], hyps, digest, tol, extras)
 
 
@@ -336,7 +334,7 @@ def check_jensen_vector(
     if not np.all(np.isfinite(xv.real)) or not np.all(np.isfinite(xv.imag)):
         raise ValueError("vector entries must be finite")
     digest = _digest(input_digest, "jensen-vec", f=f, a=am, x=xv)
-    w, _ = eig_hermitian(am)
+    w = np.linalg.eigvalsh(am)
     norm = float(np.linalg.norm(xv))
     hyps = {
         "f convex on domain": f.flag("convex_on_J"),
@@ -386,7 +384,7 @@ def check_jensen_map(
         raise ValueError("vector entries must be finite")
     digest = _digest(input_digest, "jensen-map", f=f, a=am, spec=spec, x=xv, variant=variant)
 
-    w, _ = eig_hermitian(am)
+    w = np.linalg.eigvalsh(am)
     norm = float(np.linalg.norm(xv))
     t_id = applied_to_identity(spec)
     wi = np.linalg.eigvalsh(t_id)
@@ -454,7 +452,7 @@ def check_thm_weak_major(
         raise ValueError("combination weights must be finite")
     digest = _digest(input_digest, "thm1", f=f, a=am, weighted_maps=pairs)
 
-    w, _ = eig_hermitian(am)
+    w = np.linalg.eigvalsh(am)
     t_id = hermitize(sum(alpha * applied_to_identity(spec) for alpha, spec in pairs))
     wi = np.linalg.eigvalsh(t_id)
     hyps = {
@@ -492,15 +490,8 @@ def check_cor_congruence(
     f(0) <= 0. The domain must cover the spectra of every A_i and of the
     congruence sum, and every scalar 1/a_i.
     """
-    mats = _hermitian_family(a_list)
+    mats, aw, blocks = _family(a_list, alpha, x_list)
     n = mats[0].shape[0]
-    blocks = [require_square(x) for x in x_list]
-    aw = _weights(alpha)
-    if len(blocks) != len(mats) or aw.size != len(mats):
-        raise DimensionError("A, X, and alpha must have matching lengths")
-    for i, b in enumerate(blocks):
-        if b.shape != (n, n):
-            raise DimensionError(f"block {i} has shape {b.shape}, expected {(n, n)}")
     digest = _digest(input_digest, "cornew", f=f, a_list=mats, x_list=blocks, alpha=aw)
 
     gram = hermitize(sum(b.conj().T @ b * w for w, b in zip(aw, blocks)))
@@ -552,15 +543,7 @@ def check_eigen_bohr(
     mutation hook for sensitivity testing; it is not part of the instance
     payload.
     """
-    mats = _hermitian_family(a_list)
-    n = mats[0].shape[0]
-    blocks = [require_square(x) for x in x_list]
-    pw = _weights(p)
-    if len(blocks) != len(mats) or pw.size != len(mats):
-        raise DimensionError("A, X, and p must have matching lengths")
-    for i, b in enumerate(blocks):
-        if b.shape != (n, n):
-            raise DimensionError(f"block {i} has shape {b.shape}, expected {(n, n)}")
+    mats, pw, blocks = _family(a_list, p, x_list)
     r = float(r)
     rhs_scale = float(rhs_scale)
     if not math.isfinite(rhs_scale) or rhs_scale <= 0:
@@ -570,7 +553,7 @@ def check_eigen_bohr(
     hyps = {"r > 1": r > 1.0, "weights positive": bool(np.all(pw > 0))}
     if all(hyps.values()):
         conj = pw ** (1.0 / (1.0 - r))
-        total = float(np.sum(conj))
+        total = np.sum(conj)
         gram = hermitize(sum(c * (b.conj().T @ b) for c, b in zip(conj, blocks)))
         wg = np.linalg.eigvalsh(gram)
         hyps["sum p_i^(1/(1-r)) X_i*X_i <= (sum p_i^(1/(1-r))) I"] = bool(
@@ -583,7 +566,7 @@ def check_eigen_bohr(
 
     mixed = hermitize(sum(b.conj().T @ m @ b for m, b in zip(mats, blocks)))
     lhs = np.cumsum(_descending(np.abs(np.linalg.eigvalsh(mixed)) ** r))
-    const = total ** (r - 1.0) * rhs_scale
+    const = float(total ** (r - 1.0)) * rhs_scale
     right = hermitize(sum(w * (b.conj().T @ abs_power(m, r) @ b) for w, m, b in zip(pw, mats, blocks)))
     rhs = const * np.cumsum(_descending(np.linalg.eigvalsh(right)))
     extras = {"constant": const}
@@ -603,10 +586,7 @@ def check_norm_bohr(
     inequality in every unitarily invariant norm at once. extras carries a
     Schatten cross-check at orders {1, 1.5, 2, 3, 10}.
     """
-    mats = _hermitian_family(a_list)
-    pw = _weights(p)
-    if pw.size != len(mats):
-        raise DimensionError(f"{len(mats)} matrices but {pw.size} weights")
+    mats, pw, _ = _family(a_list, p)
     r = float(r)
     digest = _digest(input_digest, "zh", a_list=mats, p=pw, r=r)
     hyps = {"1 < r <= 2": 1.0 < r <= 2.0 + _NORM_TOL}
@@ -616,30 +596,27 @@ def check_norm_bohr(
 
     total = hermitize(sum(mats))
     left_mat = abs_power(total, r)
-    lhs = np.cumsum(_descending(np.linalg.eigvalsh(left_mat)))
+    wl = np.linalg.eigvalsh(left_mat)
+    lhs = np.cumsum(_descending(wl))
     right_mat = hermitize(
         sum(w ** (1.0 - r) * abs_power(m, r) for w, m in zip(pw, mats))
     )
-    rhs = np.cumsum(_descending(np.linalg.eigvalsh(right_mat)))
+    wr = np.linalg.eigvalsh(right_mat)
+    rhs = np.cumsum(_descending(wr))
 
+    # Both matrices are PSD: clip roundoff; the Schatten sums run in
+    # eigvalsh's ascending order.
+    wl, wr = np.clip(wl, 0.0, None), np.clip(wr, 0.0, None)
     schatten = {}
     schatten_ok = True
     for order in (1.0, 1.5, 2.0, 3.0, 10.0):
-        ln = _schatten_of_psd(left_mat, order)
-        rn = _schatten_of_psd(right_mat, order)
+        ln = schatten_of_values(wl, order)
+        rn = schatten_of_values(wr, order)
         schatten[f"{order:g}"] = [ln, rn]
         if ln > rn + DEFAULT_RTOL * max(1.0, ln, rn):
             schatten_ok = False
     extras = {"schatten_orders": schatten, "schatten_ok": schatten_ok}
     return _graded_report("zh", lhs, rhs, hyps, digest, tol, extras)
-
-
-def _schatten_of_psd(mat: np.ndarray, order: float) -> float:
-    w = np.clip(np.linalg.eigvalsh(mat), 0.0, None)
-    top = float(w[-1])
-    if top == 0.0:
-        return 0.0
-    return top * float(np.sum((w / top) ** order)) ** (1.0 / order)
 
 
 def check_pointwise_bohr_r2(
@@ -653,10 +630,7 @@ def check_pointwise_bohr_r2(
     summing to 1; p_i^(1-r) = 1/p_i^(r-1) >= 1. The comparison is
     pointwise, strictly stronger than its partial-sum consequence.
     """
-    mats = _square_family(a_list)
-    pw = _weights(p)
-    if pw.size != len(mats):
-        raise DimensionError(f"{len(mats)} matrices but {pw.size} weights")
+    mats, pw, _ = _family(a_list, p, hermitian=False)
     r = float(r)
     digest = _digest(input_digest, "prop-r2", a_list=mats, p=pw, r=r)
     hyps = {"r >= 2": r >= 2.0 - _NORM_TOL}
@@ -686,10 +660,7 @@ def check_sum_square(
     rather than the looser slack tolerance. Weights must be positive and
     sum to 1.
     """
-    mats = _square_family(a_list)
-    pw = _weights(p)
-    if pw.size != len(mats):
-        raise DimensionError(f"{len(mats)} matrices but {pw.size} weights")
+    mats, pw, _ = _family(a_list, p, hermitian=False)
     digest = _digest(input_digest, "sumsq", a_list=mats, p=pw)
     hyps = {"weights positive": bool(np.all(pw > 0))}
     hyps["weights sum to 1"] = bool(abs(float(np.sum(pw)) - 1.0) <= WEIGHT_SUM_TOL)
@@ -734,10 +705,7 @@ def check_increasing_convex_eigen(
     with weights in [0, 1] summing to 1. Monotonicity is what upgrades the
     weak-majorization statement to a pointwise one.
     """
-    mats = _hermitian_family(a_list)
-    pw = _weights(p)
-    if pw.size != len(mats):
-        raise DimensionError(f"{len(mats)} matrices but {pw.size} weights")
+    mats, pw, _ = _family(a_list, p)
     digest = _digest(input_digest, "inc-convex", f=f, a_list=mats, p=pw)
     spectra = np.concatenate([np.linalg.eigvalsh(m) for m in mats])
     hyps = {

@@ -2,10 +2,11 @@
 
 Everything downstream sits on this module: validated complex matrices,
 Hermitian eigendecomposition with a fixed (descending) eigenvalue order,
-the matrix absolute value, and seeded generators for structured random
-inputs. Randomized helpers take an explicit ``numpy.random.Generator``;
-independent work items get decorrelated counter-based streams via
-:func:`make_rng` so campaigns replay bit-identically.
+and seeded generators for structured random inputs. Randomized helpers
+take an explicit ``numpy.random.Generator``; independent work items get
+decorrelated counter-based streams via :func:`make_rng` so campaigns
+replay bit-identically. The matrix absolute value |A|^r lives in
+:func:`calculus.abs_power`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "frob",
     "EigenDecomposition",
     "eig_hermitian",
-    "abs_matrix",
     "complex_gaussian",
     "random_unitary",
     "random_hermitian",
@@ -166,7 +166,7 @@ def require_hermitian(a, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     return m
 
 
-# --- eigendecomposition and matrix absolute value --------------------------
+# --- eigendecomposition ----------------------------------------------------
 
 
 class EigenDecomposition(NamedTuple):
@@ -193,23 +193,6 @@ def eig_hermitian(a, rtol: float = HERMITIAN_RTOL) -> EigenDecomposition:
         raise EigenConvergenceError(f"eigensolver failed to converge: {exc}") from exc
     order = np.argsort(-w, kind="stable")
     return EigenDecomposition(w[order], u[:, order])
-
-
-def abs_matrix(a) -> np.ndarray:
-    """Matrix absolute value |A| = (A*A)^(1/2); A may be any square matrix.
-
-    Built from the spectral decomposition of the Gram matrix A*A, with
-    negative eigenvalue roundoff clamped to zero, so the result is exactly
-    Hermitian and PSD up to floating noise.
-    """
-    m = require_square(a)
-    gram = hermitize(m.conj().T @ m)
-    try:
-        w, u = np.linalg.eigh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"eigensolver failed to converge: {exc}") from exc
-    w = np.clip(w, 0.0, None)
-    return hermitize((u * np.sqrt(w)) @ u.conj().T)
 
 
 # --- random structured inputs ----------------------------------------------

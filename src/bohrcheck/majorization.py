@@ -1,98 +1,34 @@
-"""Weak majorization, singular values, and unitarily invariant norms.
+"""Singular values and unitarily invariant norms.
 
-The central object is :class:`MajorizationVerdict`: a tolerance-aware
-comparison of top-k partial sums of two real vectors in descending
-rearrangement. Ky Fan norms are the partial sums of singular values, so
-weak majorization of singular value vectors is exactly simultaneous
-domination in every Ky Fan norm; :func:`ky_fan_max_estimate` probes the
-variational characterization of top-k eigenvalue sums over orthonormal
-frames.
+Ky Fan norms are the top-k partial sums of singular values, so weak
+majorization of singular value vectors is exactly simultaneous domination
+in every Ky Fan norm, and by Fan dominance in every unitarily invariant
+norm, Schatten norms included. The checkers grade weak majorization of
+their own partial sums; this module supplies the norms they are compared
+in. :func:`ky_fan_max_estimate` probes the variational characterization of
+top-k eigenvalue sums over orthonormal frames.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DimensionError,
-    complex_gaussian,
-    eig_hermitian,
-    hermitize,
-    require_square,
-)
+from .linalg import complex_gaussian, eig_hermitian, hermitize, require_square
 
 __all__ = [
     "SINGULAR_CLAMP",
-    "MajorizationVerdict",
-    "weakly_majorized_by",
     "singular_values",
     "ky_fan_norm",
-    "ky_fan_dominates",
     "schatten_norm",
+    "schatten_of_values",
     "ky_fan_max_estimate",
 ]
 
 #: Eigenvalues of A*A above this noise floor must be nonnegative; values in
 #: [-SINGULAR_CLAMP, 0) are clamped to zero before the square root.
 SINGULAR_CLAMP = 1e-11
-
-
-@dataclass(frozen=True)
-class MajorizationVerdict:
-    """Tolerance-aware outcome of a weak-majorization comparison.
-
-    ``partial_sums_lhs[k-1]`` and ``partial_sums_rhs[k-1]`` are the top-k
-    sums of the descending rearrangements; the comparison holds when every
-    lhs sum is at most the rhs sum plus ``tol``. ``min_slack`` is the
-    smallest rhs - lhs gap over k (negative means that sum overshoots), and
-    ``first_violation_k`` is the smallest 1-based k whose gap is below
-    -tol, or None.
-    """
-
-    holds: bool
-    partial_sums_lhs: tuple[float, ...]
-    partial_sums_rhs: tuple[float, ...]
-    min_slack: float
-    first_violation_k: int | None
-    tol: float
-
-
-def _descending(values) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise DimensionError(f"expected a nonempty 1-d real vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
-    return np.sort(v)[::-1]
-
-
-def weakly_majorized_by(a, b, tol: float) -> MajorizationVerdict:
-    """Check a <=_w b: every top-k partial sum of a at most that of b + tol.
-
-    Inputs are rearranged descending internally, so callers may pass
-    unsorted vectors. Both must have the same length.
-    """
-    sa = _descending(a)
-    sb = _descending(b)
-    if sa.shape != sb.shape:
-        raise DimensionError(f"length mismatch: {sa.size} vs {sb.size}")
-    la = np.cumsum(sa)
-    lb = np.cumsum(sb)
-    slack = lb - la
-    min_slack = float(np.min(slack))
-    bad = np.nonzero(slack < -tol)[0]
-    first = int(bad[0]) + 1 if bad.size else None
-    return MajorizationVerdict(
-        holds=first is None,
-        partial_sums_lhs=tuple(float(x) for x in la),
-        partial_sums_rhs=tuple(float(x) for x in lb),
-        min_slack=min_slack,
-        first_violation_k=first,
-        tol=float(tol),
-    )
 
 
 def singular_values(a) -> np.ndarray:
@@ -119,31 +55,25 @@ def ky_fan_norm(a, k: int) -> float:
     return float(np.sum(singular_values(m)[:k]))
 
 
-def ky_fan_dominates(b, a, tol: float) -> MajorizationVerdict:
-    """Check ||A||_(k) <= ||B||_(k) + tol for every k (Ky Fan dominance).
-
-    Equivalent to weak majorization of the singular value vectors; by Ky
-    Fan dominance this certifies ||A|| <= ||B|| in every unitarily
-    invariant norm.
-    """
-    mb = require_square(b)
-    ma = require_square(a)
-    if ma.shape != mb.shape:
-        raise DimensionError(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    return weakly_majorized_by(singular_values(ma), singular_values(mb), tol)
-
-
 def schatten_norm(a, p: float) -> float:
     """Schatten p-norm (sum of s_j^p)^(1/p) for p >= 1."""
+    return schatten_of_values(singular_values(a), p)
+
+
+def schatten_of_values(values, p: float) -> float:
+    """(sum_j v_j^p)^(1/p) of nonnegative values v, for p >= 1.
+
+    Sums in the order given, so callers fix their own roundoff. The largest
+    value is factored out so v^p cannot overflow for large p.
+    """
     p = float(p)
     if not math.isfinite(p) or p < 1.0:
         raise ValueError(f"Schatten order must satisfy p >= 1, got {p}")
-    s = singular_values(a)
-    top = float(s[0])
+    v = np.asarray(values, dtype=float)
+    top = float(np.max(v))
     if top == 0.0:
         return 0.0
-    # Factor out the largest value so s^p cannot overflow for large p.
-    return top * float(np.sum((s / top) ** p)) ** (1.0 / p)
+    return top * float(np.sum((v / top) ** p)) ** (1.0 / p)
 
 
 def ky_fan_max_estimate(a, k: int, trials: int, rng: np.random.Generator) -> float:

@@ -27,13 +27,6 @@ def partial_sums_desc(values) -> list[float]:
     return sums
 
 
-def weak_major_holds(a, b, tol: float) -> bool:
-    for sa, sb in zip(partial_sums_desc(a), partial_sums_desc(b)):
-        if sa > sb + tol:
-            return False
-    return True
-
-
 def svd_singular_values(a) -> np.ndarray:
     return np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
 

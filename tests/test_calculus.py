@@ -232,15 +232,6 @@ def test_abs_power_squares_nilpotent():
     assert np.allclose(out, np.diag([0.0, 4.0]), atol=1e-12)
 
 
-def test_abs_power_r1_is_abs_matrix():
-    rng = make_rng(25)
-    from bohrcheck.linalg import abs_matrix, complex_gaussian
-
-    for _ in range(20):
-        a = complex_gaussian((4, 4), rng)
-        assert frob(abs_power(a, 1.0) - abs_matrix(a)) <= 1e-10 * max(1.0, frob(a))
-
-
 def test_abs_power_diagonal_cubes():
     out = abs_power(np.diag([-2.0, 1.0]), 3.0)
     assert np.allclose(out, np.diag([8.0, 1.0]), atol=1e-12)

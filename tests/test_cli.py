@@ -9,7 +9,8 @@ import pytest
 
 import bohrcheck.cli as cli
 from bohrcheck.cli import main
-from bohrcheck.harness import CampaignConfig, CampaignResult, run_instance
+from bohrcheck.harness import CampaignConfig, CampaignResult, generate_instance, run_instance
+from bohrcheck.linalg import make_rng
 
 
 def write_bohr_instance(path):
@@ -74,6 +75,19 @@ def test_check_missing_and_malformed_files(tmp_path, capsys):
     assert main(["check", "--in", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "bohrcheck: error:" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_check_eigensolver_failure_exits_one(tmp_path, capsys):
+    # |A_i|^r overflows at r in [800, 900], and the eigensolver does not
+    # converge on the non-finite sum: an input error, not a verdict.
+    cfg = CampaignConfig("cor45", 1, 3, r_range=(800.0, 900.0))
+    payload, _ = generate_instance(cfg, 0, make_rng(3, 0))
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(payload))
+    assert main(["check", "--in", str(path)]) == 1
+    assert "bohrcheck: error: Eigenvalues did not converge" in capsys.readouterr().err
 
 
 def test_check_env_tolerance(tmp_path, capsys, monkeypatch):

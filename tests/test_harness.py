@@ -289,11 +289,12 @@ def test_generation_overflow_is_a_generation_failure(tmp_path, theorem, override
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_numerical_error_is_a_trial_error_not_an_abort(tmp_path):
-    # p^(1/(1-r)) overflows inside the vasic checker for r next to 1, so
-    # the right side is infinite on many trials.
+    # |z_j|^r and the constant overflow inside the vasic checker at
+    # r in [800, 900], so a side is infinite on many trials.
     out = tmp_path / "extreme.jsonl"
-    res = run_campaign(CampaignConfig("vasic", 40, 3, r_range=(1.0000001, 1.0000002)), out)
+    res = run_campaign(CampaignConfig("vasic", 40, 3, r_range=(800.0, 900.0)), out)
     lines = out.read_text().splitlines()
     assert len(lines) == 41
     assert json.loads(lines[-1])["summary"] == res.summary
@@ -306,6 +307,32 @@ def test_numerical_error_is_a_trial_error_not_an_abort(tmp_path):
         assert set(obj) == {"trial", "stream", "digest", "error"}
         assert obj["error"].startswith("NumericalError: ")
         assert obj["digest"] == serialize.digest(res.records[obj["trial"]].payload)
+    assert s["violations"] == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("theorem", ["cor45", "prop-r2"])
+def test_eigensolver_failure_is_a_trial_error_not_an_abort(tmp_path, theorem):
+    # |A_i|^r overflows at r in [800, 900]; the eigensolver then fails to
+    # converge on the non-finite sum, or a side comes out infinite.
+    out = tmp_path / "extreme.jsonl"
+    res = run_campaign(CampaignConfig(theorem, 40, 3, r_range=(800.0, 900.0)), out)
+    lines = out.read_text().splitlines()
+    assert len(lines) == 41
+    assert json.loads(lines[-1])["summary"] == res.summary
+    assert res.summary["violations"] == 0
+    kinds = {r.error.split(":")[0] for r in res.records if r.error}
+    assert kinds == {"LinAlgError", "NumericalError"}
+    assert res.summary["errors"] == sum(r.error is not None for r in res.records)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_vasic_next_to_r_one_holds():
+    # The constant under- or overflows in its direct form there; the
+    # log-sum-exp fallback keeps it at its limit 1/min(p).
+    res = run_campaign(CampaignConfig("vasic", 40, 3, r_range=(1.0000001, 1.0000002)))
+    assert res.summary["held"] == 40 and res.summary["errors"] == 0
 
 
 def test_campaign_persists_violations_for_replay(tmp_path):

@@ -140,6 +140,18 @@ def test_vasic_gating_and_malformed():
         check_vasic_keckic([], [], 2.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("p, constant", [([0.5, 2.0], 2.0), ([1.5, 2.0], 1.0 / 1.5)])
+def test_vasic_constant_near_r_one_is_one_over_min_p(p, constant):
+    # p^(1/(1-r)) overflows (some p_j < 1) or underflows (every p_j > 1)
+    # next to r = 1, yet the constant tends to 1/min(p) and the inequality
+    # holds.
+    rep = check_vasic_keckic([1.0, 1.0], p, 1.0000001)
+    assert rep.holds
+    assert rep.extras["constant"] == pytest.approx(constant, rel=1e-9)
+    assert rep.extras["stationary_point"] is False
+
+
 # --- Jensen (vector state) ------------------------------------------------------------------
 
 
@@ -609,6 +621,39 @@ def test_increasing_convex_rejects_nonmonotone_f():
     assert "f increasing on domain" in rep.failed_hypotheses()
 
 
+# --- family validation ------------------------------------------------------------------------------------------
+
+
+def _family_checker(theorem):
+    square = make_function_spec("square", (-3, 3))
+    return {
+        "cornew": lambda a, w, x: check_cor_congruence(square, a, x, w),
+        "cor45": lambda a, w, x: check_eigen_bohr(a, x, w, 2.0),
+        "zh": lambda a, w, x: check_norm_bohr(a, w, 1.5),
+        "prop-r2": lambda a, w, x: check_pointwise_bohr_r2(a, w, 2.0),
+        "sumsq": lambda a, w, x: check_sum_square(a, w),
+        "inc-convex": lambda a, w, x: check_increasing_convex_eigen(square, a, w),
+    }[theorem]
+
+
+@pytest.mark.parametrize("theorem", ["cornew", "cor45", "zh", "prop-r2", "sumsq", "inc-convex"])
+def test_family_checkers_reject_malformed_families(theorem):
+    check = _family_checker(theorem)
+    half = [0.5, 0.5]
+    check([DIAG1, DIAG2], half, [EYE2, EYE2])  # well formed: no exception
+    with pytest.raises(DimensionError, match="at least one matrix"):
+        check([], [], [])
+    with pytest.raises(DimensionError, match="matrix 1 has shape"):
+        check([DIAG1, np.eye(3)], half, [EYE2, EYE2])
+    with pytest.raises(DimensionError, match="2 matrices but 3 weights"):
+        check([DIAG1, DIAG2], [0.2, 0.3, 0.5], [EYE2, EYE2])
+    if theorem in ("cornew", "cor45"):
+        with pytest.raises(DimensionError, match="2 matrices but 1 blocks"):
+            check([DIAG1, DIAG2], half, [EYE2])
+        with pytest.raises(DimensionError, match="block 1 has shape"):
+            check([DIAG1, DIAG2], half, [EYE2, np.eye(3)])
+
+
 # --- cross-route consistency -------------------------------------------------------------------------------------
 
 
@@ -716,10 +761,11 @@ def test_report_digest_traces_back_to_payload():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_nonfinite_side_is_a_numerical_error_not_a_verdict():
-    # p^(1/(1-r)) overflows for r next to 1, so the right side is infinite.
+    # |z_j|^r and |sum z_j|^r overflow at r = 800, so both sides are infinite.
     with pytest.raises(NumericalError, match="non-finite"):
-        check_vasic_keckic([1.0, 1.0], [0.5, 2.0], 1.0000001)
+        check_vasic_keckic([10.0, 10.0], [0.5, 2.0], 800.0)
     assert issubclass(NumericalError, ValueError)
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bohrcheck.linalg import (
     DimensionError,
     Interval,
-    abs_matrix,
     as_complex_matrix,
     as_interval,
     complex_gaussian,
@@ -24,6 +23,7 @@ from bohrcheck.linalg import (
     require_square,
     stream_key,
 )
+from bohrcheck.calculus import abs_power
 from oracles import splitmix64_ref
 
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -159,22 +159,22 @@ def test_weyl_monotonicity_under_psd_bump():
         assert np.all(wa <= wb + 1e-10)
 
 
-# --- matrix absolute value -----------------------------------------------------
+# --- matrix absolute value |A| = abs_power(A, 1) ---------------------------------
 
 
 def test_abs_matrix_diagonal():
-    assert np.allclose(abs_matrix(np.diag([-3.0, 2.0])), np.diag([3.0, 2.0]), atol=1e-12)
+    assert np.allclose(abs_power(np.diag([-3.0, 2.0]), 1.0), np.diag([3.0, 2.0]), atol=1e-12)
 
 
 def test_abs_matrix_nilpotent():
-    assert np.allclose(abs_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])), np.diag([0.0, 1.0]), atol=1e-12)
+    assert np.allclose(abs_power(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0), np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_abs_matrix_golden_ratio_eigenvalues():
     # |A| for the unipotent shear has the golden ratio and its inverse as
     # eigenvalues: A*A = [[1,1],[1,2]] has eigenvalues phi^2 and phi^-2.
     phi = (1.0 + np.sqrt(5.0)) / 2.0
-    w = eig_hermitian(abs_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))).eigenvalues
+    w = eig_hermitian(abs_power(np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0)).eigenvalues
     assert np.allclose(w, [phi, 1.0 / phi], atol=1e-12)
 
 
@@ -183,7 +183,7 @@ def test_abs_matrix_psd_square_law_and_frobenius_identity():
     for _ in range(100):
         n = int(rng.integers(1, 7))
         a = complex_gaussian((n, n), rng)
-        m = abs_matrix(a)
+        m = abs_power(a, 1.0)
         assert float(np.linalg.eigvalsh(m)[0]) >= -1e-11
         assert frob(m @ m - a.conj().T @ a) <= 1e-10 * max(1.0, frob(a) ** 2)
         assert abs(frob(m) - frob(a)) <= 1e-10 * max(1.0, frob(a))
