@@ -6,11 +6,12 @@ submultiplicativity, behaviour at zero). Flags are established by numeric
 grid scans, never by symbolic reasoning, so a spec can only claim what its
 own evaluations support. :func:`apply_fun` lifts a spec to Hermitian
 matrices through the spectral decomposition, and :func:`abs_power` computes
-|A|^r for arbitrary square A.
+|A|^r for arbitrary square A, or for every matrix of a stack at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -18,11 +19,11 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .linalg import (
+    DimensionError,
     Interval,
     as_interval,
     eig_hermitian,
     hermitize,
-    require_square,
 )
 
 __all__ = [
@@ -117,6 +118,15 @@ def _eval(fn, x) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index pairs (i, j), i <= j, of a size x size table."""
+    pairs = np.triu_indices(size)
+    for idx in pairs:
+        idx.setflags(write=False)
+    return pairs
+
+
 def scan_function_flags(fn, domain, grid_size: int = DEFAULT_SCAN_GRID) -> FunctionFlagReport:
     """Numeric hypothesis scans for a scalar function on an interval.
 
@@ -144,10 +154,11 @@ def scan_function_flags(fn, domain, grid_size: int = DEFAULT_SCAN_GRID) -> Funct
         f0_worst = math.nan
         f0_ok = False
 
-    u = grid[:, None]
-    v = grid[None, :]
-    midvals = _eval(fn, (u + v) / 2.0)
-    means = 0.5 * (vals[:, None] + vals[None, :])
+    # Both pair tables are symmetric in (u, v) bit for bit (float + and *
+    # commute), so the pairs i <= j give the same flags and worst values.
+    iu, ju = _upper_pairs(grid_size)
+    midvals = _eval(fn, (grid[iu] + grid[ju]) / 2.0)
+    means = 0.5 * (vals[iu] + vals[ju])
     conv_worst = float(np.max((midvals - means) / np.maximum(1.0, np.abs(means))))
     convex = conv_worst <= SCAN_TOL
 
@@ -155,13 +166,15 @@ def scan_function_flags(fn, domain, grid_size: int = DEFAULT_SCAN_GRID) -> Funct
     mono_worst = float(np.max(-diffs)) / val_scale if diffs.size else 0.0
     increasing = mono_worst <= SCAN_TOL
 
-    sub = np.linspace(iv.lo, iv.hi, min(_PRODUCT_GRID, grid_size))
+    sub_size = min(_PRODUCT_GRID, grid_size)
+    sub = np.linspace(iv.lo, iv.hi, sub_size)
     subvals = _eval(fn, sub)
-    prod = sub[:, None] * sub[None, :]
+    iu, ju = _upper_pairs(sub_size)
+    prod = sub[iu] * sub[ju]
     mask = (prod >= iv.lo) & (prod <= iv.hi)
     if np.any(mask):
         fprod = _eval(fn, prod[mask])
-        fpair = (subvals[:, None] * subvals[None, :])[mask]
+        fpair = (subvals[iu] * subvals[ju])[mask]
         sub_worst = float(np.max((fprod - fpair) / np.maximum(1.0, np.abs(fpair))))
         submult = sub_worst <= SCAN_TOL
     else:
@@ -296,15 +309,21 @@ def apply_fun(spec: ConvexFunctionSpec, a) -> np.ndarray:
 def abs_power(a, r: float) -> np.ndarray:
     """|A|^r for any square A and real exponent r >= 1; r = 1 gives |A|.
 
-    Computed from the spectral decomposition of A*A as (A*A)^(r/2), which
-    avoids forming |A| first; r < 1 is rejected because the family used
-    throughout is the convex one.
+    ``a`` is one n x n matrix or a stack of shape ``(..., n, n)``, which is
+    validated once and decomposed in one call; slice i of the result is
+    |a[i]|^r. Computed from the spectral decomposition of A*A as
+    (A*A)^(r/2), which avoids forming |A| first; r < 1 is rejected because
+    the family used throughout is the convex one.
     """
     r = float(r)
     if not math.isfinite(r) or r < 1.0:
         raise DomainError(f"exponent must satisfy r >= 1, got {r}")
-    m = require_square(a)
-    gram = hermitize(m.conj().T @ m)
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] < 1 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"expected square matrices of shape (..., n, n), got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    gram = hermitize(m.conj().swapaxes(-1, -2) @ m)
     w, u = np.linalg.eigh(gram)
     w = np.clip(w, 0.0, None)
-    return hermitize((u * w ** (r / 2.0)) @ u.conj().T)
+    return hermitize((u * (w ** (r / 2.0))[..., None, :]) @ u.conj().swapaxes(-1, -2))

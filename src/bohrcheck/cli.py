@@ -133,6 +133,8 @@ def _cmd_fuzz(args) -> int:
     print(json.dumps(result.summary))
     for path in result.violation_paths:
         print(f"violation instance saved: {path}", file=sys.stderr)
+    for path in result.error_paths:
+        print(f"error instance saved: {path}", file=sys.stderr)
     if result.summary["violations"] > 0:
         return EXIT_VIOLATIONS
     if result.summary["generation_failures"] > 0 or result.summary["errors"] > 0:

@@ -75,13 +75,6 @@ def _frozen(a) -> np.ndarray:
     return m
 
 
-def _check_psd(p: np.ndarray, what: str) -> None:
-    w = np.linalg.eigvalsh(hermitize(p))
-    top = max(1.0, float(w[-1]))
-    if w[0] < -PSD_TOL * top:
-        raise SpecError(f"{what} has eigenvalue {w[0]:.3e}, not PSD within tolerance")
-
-
 @dataclass(frozen=True, eq=False)
 class Congruence:
     """A -> X* A X, mapping n x n inputs to m x m outputs via X (n x m)."""
@@ -102,7 +95,8 @@ class DiagonalPOVM:
     """A -> sum_i A_ii P_i: diagonal entries weighted by PSD effects.
 
     Input dimension is the number of effects; every effect is an m x m PSD
-    matrix (checked within PSD_TOL at construction).
+    matrix (checked within PSD_TOL at construction, all effects in one
+    stacked eigensolve).
     """
 
     effects: tuple[np.ndarray, ...]
@@ -117,7 +111,11 @@ class DiagonalPOVM:
                 raise SpecError(f"effect {i} has shape {p.shape}, expected {(m, m)}")
             if frob(p - p.conj().T) > PSD_TOL * max(1.0, frob(p)):
                 raise SpecError(f"effect {i} is not Hermitian within tolerance")
-            _check_psd(p, f"effect {i}")
+        w = np.linalg.eigvalsh(hermitize(np.stack(effs)))
+        low = w[:, 0] < -PSD_TOL * np.maximum(1.0, w[:, -1])
+        if low.any():
+            i = int(np.argmax(low))
+            raise SpecError(f"effect {i} has eigenvalue {w[i, 0]:.3e}, not PSD within tolerance")
         object.__setattr__(self, "effects", tuple(_frozen(p) for p in effs))
 
 
@@ -210,6 +208,11 @@ def apply_map(spec: MapSpec, a) -> np.ndarray:
     n_in, _ = map_dims(spec)
     if m.shape[0] != n_in:
         raise DimensionError(f"map expects {n_in} x {n_in} input, got {m.shape}")
+    return _apply(spec, m)
+
+
+def _apply(spec: MapSpec, m: np.ndarray) -> np.ndarray:
+    """:func:`apply_map` on input already validated against ``spec``."""
     if isinstance(spec, Congruence):
         return spec.x.conj().T @ m @ spec.x
     if isinstance(spec, DiagonalPOVM):
@@ -226,7 +229,7 @@ def apply_map(spec: MapSpec, a) -> np.ndarray:
         n_out = map_dims(spec)[1]
         out = np.zeros((n_out, n_out), dtype=complex)
         for alpha, sub in spec.terms:
-            out += alpha * apply_map(sub, m)
+            out += alpha * _apply(sub, m)
         return out
     if isinstance(spec, Transpose):
         return m.T.copy()

@@ -7,7 +7,8 @@ fallback), runs the matching checker, and emits one JSONL line per trial
 plus a summary line. Timestamps and elapsed times never enter the output,
 so two runs of the same config produce identical bytes. Violating
 instances are additionally persisted as standalone JSON files next to the
-report for replay.
+report for replay, and so are the inputs of trials that end in a
+numerical error.
 
 :data:`THEOREM_TABLE` names each theorem's checker and generator. A
 generator returns checker arguments, which :func:`generate_instance`
@@ -164,6 +165,7 @@ class CampaignResult:
     records: list[TrialRecord]
     summary: dict
     violation_paths: list[str] = field(default_factory=list)
+    error_paths: list[str] = field(default_factory=list)
 
 
 # --- instance execution ------------------------------------------------------
@@ -184,7 +186,10 @@ def _check(theorem, args, tol, rhs_scale, input_digest=None) -> CheckReport:
         args["rhs_scale"] = rhs_scale
     # Looked up by name on every call, so rebinding a checker reaches here.
     checker = getattr(inequalities, THEOREM_TABLE[theorem][0])
-    return checker(**args, tol=tol, input_digest=input_digest)
+    # Overflow becomes inf or NaN and then a NumericalError, which already
+    # says what happened, so numpy's own warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return checker(**args, tol=tol, input_digest=input_digest)
 
 
 # --- random building blocks --------------------------------------------------
@@ -227,6 +232,11 @@ def _draw_function(cfg: CampaignConfig, rng, domain, ids=None):
     elif fid == "half_pow":
         # t^(r/2) is convex increasing only from r >= 2 on.
         r = _draw_r(cfg, rng, lo_cap=2.0)
+    return _function_spec(fid, domain, r)
+
+
+def _function_spec(fid: str, domain, r):
+    """:func:`make_function_spec`, with a failed flag scan a GenerationError."""
     try:
         return make_function_spec(fid, domain, r)
     except ValueError as exc:  # the flag scan overflowed on this domain
@@ -386,7 +396,7 @@ def _gen_cornew(cfg, rng, trial) -> dict:
     # scale of every point the checker evaluates.
     window = (-10.0 * reach, 10.0 * reach)
     r = _draw_r(cfg, rng, hi_cap=3.0)
-    f = make_function_spec("abs_pow", window, r)
+    f = _function_spec("abs_pow", window, r)
     return {"f": f, "a_list": mats, "x_list": blocks, "alpha": alphas}
 
 
@@ -487,11 +497,14 @@ def generate_instance(cfg: CampaignConfig, trial: int, rng) -> tuple[dict, dict]
 # --- campaign loop ------------------------------------------------------------
 
 
-def _violation_path(out_path: Path, trial: int) -> Path:
+def _write_artifact(out_path: Path, kind: str, trial: int, obj: dict) -> str:
+    """Write ``obj`` as ``<stem>.<kind>-NNNNNN.json`` next to the report."""
     stem = out_path.name
     if stem.endswith(".jsonl"):
         stem = stem[: -len(".jsonl")]
-    return out_path.with_name(f"{stem}.violation-{trial:06d}.json")
+    path = out_path.with_name(f"{stem}.{kind}-{trial:06d}.json")
+    path.write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    return str(path)
 
 
 def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> CampaignResult:
@@ -499,15 +512,18 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
 
     The emitted stream is one line per trial in index order plus a final
     ``{"summary": ...}`` line, and is byte-identical across runs with the
-    same config. Violating payloads are persisted next to the report file.
-    A trial whose checker raises :class:`NumericalError` or
+    same config. A trial whose checker raises :class:`NumericalError` or
     ``numpy.linalg.LinAlgError`` (an eigensolver that did not converge on
     overflowed input) gets an error line and counts under ``errors``; any
-    other exception aborts the campaign.
+    other exception aborts the campaign. The payloads of violating and of
+    error trials are persisted next to the report file, as
+    ``<stem>.violation-NNNNNN.json`` (``{"instance", "report"}``) and
+    ``<stem>.error-NNNNNN.json`` (``{"instance", "error"}``).
     """
     theorem = canonical_theorem(cfg.theorem)
     records: list[TrialRecord] = []
     violation_paths: list[str] = []
+    error_paths: list[str] = []
     held = violations = not_applicable = generation_failures = errors = 0
     min_slack_overall: float | None = None
 
@@ -530,6 +546,10 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
             except (NumericalError, np.linalg.LinAlgError) as exc:
                 errors += 1
                 error = f"{type(exc).__name__}: {exc}"
+                if out is not None:
+                    error_paths.append(
+                        _write_artifact(out, "error", trial, {"instance": payload, "error": error})
+                    )
             else:
                 if report.holds:
                     held += 1
@@ -538,17 +558,14 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
                 else:
                     violations += 1
                     if out is not None:
-                        vpath = _violation_path(out, trial)
-                        vpath.write_text(
-                            json.dumps(
+                        violation_paths.append(
+                            _write_artifact(
+                                out,
+                                "violation",
+                                trial,
                                 {"instance": payload, "report": report.to_json()},
-                                indent=2,
-                                allow_nan=False,
                             )
-                            + "\n",
-                            encoding="utf-8",
                         )
-                        violation_paths.append(str(vpath))
                 if report.min_slack is not None:
                     min_slack_overall = (
                         report.min_slack
@@ -575,14 +592,16 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
     finally:
         if sink is not None:
             sink.close()
-    return CampaignResult(cfg, records, summary, violation_paths)
+    return CampaignResult(cfg, records, summary, violation_paths, error_paths)
 
 
 def replay(source: str | Path | dict, tol: float | None = None) -> CheckReport:
     """Re-run a saved instance; verify against any stored report.
 
     Accepts a bare instance payload or a ``{"instance": ..., "report":
-    ...}`` wrapper (the format of persisted violations). The stored run's
+    ...}`` wrapper (the format of persisted violations); an error artifact
+    (``{"instance": ..., "error": ...}``) re-runs its instance, which
+    raises again. The stored run's
     tolerance and rhs_scale are reused unless ``tol`` is given, so a saved
     artifact reproduces under the arithmetic that produced it. A stored
     report must match the fresh one in verdict and min_slack (within

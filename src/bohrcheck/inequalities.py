@@ -179,9 +179,10 @@ def _graded_report(
 ) -> CheckReport:
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    slack = rhs - lhs
-    # The slack is non-finite whenever either side is.
-    if not np.all(np.isfinite(slack)):
+    # Sides are checked before they are subtracted, so no inf - inf is
+    # computed; the slack of two finite sides can still overflow.
+    slack = rhs - lhs if np.isfinite(lhs).all() and np.isfinite(rhs).all() else None
+    if slack is None or not np.isfinite(slack).all():
         raise NumericalError(
             f"{theorem_id}: non-finite comparison, lhs {lhs.tolist()}, rhs {rhs.tolist()}"
         )
@@ -207,7 +208,9 @@ def _graded_report(
 def _family(a_list, weights, x_list=None, hermitian=True):
     """Validated family: n x n matrices A_i (Hermitian unless ``hermitian``
     is False), one finite weight each and, given ``x_list``, one n x n
-    block X_i each. Returns ``(mats, weights, blocks)``.
+    block X_i each. Returns ``(mats, weights, blocks)``, the matrices and
+    the blocks as ``(ell, n, n)`` stacks (blocks None without ``x_list``),
+    so each family's spectral work runs as one stacked call.
     """
     # Validators are called by their module-global names, never captured,
     # so rebinding them (as tracing does) reaches every family.
@@ -225,7 +228,7 @@ def _family(a_list, weights, x_list=None, hermitian=True):
         for i, m in enumerate(family):
             if m.shape != (n, n):
                 raise DimensionError(f"{kind} {i} has shape {m.shape}, expected {(n, n)}")
-    return mats, w, blocks
+    return np.stack(mats), w, np.stack(blocks) if x_list is not None else None
 
 
 def _descending(values) -> np.ndarray:
@@ -491,14 +494,14 @@ def check_cor_congruence(
     congruence sum, and every scalar 1/a_i.
     """
     mats, aw, blocks = _family(a_list, alpha, x_list)
-    n = mats[0].shape[0]
     digest = _digest(input_digest, "cornew", f=f, a_list=mats, x_list=blocks, alpha=aw)
 
-    gram = hermitize(sum(b.conj().T @ b * w for w, b in zip(aw, blocks)))
+    xh = blocks.conj().swapaxes(-1, -2)
+    gram = hermitize(sum(g * w for w, g in zip(aw, xh @ blocks)))
     wg = np.linalg.eigvalsh(gram)
-    mixed = hermitize(sum(b.conj().T @ m @ b for m, b in zip(mats, blocks)))
+    mixed = hermitize(sum(xh @ mats @ blocks))
     mu = np.linalg.eigvalsh(mixed)
-    spectra = np.concatenate([np.linalg.eigvalsh(m) for m in mats])
+    spectra = np.linalg.eigvalsh(mats).ravel()
     hyps = {
         "weights positive": bool(np.all(aw > 0)),
         "sum a_i X_i*X_i <= I": bool(wg[-1] <= 1.0 + OPERATOR_HYP_TOL),
@@ -515,9 +518,10 @@ def check_cor_congruence(
         return _na_report("cornew", hyps, digest, tol)
 
     lhs = np.cumsum(_descending(f(f.domain.clamp(mu))))
-    right = np.zeros((n, n), dtype=complex)
-    for w, m, b in zip(aw, mats, blocks):
-        right += w * float(f(f.domain.clamp(1.0 / w))) * (b.conj().T @ apply_fun(f, m) @ b)
+    images = xh @ np.stack([apply_fun(f, m) for m in mats]) @ blocks
+    right = np.zeros_like(mixed)
+    for w, image in zip(aw, images):
+        right += w * float(f(f.domain.clamp(1.0 / w))) * image
     rhs = np.cumsum(_descending(np.linalg.eigvalsh(hermitize(right))))
     return _graded_report("cornew", lhs, rhs, hyps, digest, tol)
 
@@ -551,10 +555,11 @@ def check_eigen_bohr(
     digest = _digest(input_digest, "cor45", a_list=mats, x_list=blocks, p=pw, r=r)
 
     hyps = {"r > 1": r > 1.0, "weights positive": bool(np.all(pw > 0))}
+    xh = blocks.conj().swapaxes(-1, -2)
     if all(hyps.values()):
         conj = pw ** (1.0 / (1.0 - r))
         total = np.sum(conj)
-        gram = hermitize(sum(c * (b.conj().T @ b) for c, b in zip(conj, blocks)))
+        gram = hermitize(sum(c * g for c, g in zip(conj, xh @ blocks)))
         wg = np.linalg.eigvalsh(gram)
         hyps["sum p_i^(1/(1-r)) X_i*X_i <= (sum p_i^(1/(1-r))) I"] = bool(
             wg[-1] <= total * (1.0 + OPERATOR_HYP_TOL)
@@ -564,10 +569,11 @@ def check_eigen_bohr(
     if not all(hyps.values()):
         return _na_report("cor45", hyps, digest, tol)
 
-    mixed = hermitize(sum(b.conj().T @ m @ b for m, b in zip(mats, blocks)))
+    mixed = hermitize(sum(xh @ mats @ blocks))
     lhs = np.cumsum(_descending(np.abs(np.linalg.eigvalsh(mixed)) ** r))
     const = float(total ** (r - 1.0)) * rhs_scale
-    right = hermitize(sum(w * (b.conj().T @ abs_power(m, r) @ b) for w, m, b in zip(pw, mats, blocks)))
+    images = xh @ abs_power(mats, r) @ blocks
+    right = hermitize(sum(w * image for w, image in zip(pw, images)))
     rhs = const * np.cumsum(_descending(np.linalg.eigvalsh(right)))
     extras = {"constant": const}
     if rhs_scale != 1.0:
@@ -599,7 +605,7 @@ def check_norm_bohr(
     wl = np.linalg.eigvalsh(left_mat)
     lhs = np.cumsum(_descending(wl))
     right_mat = hermitize(
-        sum(w ** (1.0 - r) * abs_power(m, r) for w, m in zip(pw, mats))
+        sum(w ** (1.0 - r) * power for w, power in zip(pw, abs_power(mats, r)))
     )
     wr = np.linalg.eigvalsh(right_mat)
     rhs = np.cumsum(_descending(wr))
@@ -640,7 +646,7 @@ def check_pointwise_bohr_r2(
 
     total = sum(mats)
     lhs = singular_values(total) ** r
-    right = hermitize(sum(w ** (1.0 - r) * abs_power(m, r) for w, m in zip(pw, mats)))
+    right = hermitize(sum(w ** (1.0 - r) * power for w, power in zip(pw, abs_power(mats, r))))
     rhs = _descending(np.linalg.eigvalsh(right))
     return _graded_report(
         "prop-r2", lhs, rhs, hyps, digest, tol, comparison="pointwise"
@@ -707,7 +713,7 @@ def check_increasing_convex_eigen(
     """
     mats, pw, _ = _family(a_list, p)
     digest = _digest(input_digest, "inc-convex", f=f, a_list=mats, p=pw)
-    spectra = np.concatenate([np.linalg.eigvalsh(m) for m in mats])
+    spectra = np.linalg.eigvalsh(mats).ravel()
     hyps = {
         "f convex on domain": f.flag("convex_on_J"),
         "f increasing on domain": f.flag("increasing"),

@@ -133,7 +133,8 @@ def as_complex_matrix(a) -> np.ndarray:
         raise DimensionError(
             f"expected a 2-d matrix with positive dimensions, got shape {m.shape}"
         )
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    # A complex entry is finite exactly when both of its parts are.
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -151,8 +152,9 @@ def frob(a) -> float:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A*)/2; projects out roundoff asymmetry."""
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part (A + A*)/2 of a matrix or of each matrix in a
+    ``(..., n, n)`` stack; projects out roundoff asymmetry."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def require_hermitian(a, rtol: float = HERMITIAN_RTOL) -> np.ndarray:

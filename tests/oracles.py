@@ -3,15 +3,19 @@
 Everything here deliberately takes a different route from the library:
 singular values come from np.linalg.svd instead of the Gram
 eigendecomposition, Choi matrices are assembled with np.kron instead of
-block writes, complete positivity is decided by applying the lifted map
+block writes, flag scans evaluate the full pair grid instead of its upper
+triangle, complete positivity is decided by applying the lifted map
 to explicit positive inputs, and partial sums are accumulated in plain
 Python.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from bohrcheck.calculus import SCAN_TOL
 from bohrcheck.cpmaps import MapSpec, apply_map, map_dims
 
 MASK64 = (1 << 64) - 1
@@ -115,3 +119,55 @@ def cp_by_lifted_positivity(spec: MapSpec, rng, probes: int = 50, tol: float = 1
         z = g @ g.conj().T / (n * n)
         worst = min(worst, _relative_min_eig(lifted_apply(spec, z)))
     return worst >= -tol
+
+
+def scan_function_flags(fn, lo: float, hi: float, grid_size: int) -> tuple[dict, dict]:
+    """Flag scan over the full (u, v) grid: ``(flags, worst)``.
+
+    Same tests, tolerances and grids as the library scan, but every ordered
+    pair is evaluated, so symmetry of the pair tables is not assumed.
+    """
+
+    def ev(x):
+        out = np.asarray(fn(np.asarray(x, dtype=float)), dtype=float)
+        if not np.all(np.isfinite(out)):
+            raise ValueError("function evaluated to a non-finite value on its domain")
+        return out
+
+    grid = np.linspace(lo, hi, grid_size)
+    vals = ev(grid)
+    zero_in = lo <= 0.0 <= hi
+    f0 = float(ev([0.0])[0]) if zero_in else math.nan
+
+    mid = ev((grid[:, None] + grid[None, :]) / 2.0)
+    means = 0.5 * (vals[:, None] + vals[None, :])
+    conv_worst = float(np.max((mid - means) / np.maximum(1.0, np.abs(means))))
+
+    diffs = vals[1:] - vals[:-1]
+    mono_worst = float(np.max(-diffs)) / max(1.0, float(np.max(np.abs(vals))))
+
+    sub = np.linspace(lo, hi, min(33, grid_size))
+    subvals = ev(sub)
+    prod = sub[:, None] * sub[None, :]
+    mask = (prod >= lo) & (prod <= hi)
+    if np.any(mask):
+        fprod = ev(prod[mask])
+        fpair = (subvals[:, None] * subvals[None, :])[mask]
+        sub_worst = float(np.max((fprod - fpair) / np.maximum(1.0, np.abs(fpair))))
+    else:
+        sub_worst = math.nan
+
+    flags = {
+        "convex_on_J": conv_worst <= SCAN_TOL,
+        "zero_in_J": zero_in,
+        "f0_nonpositive": zero_in and f0 <= SCAN_TOL,
+        "increasing": mono_worst <= SCAN_TOL,
+        "submultiplicative": sub_worst <= SCAN_TOL,
+    }
+    worst = {
+        "convex_on_J": conv_worst,
+        "f0_nonpositive": f0,
+        "increasing": mono_worst,
+        "submultiplicative": sub_worst,
+    }
+    return flags, worst

@@ -1,5 +1,7 @@
 """Function registry, hypothesis-flag scans, and Hermitian functional calculus."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,17 @@ from bohrcheck.calculus import (
     scan_function_flags,
     validate_function_spec,
 )
-from bohrcheck.linalg import DimensionError, eig_hermitian, frob, make_rng, random_hermitian
+from bohrcheck.linalg import (
+    DimensionError,
+    complex_gaussian,
+    eig_hermitian,
+    frob,
+    hermitize,
+    make_rng,
+    random_hermitian,
+)
 from oracles import abs_via_svd, fun_hermitian_ref, svd_singular_values
+from oracles import scan_function_flags as full_grid_scan
 
 
 def test_registry_contents():
@@ -144,6 +155,43 @@ def test_validate_function_spec_catches_a_lying_flag():
     assert report.flags["submultiplicative"] != lying.flag("submultiplicative")
 
 
+#: Domains of the full-grid comparison: symmetric, one-sided, tiny, wide,
+#: negative, and one where no product u*v stays inside.
+ORACLE_DOMAINS = (
+    (-3.0, 3.0),
+    (0.0, 3.0),
+    (1.0, 3.0),
+    (-2.0, 0.5),
+    (-1e-8, 1e-8),
+    (-45.0, 45.0),
+    (-30.0, -2.0),
+    (2.0, 3.0),
+)
+
+
+@pytest.mark.parametrize("grid_size", [3, 33, 129, 1000])
+def test_triangle_scan_matches_full_grid_oracle(grid_size):
+    # The library scans pairs i <= j only; the oracle evaluates every
+    # ordered pair. Flags and worst values must agree exactly, NaN included.
+    compared = 0
+    for fid in function_registry():
+        for lo, hi in ORACLE_DOMAINS:
+            if fid == "half_pow" and lo < 0:
+                continue
+            for r in (1.0, 1.7, 2.0, 3.0) if fid in ("abs_pow", "half_pow") else (None,):
+                fn = make_function_spec(fid, (lo, hi), r).fn
+                report = scan_function_flags(fn, (lo, hi), grid_size)
+                flags, worst = full_grid_scan(fn, lo, hi, grid_size)
+                assert report.flags == flags, (fid, lo, hi, r)
+                for name, value in worst.items():
+                    got = report.worst[name]
+                    assert got == value or (math.isnan(got) and math.isnan(value)), (
+                        fid, lo, hi, r, name, got, value,
+                    )
+                compared += 1
+    assert compared >= 6 * len(ORACLE_DOMAINS)
+
+
 # --- functional calculus ----------------------------------------------------------
 
 
@@ -265,3 +313,40 @@ def test_abs_power_rejects_sub_one_exponent_and_rectangles():
         abs_power(np.eye(2), 0.5)
     with pytest.raises(DimensionError):
         abs_power(np.zeros((2, 3)), 2.0)
+
+
+def test_abs_power_stack_slices_equal_single_calls():
+    # One stacked call must give each slice's single-matrix result bit for
+    # bit, and so must one stacked eigvalsh; the checkers rely on it for
+    # byte-identical reports.
+    rng = make_rng(28)
+    for _ in range(500):
+        n = int(rng.integers(1, 9))
+        ell = int(rng.integers(1, 5))
+        r = float(rng.uniform(1.0, 4.0))
+        mats = [float(rng.uniform(0.3, 3.0)) * complex_gaussian((n, n), rng) for _ in range(ell)]
+        stacked = abs_power(np.stack(mats), r)
+        assert stacked.shape == (ell, n, n)
+        herm = [hermitize(m) for m in mats]
+        spectra = np.linalg.eigvalsh(np.stack(herm))
+        for i in range(ell):
+            assert np.array_equal(stacked[i], abs_power(mats[i], r))
+            assert np.array_equal(spectra[i], np.linalg.eigvalsh(herm[i]))
+
+
+def test_abs_power_rejects_malformed_stacks():
+    good = np.stack([np.eye(3), 2.0 * np.eye(3)])
+    assert abs_power(good, 2.0).shape == (2, 3, 3)
+    with pytest.raises(DimensionError):
+        abs_power(np.zeros((2, 3, 4)), 2.0)
+    with pytest.raises(DimensionError):
+        abs_power(np.zeros(3), 2.0)
+    bad = good.astype(complex)
+    bad[1, 2, 0] = complex(0.0, np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        abs_power(bad, 2.0)
+    bad[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        abs_power(bad, 2.0)
+    with pytest.raises(DomainError):
+        abs_power(good, 0.5)

@@ -90,6 +90,22 @@ def test_check_eigensolver_failure_exits_one(tmp_path, capsys):
     assert "bohrcheck: error: Eigenvalues did not converge" in capsys.readouterr().err
 
 
+def test_check_error_artifact_exits_one(tmp_path, capsys):
+    # A campaign persists each error trial's payload; checking that file
+    # reproduces the error.
+    out = tmp_path / "extreme.jsonl"
+    argv = ["fuzz", "--theorem", "vasic", "--trials", "4", "--seed", "3",
+            "--r-min", "800", "--r-max", "900", "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    saved = sorted(tmp_path.glob("extreme.error-*.json"))
+    assert saved
+    for path in saved:
+        assert f"error instance saved: {path}" in err
+    assert main(["check", "--in", str(saved[0])]) == 1
+    assert "bohrcheck: error: vasic: non-finite comparison" in capsys.readouterr().err
+
+
 def test_check_env_tolerance(tmp_path, capsys, monkeypatch):
     path = tmp_path / "inst.json"
     write_bohr_instance(path)
@@ -172,6 +188,16 @@ def test_fuzz_exit_code_precedence(monkeypatch, tmp_path):
     assert outcome(0, 2, 0) == 3
     assert outcome(0, 0, 1) == 3  # numerical errors share the failure code
     assert outcome(0, 0, 0) == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowed_trials_print_no_runtime_warnings(tmp_path, capsys):
+    # |A_i|^r overflows at r in [800, 900]; the error lines already say so,
+    # so numpy must not warn as well (here any RuntimeWarning is an error).
+    argv = ["fuzz", "--theorem", "prop-r2", "--trials", "5", "--seed", "3",
+            "--r-min", "800", "--r-max", "900", "--out", str(tmp_path / "p.jsonl")]
+    assert main(argv) == 3
+    assert json.loads(capsys.readouterr().out)["errors"] == 4
 
 
 def test_fuzz_usage_errors_exit_one(tmp_path, capsys):

@@ -90,6 +90,24 @@ def test_povm_rejects_non_psd_effect():
         DiagonalPOVM((np.diag([1.0, -0.5]),))
 
 
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_povm_names_the_bad_effect(k):
+    # All effects are checked in one stacked eigensolve; the message still
+    # names the first failing effect.
+    effects = [np.eye(2, dtype=complex) / 4 for _ in range(4)]
+    effects[k] = np.diag([1.0, -0.5]).astype(complex)
+    with pytest.raises(SpecError, match=f"^effect {k} has eigenvalue -5.000e-01, not PSD"):
+        DiagonalPOVM(tuple(effects))
+    effects[k] = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(SpecError, match=f"^effect {k} is not Hermitian"):
+        DiagonalPOVM(tuple(effects))
+    # Effect 0 sets the expected shape, so a wrong-size effect 0 is
+    # reported at effect 1.
+    effects[k] = np.eye(3, dtype=complex)
+    with pytest.raises(SpecError, match=f"^effect {max(k, 1)} has shape"):
+        DiagonalPOVM(tuple(effects))
+
+
 def test_block_extraction_picks_the_right_block():
     x = np.eye(2, dtype=complex)
     spec = BlockExtraction(1, 2, x)
@@ -111,6 +129,24 @@ def test_weighted_sum_linearity_and_dim_checks():
         WeightedSum(((1.0, c1), (1.0, Congruence(np.eye(3)))))
     with pytest.raises(SpecError):
         WeightedSum(((-0.5, c1),))
+
+
+def test_apply_map_on_nested_weighted_sums_is_the_weighted_leaf_sum():
+    rng = make_rng(51)
+    n, m = 4, 3
+    leaves = [random_leaf(rng, n, m) for _ in range(4)]
+    inner = WeightedSum(((0.5, leaves[0]), (2.0, leaves[1])))
+    middle = WeightedSum(((0.25, inner), (1.5, leaves[2])))
+    outer = WeightedSum(((3.0, middle), (0.75, leaves[3])))
+    coefficient = (3.0 * 0.25 * 0.5, 3.0 * 0.25 * 2.0, 3.0 * 1.5, 0.75)
+    for _ in range(5):
+        a = random_hermitian(n, (-2.0, 2.0), rng)
+        want = sum(c * apply_map(leaf, a) for c, leaf in zip(coefficient, leaves))
+        got = apply_map(outer, a)
+        assert got.shape == (m, m)
+        assert frob(got - want) <= 1e-12 * max(1.0, frob(want))
+    with pytest.raises(DimensionError):
+        apply_map(outer, np.eye(n + 1))
 
 
 def test_apply_map_dimension_mismatch():

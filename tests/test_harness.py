@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bohrcheck import serialize
+from bohrcheck.inequalities import NumericalError
 from bohrcheck.harness import (
     CampaignConfig,
     GenerationError,
@@ -275,11 +276,14 @@ def test_campaign_counts_generation_failures(tmp_path, monkeypatch):
     + [
         (theorem, {"spectrum": (-800.0, 800.0)})
         for theorem in ("jensen-vec", "jensen-map", "thm1", "inc-convex")
-    ],
+    ]
+    + [("cornew", {"spectrum": (-1e150, 1e150)})],
 )
 def test_generation_overflow_is_a_generation_failure(tmp_path, theorem, overrides):
-    # cor45: p^(1/(1-r)) overflows for r next to 1; the others: expm1
-    # overflows in the flag scan on a wide spectrum.
+    # cor45: p^(1/(1-r)) overflows for r next to 1; jensen-vec, jensen-map,
+    # thm1 and inc-convex: expm1 overflows in the flag scan on a wide
+    # spectrum; cornew: |t|^r overflows in the flag scan on its window, ten
+    # times the reach of the spectra.
     out = tmp_path / "extreme.jsonl"
     res = run_campaign(CampaignConfig(theorem, 40, seed=3, **overrides), out)
     lines = out.read_text().splitlines()
@@ -350,6 +354,25 @@ def test_campaign_persists_violations_for_replay(tmp_path):
         assert saved["report"]["extras"]["rhs_scale"] == 0.4
         rep = replay(tmp_path / name)  # honors the stored rhs_scale
         assert rep.violated
+
+
+def test_campaign_persists_error_payloads_for_replay(tmp_path):
+    out = tmp_path / "extreme.jsonl"
+    res = run_campaign(CampaignConfig("vasic", 40, 3, r_range=(800.0, 900.0)), out)
+    errored = [r for r in res.records if r.report is None]
+    assert res.summary["errors"] == len(errored) == len(res.error_paths) == 26
+    assert res.violation_paths == []
+    for rec, path in zip(errored, res.error_paths):
+        assert path.endswith(f"extreme.error-{rec.trial_index:06d}.json")
+        saved = json.loads((tmp_path / path.rsplit("/", 1)[-1]).read_text())
+        assert saved == {"instance": rec.payload, "error": rec.error}
+        with pytest.raises(NumericalError, match="non-finite"):
+            replay(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["extreme.jsonl"] + [path.rsplit("/", 1)[-1] for path in res.error_paths]
+    )
+    # Without an output path nothing is written, so there is nothing to list.
+    assert run_campaign(CampaignConfig("vasic", 5, 3, r_range=(800.0, 900.0))).error_paths == []
 
 
 # --- replay ---------------------------------------------------------------------------

@@ -767,6 +767,11 @@ def test_nonfinite_side_is_a_numerical_error_not_a_verdict():
     with pytest.raises(NumericalError, match="non-finite"):
         check_vasic_keckic([10.0, 10.0], [0.5, 2.0], 800.0)
     assert issubclass(NumericalError, ValueError)
+    # The sides are checked before they are subtracted: inf - inf would be
+    # an invalid operation, which this errstate turns into FloatingPointError.
+    with np.errstate(over="ignore", invalid="raise"):
+        with pytest.raises(NumericalError, match="non-finite"):
+            check_vasic_keckic([10.0, 10.0], [0.5, 2.0], 800.0)
 
 
 def test_tolerance_override_is_respected():

@@ -1,0 +1,70 @@
+"""Print sha256 fingerprints of bohrcheck's deterministic output.
+
+Run from anywhere; it imports ``bohrcheck`` from this checkout's ``src/``:
+
+    python3 tools/fingerprint.py [--trials 100]
+
+One line per output, each ending in a sha256:
+
+- the JSONL report of every theorem at seeds 7 and 42 (default config,
+  ``--trials`` trials each);
+- the JSONL report of ``CampaignConfig("cor45", 40, seed=5, rhs_scale=0.4)``
+  together with every artifact it writes next to it (file names included);
+- ``demo_table()``.
+
+Two checkouts that print the same lines produce the same bytes, digests
+included. Compare a change against its parent with ``diff``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from bohrcheck import harness, serialize  # noqa: E402
+
+SEEDS = (7, 42)
+
+
+def fingerprint_lines(trials: int, workdir: Path) -> list[str]:
+    lines = []
+    for seed in SEEDS:
+        for theorem in serialize.THEOREMS:
+            path = workdir / f"{theorem}-{seed}.jsonl"
+            harness.run_campaign(harness.CampaignConfig(theorem, trials, seed), path)
+            lines.append(f"{theorem} seed={seed} trials={trials} {_sha256(path.read_bytes())}")
+
+    path = workdir / "cor45-mutated.jsonl"
+    harness.run_campaign(harness.CampaignConfig("cor45", 40, seed=5, rhs_scale=0.4), path)
+    h = hashlib.sha256(path.read_bytes())
+    artifacts = sorted(workdir.glob("cor45-mutated.*.json"))
+    for artifact in artifacts:
+        h.update(artifact.name.encode("utf-8"))
+        h.update(artifact.read_bytes())
+    lines.append(f"cor45 seed=5 trials=40 rhs_scale=0.4 artifacts={len(artifacts)} {h.hexdigest()}")
+
+    lines.append(f"demo_table {_sha256(harness.demo_table().encode('utf-8'))}")
+    return lines
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--trials", type=int, default=100, help="trials per campaign (default 100)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        for line in fingerprint_lines(args.trials, Path(tmp)):
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
