@@ -6,18 +6,22 @@ The package is layered bottom-up:
   eigendecomposition, seeded random inputs;
 - :mod:`bohrcheck.calculus`: scalar convex-function registry with scanned
   hypothesis flags, Hermitian functional calculus and |A|^r;
-- :mod:`bohrcheck.majorization`: singular values, Ky Fan and Schatten
-  norms;
+- :mod:`bohrcheck.majorization`: singular values, Schatten sums and the
+  Ky Fan frame estimate;
 - :mod:`bohrcheck.cpmaps`: structured positive maps with Choi/Kraus/
   Stinespring machinery;
 - :mod:`bohrcheck.inequalities`: the inequality checkers;
+- :mod:`bohrcheck.serialize`: wire formats, instance payloads and their
+  digest;
 - :mod:`bohrcheck.harness` / :mod:`bohrcheck.cli`: seeded fuzzing
-  campaigns, replay, demo, and the command-line front end.
+  campaigns, replay (the harness stamps each report with its instance
+  digest), demo, and the command-line front end.
+
+Each module imports only modules listed before it.
 """
 
 from .linalg import (
     DimensionError,
-    EigenConvergenceError,
     EigenDecomposition,
     Interval,
     eig_hermitian,
@@ -34,12 +38,9 @@ from .calculus import (
     apply_fun,
     function_registry,
     make_function_spec,
-    validate_function_spec,
 )
 from .majorization import (
     ky_fan_max_estimate,
-    ky_fan_norm,
-    schatten_norm,
     schatten_of_values,
     singular_values,
 )

@@ -35,7 +35,6 @@ __all__ = [
     "ConvexFunctionSpec",
     "FunctionFlagReport",
     "scan_function_flags",
-    "validate_function_spec",
     "function_registry",
     "make_function_spec",
     "apply_fun",
@@ -195,11 +194,6 @@ def scan_function_flags(fn, domain, grid_size: int = DEFAULT_SCAN_GRID) -> Funct
         "submultiplicative": sub_worst,
     }
     return FunctionFlagReport(flags=flags, worst=worst, grid_size=grid_size)
-
-
-def validate_function_spec(spec: ConvexFunctionSpec, grid_size: int = 1000) -> FunctionFlagReport:
-    """Re-run the hypothesis scans for a spec at a chosen grid resolution."""
-    return scan_function_flags(spec.fn, spec.domain, grid_size)
 
 
 # --- registry ---------------------------------------------------------------

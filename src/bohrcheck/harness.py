@@ -14,17 +14,18 @@ numerical error.
 generator returns checker arguments, which :func:`generate_instance`
 encodes with :func:`serialize.instance_to_json`; :func:`run_instance`
 decodes a payload with :func:`serialize.instance_from_json` and calls the
-checker. A campaign checks the arguments it generated and passes the
-digest of their payload, so it neither decodes nor re-encodes; replay
-passes no digest, so the checker digests the canonical re-encoding of
-whatever file it was given.
+checker. This module is the only one that digests payloads, and it stamps
+the digest on every report it returns: a campaign digests the payload it
+generated and checks the generated arguments, so it neither decodes nor
+re-encodes; replay digests the canonical re-encoding of whatever file it
+was given.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -174,14 +175,18 @@ class CampaignResult:
 def run_instance(payload: dict, tol: float | None = None, rhs_scale: float = 1.0) -> CheckReport:
     """Decode an instance payload and run its checker.
 
+    The report carries the digest of the payload's canonical re-encoding,
+    so payloads that decode to the same instance share one digest.
     ``rhs_scale`` only affects the eigenvalue Bohr checker and is not part
-    of the payload, so mutated runs keep the pristine instance digest.
+    of the payload, so mutated runs keep the pristine digest.
     """
     theorem, args = serialize.instance_from_json(payload)
-    return _check(theorem, args, tol, rhs_scale)
+    digest = serialize.digest(serialize.instance_to_json(theorem, **args))
+    return _check(theorem, args, tol, rhs_scale, digest)
 
 
-def _check(theorem, args, tol, rhs_scale, input_digest=None) -> CheckReport:
+def _check(theorem, args, tol, rhs_scale, digest) -> CheckReport:
+    """Run ``theorem``'s checker on ``args`` and stamp ``digest`` on its report."""
     if theorem == "cor45":
         args["rhs_scale"] = rhs_scale
     # Looked up by name on every call, so rebinding a checker reaches here.
@@ -189,7 +194,8 @@ def _check(theorem, args, tol, rhs_scale, input_digest=None) -> CheckReport:
     # Overflow becomes inf or NaN and then a NumericalError, which already
     # says what happened, so numpy's own warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        return checker(**args, tol=tol, input_digest=input_digest)
+        report = checker(**args, tol=tol)
+    return replace(report, input_digest=digest)
 
 
 # --- random building blocks --------------------------------------------------
@@ -536,8 +542,8 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
             payload = digest = report = error = None
             try:
                 payload, args = generate_instance(cfg, trial, rng)
-                # The payload is canonical, so this is the digest the checker
-                # would compute from its own arguments.
+                # The payload is canonical, so this is the digest replay
+                # computes from its re-encoding.
                 digest = serialize.digest(payload)
                 report = _check(theorem, args, cfg.tol_override, cfg.rhs_scale, digest)
             except GenerationError as exc:

@@ -1,4 +1,4 @@
-"""Inequality checkers with structured, digest-stamped reports.
+"""Inequality checkers with structured reports.
 
 Every checker follows one discipline:
 
@@ -17,12 +17,9 @@ a ``comparison`` tag). Near-ties within 1e-10 of scale are reported in
 ``extras["equality_ks"]`` but never required. A non-finite side or slack
 raises :class:`NumericalError` instead of yielding a verdict.
 
-``input_digest`` is :func:`serialize.digest` of the canonical instance
-payload, so every report line can be traced to the exact input that
-produced it. Every checker takes it as a keyword-only ``input_digest``: a
-caller that already digested the payload (a campaign) passes the value,
-and a checker called without one encodes its own arguments and digests
-that.
+Checkers know nothing of wire formats: a report's ``input_digest`` is
+None here, and the harness, which holds the instance payload, stamps the
+payload's digest on it.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from typing import Mapping
 
 import numpy as np
 
-from . import serialize
 from .calculus import ConvexFunctionSpec, abs_power, apply_fun
 from .cpmaps import MapSpec, map_dims, apply_map, applied_to_identity
 from .linalg import DimensionError, frob, hermitize, require_hermitian, require_square
@@ -91,7 +87,8 @@ class CheckReport:
     ``verdict`` is one of "held", "violated", "not_applicable";
     ``hypothesis_report`` records every hypothesis by name, and any False
     entry forces "not_applicable". ``min_slack`` is None for inapplicable
-    instances.
+    instances. ``input_digest`` is None unless the harness stamped the
+    digest of the instance payload on the report.
     """
 
     theorem_id: str
@@ -101,7 +98,7 @@ class CheckReport:
     min_slack: float | None
     tol_used: float
     hypothesis_report: Mapping[str, bool]
-    input_digest: str
+    input_digest: str | None = None
     extras: Mapping[str, object] = field(default_factory=dict)
 
     @property
@@ -153,14 +150,14 @@ def _weights(p) -> np.ndarray:
     return w
 
 
-def _digest(input_digest, theorem_id, **args) -> str:
-    """``input_digest``, or the digest of the arguments' canonical payload."""
-    if input_digest is not None:
-        return input_digest
-    return serialize.digest(serialize.instance_to_json(theorem_id, **args))
+def _exponent(r) -> float:
+    r = float(r)
+    if not math.isfinite(r):
+        raise ValueError(f"exponent r must be finite, got {r}")
+    return r
 
 
-def _na_report(theorem_id, hyps, digest, tol, extras=None) -> CheckReport:
+def _na_report(theorem_id, hyps, tol, extras=None) -> CheckReport:
     return CheckReport(
         theorem_id=theorem_id,
         verdict="not_applicable",
@@ -169,13 +166,12 @@ def _na_report(theorem_id, hyps, digest, tol, extras=None) -> CheckReport:
         min_slack=None,
         tol_used=float(tol) if tol is not None else 0.0,
         hypothesis_report=dict(hyps),
-        input_digest=digest,
         extras=dict(extras or {}),
     )
 
 
 def _graded_report(
-    theorem_id, lhs, rhs, hyps, digest, tol, extras=None, comparison="partial-sums"
+    theorem_id, lhs, rhs, hyps, tol, extras=None, comparison="partial-sums"
 ) -> CheckReport:
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -200,7 +196,6 @@ def _graded_report(
         min_slack=min_slack,
         tol_used=tol_used,
         hypothesis_report=dict(hyps),
-        input_digest=digest,
         extras=merged,
     )
 
@@ -251,9 +246,7 @@ def _sum_weight_hyps(w: np.ndarray) -> dict[str, bool]:
 # --- scalar inequalities -----------------------------------------------------
 
 
-def check_scalar_bohr(
-    z, w, p, tol: float | None = None, *, input_digest: str | None = None
-) -> CheckReport:
+def check_scalar_bohr(z, w, p, tol: float | None = None) -> CheckReport:
     """|z + w|^2 <= p|z|^2 + q|w|^2 for conjugate exponents 1/p + 1/q = 1.
 
     Hypothesis: p > 1 (q is derived as p/(p-1)). Equality occurs exactly
@@ -264,10 +257,9 @@ def check_scalar_bohr(
     p = float(p)
     if not all(map(math.isfinite, (z.real, z.imag, w.real, w.imag, p))):
         raise ValueError("inputs must be finite")
-    digest = _digest(input_digest, "bohr", z=z, w=w, p=p)
     hyps = {"p > 1": p > 1.0}
     if not all(hyps.values()):
-        return _na_report("bohr", hyps, digest, tol)
+        return _na_report("bohr", hyps, tol)
     q = p / (p - 1.0)
     lhs = abs(z + w) ** 2
     rhs = p * abs(z) ** 2 + q * abs(w) ** 2
@@ -276,12 +268,10 @@ def check_scalar_bohr(
         "q": q,
         "equality_case": bool(abs(w - (p - 1.0) * z) <= 1e-12 * scale),
     }
-    return _graded_report("bohr", [lhs], [rhs], hyps, digest, tol, extras)
+    return _graded_report("bohr", [lhs], [rhs], hyps, tol, extras)
 
 
-def check_vasic_keckic(
-    z, p, r, tol: float | None = None, *, input_digest: str | None = None
-) -> CheckReport:
+def check_vasic_keckic(z, p, r, tol: float | None = None) -> CheckReport:
     """|sum_j z_j|^r <= (sum_j p_j^(1/(1-r)))^(r-1) * sum_j p_j |z_j|^r.
 
     Hypotheses: r > 1 and every p_j > 0. The conjugate-power exponent is
@@ -297,11 +287,10 @@ def check_vasic_keckic(
     pw = _weights(p)
     if pw.shape != zv.shape:
         raise DimensionError(f"{zv.size} terms but {pw.size} weights")
-    r = float(r)
-    digest = _digest(input_digest, "vasic", z=zv, p=pw, r=r)
+    r = _exponent(r)
     hyps = {"r > 1": r > 1.0, "weights positive": bool(np.all(pw > 0))}
     if not all(hyps.values()):
-        return _na_report("vasic", hyps, digest, tol)
+        return _na_report("vasic", hyps, tol)
     conj = pw ** (1.0 / (1.0 - r))
     const = float(np.sum(conj) ** (r - 1.0))
     if const == 0.0 or not math.isfinite(const):
@@ -315,15 +304,13 @@ def check_vasic_keckic(
     scale = max(1.0, float(np.max(np.abs(zv))), float(np.max(conj)))
     stationary = np.all(np.isfinite(conj)) and np.all(np.abs(zv - conj) <= 1e-12 * scale)
     extras = {"constant": const, "stationary_point": bool(stationary)}
-    return _graded_report("vasic", [lhs], [rhs], hyps, digest, tol, extras)
+    return _graded_report("vasic", [lhs], [rhs], hyps, tol, extras)
 
 
 # --- Jensen-type inequalities ------------------------------------------------
 
 
-def check_jensen_vector(
-    f: ConvexFunctionSpec, a, x, tol: float | None = None, *, input_digest: str | None = None
-) -> CheckReport:
+def check_jensen_vector(f: ConvexFunctionSpec, a, x, tol: float | None = None) -> CheckReport:
     """f(<Ax, x>) <= <f(A)x, x> for Hermitian A and ||x|| <= 1.
 
     Hypotheses: f convex on its domain, 0 in the domain with f(0) <= 0,
@@ -336,7 +323,6 @@ def check_jensen_vector(
         raise DimensionError(f"vector length {xv.size} does not match matrix {am.shape}")
     if not np.all(np.isfinite(xv.real)) or not np.all(np.isfinite(xv.imag)):
         raise ValueError("vector entries must be finite")
-    digest = _digest(input_digest, "jensen-vec", f=f, a=am, x=xv)
     w = np.linalg.eigvalsh(am)
     norm = float(np.linalg.norm(xv))
     hyps = {
@@ -347,12 +333,12 @@ def check_jensen_vector(
         "spectrum within domain": _spectrum_in_domain(f, w),
     }
     if not all(hyps.values()):
-        return _na_report("jensen-vec", hyps, digest, tol)
+        return _na_report("jensen-vec", hyps, tol)
     t = float(np.real(xv.conj() @ am @ xv))
     lhs = float(f(f.domain.clamp(t)))
     rhs = float(np.real(xv.conj() @ apply_fun(f, am) @ xv))
     return _graded_report(
-        "jensen-vec", [lhs], [rhs], hyps, digest, tol, {"evaluation_point": t}
+        "jensen-vec", [lhs], [rhs], hyps, tol, {"evaluation_point": t}
     )
 
 
@@ -363,8 +349,6 @@ def check_jensen_map(
     x,
     variant: str = "subunital",
     tol: float | None = None,
-    *,
-    input_digest: str | None = None,
 ) -> CheckReport:
     """f(<Phi(A)x, x>) <= <Phi(f(A))x, x> for a positive map Phi.
 
@@ -385,7 +369,6 @@ def check_jensen_map(
         raise DimensionError(f"vector length {xv.size} does not match output dim {m_out}")
     if not np.all(np.isfinite(xv.real)) or not np.all(np.isfinite(xv.imag)):
         raise ValueError("vector entries must be finite")
-    digest = _digest(input_digest, "jensen-map", f=f, a=am, spec=spec, x=xv, variant=variant)
 
     w = np.linalg.eigvalsh(am)
     norm = float(np.linalg.norm(xv))
@@ -412,26 +395,18 @@ def check_jensen_map(
     t_scale = max(1.0, abs(t))
     hyps["evaluation point within domain"] = f.domain.contains(t, _DOMAIN_RTOL * t_scale)
     if not all(hyps.values()):
-        return _na_report("jensen-map", hyps, digest, tol, {"variant": variant})
+        return _na_report("jensen-map", hyps, tol, {"variant": variant})
     lhs = float(f(f.domain.clamp(t)))
     rhs = float(np.real(xv.conj() @ apply_map(spec, apply_fun(f, am)) @ xv))
-    return _graded_report(
-        "jensen-map",
-        [lhs],
-        [rhs],
-        hyps,
-        digest,
-        tol,
-        {"variant": variant, "evaluation_point": t},
-    )
+    extras = {"variant": variant, "evaluation_point": t}
+    return _graded_report("jensen-map", [lhs], [rhs], hyps, tol, extras)
 
 
 # --- weak-majorization theorems ----------------------------------------------
 
 
 def check_thm_weak_major(
-    f: ConvexFunctionSpec, a, weighted_maps, tol: float | None = None,
-    *, input_digest: str | None = None,
+    f: ConvexFunctionSpec, a, weighted_maps, tol: float | None = None
 ) -> CheckReport:
     """Top-k eigenvalue sums of f(sum_i a_i Phi_i(A)) vs sum_i a_i Phi_i(f(A)).
 
@@ -453,7 +428,6 @@ def check_thm_weak_major(
             raise DimensionError("all maps must share the same input/output dimensions")
     if not all(math.isfinite(alpha) for alpha, _ in pairs):
         raise ValueError("combination weights must be finite")
-    digest = _digest(input_digest, "thm1", f=f, a=am, weighted_maps=pairs)
 
     w = np.linalg.eigvalsh(am)
     t_id = hermitize(sum(alpha * applied_to_identity(spec) for alpha, spec in pairs))
@@ -472,18 +446,17 @@ def check_thm_weak_major(
     mu = np.linalg.eigvalsh(mixed)
     hyps["mixed spectrum within domain"] = _spectrum_in_domain(f, mu)
     if not all(hyps.values()):
-        return _na_report("thm1", hyps, digest, tol)
+        return _na_report("thm1", hyps, tol)
 
     lhs = np.cumsum(_descending(f(f.domain.clamp(mu))))
     fa = apply_fun(f, am)
     right = hermitize(sum(alpha * apply_map(spec, fa) for alpha, spec in pairs))
     rhs = np.cumsum(_descending(np.linalg.eigvalsh(right)))
-    return _graded_report("thm1", lhs, rhs, hyps, digest, tol)
+    return _graded_report("thm1", lhs, rhs, hyps, tol)
 
 
 def check_cor_congruence(
-    f: ConvexFunctionSpec, a_list, x_list, alpha, tol: float | None = None,
-    *, input_digest: str | None = None,
+    f: ConvexFunctionSpec, a_list, x_list, alpha, tol: float | None = None
 ) -> CheckReport:
     """Congruence form with submultiplicative f.
 
@@ -494,7 +467,6 @@ def check_cor_congruence(
     congruence sum, and every scalar 1/a_i.
     """
     mats, aw, blocks = _family(a_list, alpha, x_list)
-    digest = _digest(input_digest, "cornew", f=f, a_list=mats, x_list=blocks, alpha=aw)
 
     xh = blocks.conj().swapaxes(-1, -2)
     gram = hermitize(sum(g * w for w, g in zip(aw, xh @ blocks)))
@@ -515,7 +487,7 @@ def check_cor_congruence(
     else:
         hyps["domain covers evaluation points"] = False
     if not all(hyps.values()):
-        return _na_report("cornew", hyps, digest, tol)
+        return _na_report("cornew", hyps, tol)
 
     lhs = np.cumsum(_descending(f(f.domain.clamp(mu))))
     images = xh @ np.stack([apply_fun(f, m) for m in mats]) @ blocks
@@ -523,7 +495,7 @@ def check_cor_congruence(
     for w, image in zip(aw, images):
         right += w * float(f(f.domain.clamp(1.0 / w))) * image
     rhs = np.cumsum(_descending(np.linalg.eigvalsh(hermitize(right))))
-    return _graded_report("cornew", lhs, rhs, hyps, digest, tol)
+    return _graded_report("cornew", lhs, rhs, hyps, tol)
 
 
 def check_eigen_bohr(
@@ -533,8 +505,6 @@ def check_eigen_bohr(
     r,
     tol: float | None = None,
     rhs_scale: float = 1.0,
-    *,
-    input_digest: str | None = None,
 ) -> CheckReport:
     """Eigenvalue Bohr inequality for congruence-compressed Hermitian families.
 
@@ -548,11 +518,10 @@ def check_eigen_bohr(
     payload.
     """
     mats, pw, blocks = _family(a_list, p, x_list)
-    r = float(r)
+    r = _exponent(r)
     rhs_scale = float(rhs_scale)
     if not math.isfinite(rhs_scale) or rhs_scale <= 0:
         raise ValueError("rhs_scale must be finite and positive")
-    digest = _digest(input_digest, "cor45", a_list=mats, x_list=blocks, p=pw, r=r)
 
     hyps = {"r > 1": r > 1.0, "weights positive": bool(np.all(pw > 0))}
     xh = blocks.conj().swapaxes(-1, -2)
@@ -567,7 +536,7 @@ def check_eigen_bohr(
     else:
         hyps["sum p_i^(1/(1-r)) X_i*X_i <= (sum p_i^(1/(1-r))) I"] = False
     if not all(hyps.values()):
-        return _na_report("cor45", hyps, digest, tol)
+        return _na_report("cor45", hyps, tol)
 
     mixed = hermitize(sum(xh @ mats @ blocks))
     lhs = np.cumsum(_descending(np.abs(np.linalg.eigvalsh(mixed)) ** r))
@@ -578,12 +547,10 @@ def check_eigen_bohr(
     extras = {"constant": const}
     if rhs_scale != 1.0:
         extras["rhs_scale"] = rhs_scale
-    return _graded_report("cor45", lhs, rhs, hyps, digest, tol, extras)
+    return _graded_report("cor45", lhs, rhs, hyps, tol, extras)
 
 
-def check_norm_bohr(
-    a_list, p, r, tol: float | None = None, *, input_digest: str | None = None
-) -> CheckReport:
+def check_norm_bohr(a_list, p, r, tol: float | None = None) -> CheckReport:
     """Ky Fan certificate for the norm Bohr inequality, 1 < r <= 2.
 
     For Hermitian A_i and weights p_i in (0, 1] summing to 1, the singular
@@ -593,12 +560,11 @@ def check_norm_bohr(
     Schatten cross-check at orders {1, 1.5, 2, 3, 10}.
     """
     mats, pw, _ = _family(a_list, p)
-    r = float(r)
-    digest = _digest(input_digest, "zh", a_list=mats, p=pw, r=r)
+    r = _exponent(r)
     hyps = {"1 < r <= 2": 1.0 < r <= 2.0 + _NORM_TOL}
     hyps.update(_sum_weight_hyps(pw))
     if not all(hyps.values()):
-        return _na_report("zh", hyps, digest, tol)
+        return _na_report("zh", hyps, tol)
 
     total = hermitize(sum(mats))
     left_mat = abs_power(total, r)
@@ -622,12 +588,10 @@ def check_norm_bohr(
         if ln > rn + DEFAULT_RTOL * max(1.0, ln, rn):
             schatten_ok = False
     extras = {"schatten_orders": schatten, "schatten_ok": schatten_ok}
-    return _graded_report("zh", lhs, rhs, hyps, digest, tol, extras)
+    return _graded_report("zh", lhs, rhs, hyps, tol, extras)
 
 
-def check_pointwise_bohr_r2(
-    a_list, p, r, tol: float | None = None, *, input_digest: str | None = None
-) -> CheckReport:
+def check_pointwise_bohr_r2(a_list, p, r, tol: float | None = None) -> CheckReport:
     """Per-index Bohr inequality for r >= 2 and arbitrary square A_i.
 
     Compares s_j(sum_i A_i)^r (equivalently the descending eigenvalues of
@@ -637,25 +601,22 @@ def check_pointwise_bohr_r2(
     pointwise, strictly stronger than its partial-sum consequence.
     """
     mats, pw, _ = _family(a_list, p, hermitian=False)
-    r = float(r)
-    digest = _digest(input_digest, "prop-r2", a_list=mats, p=pw, r=r)
+    r = _exponent(r)
     hyps = {"r >= 2": r >= 2.0 - _NORM_TOL}
     hyps.update(_sum_weight_hyps(pw))
     if not all(hyps.values()):
-        return _na_report("prop-r2", hyps, digest, tol)
+        return _na_report("prop-r2", hyps, tol)
 
     total = sum(mats)
     lhs = singular_values(total) ** r
     right = hermitize(sum(w ** (1.0 - r) * power for w, power in zip(pw, abs_power(mats, r))))
     rhs = _descending(np.linalg.eigvalsh(right))
     return _graded_report(
-        "prop-r2", lhs, rhs, hyps, digest, tol, comparison="pointwise"
+        "prop-r2", lhs, rhs, hyps, tol, comparison="pointwise"
     )
 
 
-def check_sum_square(
-    a_list, p, tol: float | None = None, *, input_digest: str | None = None
-) -> CheckReport:
+def check_sum_square(a_list, p, tol: float | None = None) -> CheckReport:
     """PSD certificate behind the r = 2 case.
 
     With S = sum_{i,j} p_i p_j (A_i - A_j)*(A_i - A_j) and
@@ -667,11 +628,10 @@ def check_sum_square(
     sum to 1.
     """
     mats, pw, _ = _family(a_list, p, hermitian=False)
-    digest = _digest(input_digest, "sumsq", a_list=mats, p=pw)
     hyps = {"weights positive": bool(np.all(pw > 0))}
     hyps["weights sum to 1"] = bool(abs(float(np.sum(pw)) - 1.0) <= WEIGHT_SUM_TOL)
     if not all(hyps.values()):
-        return _na_report("sumsq", hyps, digest, tol)
+        return _na_report("sumsq", hyps, tol)
 
     n = mats[0].shape[0]
     spread = np.zeros((n, n), dtype=complex)
@@ -697,13 +657,12 @@ def check_sum_square(
         "identity_budget": budget,
     }
     return _graded_report(
-        "sumsq", lhs, rhs, hyps, digest, tol, extras, comparison="certificate"
+        "sumsq", lhs, rhs, hyps, tol, extras, comparison="certificate"
     )
 
 
 def check_increasing_convex_eigen(
-    f: ConvexFunctionSpec, a_list, p, tol: float | None = None,
-    *, input_digest: str | None = None,
+    f: ConvexFunctionSpec, a_list, p, tol: float | None = None
 ) -> CheckReport:
     """Per-index f(lambda_j(sum p_i A_i)) <= lambda_j(sum p_i f(A_i)).
 
@@ -712,7 +671,6 @@ def check_increasing_convex_eigen(
     weak-majorization statement to a pointwise one.
     """
     mats, pw, _ = _family(a_list, p)
-    digest = _digest(input_digest, "inc-convex", f=f, a_list=mats, p=pw)
     spectra = np.linalg.eigvalsh(mats).ravel()
     hyps = {
         "f convex on domain": f.flag("convex_on_J"),
@@ -721,16 +679,16 @@ def check_increasing_convex_eigen(
     }
     hyps.update(_sum_weight_hyps(pw))
     if not all(hyps.values()):
-        return _na_report("inc-convex", hyps, digest, tol)
+        return _na_report("inc-convex", hyps, tol)
 
     mixture = hermitize(sum(w * m for w, m in zip(pw, mats)))
     mu = np.linalg.eigvalsh(mixture)
     hyps["mixture spectrum within domain"] = _spectrum_in_domain(f, mu)
     if not all(hyps.values()):
-        return _na_report("inc-convex", hyps, digest, tol)
+        return _na_report("inc-convex", hyps, tol)
     lhs = _descending(f(f.domain.clamp(mu)))
     right = hermitize(sum(w * apply_fun(f, m) for w, m in zip(pw, mats)))
     rhs = _descending(np.linalg.eigvalsh(right))
     return _graded_report(
-        "inc-convex", lhs, rhs, hyps, digest, tol, comparison="pointwise"
+        "inc-convex", lhs, rhs, hyps, tol, comparison="pointwise"
     )

@@ -20,7 +20,6 @@ __all__ = [
     "MASK64",
     "HERMITIAN_RTOL",
     "DimensionError",
-    "EigenConvergenceError",
     "Interval",
     "as_interval",
     "mix64",
@@ -50,10 +49,6 @@ class DimensionError(ValueError):
     """Input shape is unusable for the requested operation."""
 
 
-class EigenConvergenceError(RuntimeError):
-    """The eigensolver backend failed to converge."""
-
-
 class Interval(NamedTuple):
     """Closed real interval [lo, hi]; degenerate (lo == hi) is allowed."""
 
@@ -66,10 +61,6 @@ class Interval(NamedTuple):
         if self.hi < self.lo:
             raise ValueError(f"interval is empty: {self!r}")
         return self
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
     def contains(self, values, tol: float = 0.0) -> bool:
         v = np.asarray(values, dtype=float)
@@ -186,13 +177,12 @@ def eig_hermitian(a, rtol: float = HERMITIAN_RTOL) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Ties keep the backend's order (stable sort), so the output is a
-    deterministic function of the input.
+    deterministic function of the input. A backend that fails to converge
+    raises ``numpy.linalg.LinAlgError``, which a campaign records as an
+    error line.
     """
     m = require_hermitian(a, rtol)
-    try:
-        w, u = np.linalg.eigh(hermitize(m))
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"eigensolver failed to converge: {exc}") from exc
+    w, u = np.linalg.eigh(hermitize(m))
     order = np.argsort(-w, kind="stable")
     return EigenDecomposition(w[order], u[:, order])
 

@@ -4,8 +4,8 @@ Ky Fan norms are the top-k partial sums of singular values, so weak
 majorization of singular value vectors is exactly simultaneous domination
 in every Ky Fan norm, and by Fan dominance in every unitarily invariant
 norm, Schatten norms included. The checkers grade weak majorization of
-their own partial sums; this module supplies the norms they are compared
-in. :func:`ky_fan_max_estimate` probes the variational characterization of
+their own partial sums; this module supplies the singular values and the
+Schatten sums they are compared by. :func:`ky_fan_max_estimate` probes the variational characterization of
 top-k eigenvalue sums over orthonormal frames.
 """
 
@@ -20,8 +20,6 @@ from .linalg import complex_gaussian, eig_hermitian, hermitize, require_square
 __all__ = [
     "SINGULAR_CLAMP",
     "singular_values",
-    "ky_fan_norm",
-    "schatten_norm",
     "schatten_of_values",
     "ky_fan_max_estimate",
 ]
@@ -44,20 +42,6 @@ def singular_values(a) -> np.ndarray:
         raise ValueError(f"Gram matrix eigenvalue {w[0]:.3e} below noise floor {-floor:.3e}")
     w = np.clip(w, 0.0, None)
     return np.sqrt(w)[::-1]
-
-
-def ky_fan_norm(a, k: int) -> float:
-    """Ky Fan k-norm: sum of the k largest singular values."""
-    m = require_square(a)
-    n = m.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
-    return float(np.sum(singular_values(m)[:k]))
-
-
-def schatten_norm(a, p: float) -> float:
-    """Schatten p-norm (sum of s_j^p)^(1/p) for p >= 1."""
-    return schatten_of_values(singular_values(a), p)
 
 
 def schatten_of_values(values, p: float) -> float:

@@ -17,10 +17,10 @@ ordered (payload key, checker argument, codec) triples;
 :func:`instance_to_json` and :func:`instance_from_json` are the only
 encoder and decoder of payloads. :func:`digest` hashes the canonical
 rendering (sorted keys, no whitespace) with BLAKE2b cut to 64 bits
-(:data:`DIGEST_ALG`, RFC 7693), and every report carries that value so any
-report line can be traced back to its exact input. A campaign digests each
-payload once and hands the value to the checker; a checker called without
-one digests the canonical re-encoding of its own arguments.
+(:data:`DIGEST_ALG`, RFC 7693). The harness stamps that value on every
+report it returns, so any report line can be traced back to its exact
+input: a campaign digests each payload it generates once, and replay
+digests the canonical re-encoding of the payload it decoded.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from bohrcheck.calculus import (
     function_registry,
     make_function_spec,
     scan_function_flags,
-    validate_function_spec,
 )
 from bohrcheck.linalg import (
     DimensionError,
@@ -138,21 +137,12 @@ def test_scan_submultiplicative_unsampled_when_products_leave_domain():
     assert np.isnan(report.worst["submultiplicative"])
 
 
-def test_validate_function_spec_confirms_flags_on_finer_grid():
+def test_spec_flags_hold_on_a_finer_rescan():
     f = make_function_spec("abs_pow", (-3, 3), r=1.5)
-    report = validate_function_spec(f)
+    report = scan_function_flags(f.fn, f.domain, 1000)
     assert report.grid_size == 1000
     for name, value in f.flags.items():
         assert report.flags[name] == value
-
-
-def test_validate_function_spec_catches_a_lying_flag():
-    f = make_function_spec("expm1", (-1, 1))
-    forged = dict(f.flags)
-    forged["submultiplicative"] = True
-    lying = type(f)(id=f.id, domain=f.domain, fn=f.fn, flags=forged, r=f.r)
-    report = validate_function_spec(lying)
-    assert report.flags["submultiplicative"] != lying.flag("submultiplicative")
 
 
 #: Domains of the full-grid comparison: symmetric, one-sided, tiny, wide,

@@ -1,7 +1,9 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves, so a deletion cannot leave a stale export,
+and every module imports only the layers below it."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -28,3 +30,33 @@ def test_package_imports_are_public_names_of_their_modules():
         for alias in node.names:
             assert alias.name in mod.__all__, f"{node.module}.{alias.name}"
             assert getattr(bohrcheck, alias.asname or alias.name) is getattr(mod, alias.name)
+
+
+#: Layer order, bottom up: a module may import only modules before it.
+LAYERS = (
+    "linalg", "calculus", "majorization", "cpmaps", "inequalities", "serialize", "harness", "cli",
+)
+
+
+def _relative_imports(name: str) -> set[str]:
+    path = pathlib.Path(bohrcheck.__file__).with_name(f"{name}.py")
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            # "from .linalg import x" names the module; "from . import x" its names.
+            found.update([node.module] if node.module else (a.name for a in node.names))
+    return found
+
+
+def test_modules_import_only_lower_layers():
+    assert sorted(LAYERS) == MODULES
+    for i, name in enumerate(LAYERS):
+        assert _relative_imports(name) <= set(LAYERS[:i]), name
+
+
+def test_checkers_take_no_digest():
+    checkers = [n for n in bohrcheck.inequalities.__all__ if n.startswith("check_")]
+    assert len(checkers) == 11
+    for n in checkers:
+        params = inspect.signature(getattr(bohrcheck.inequalities, n)).parameters
+        assert "input_digest" not in params, n

@@ -130,9 +130,9 @@ def test_run_instance_reports_missing_field():
 def test_trial_record_json_line_shapes():
     rep = run_instance({"theorem": "bohr", "z": {"re": 1.0, "im": 0.0},
                         "w": {"re": 1.0, "im": 0.0}, "p": 2.0})
-    ok = TrialRecord(4, "00ab", rep.input_digest, {"theorem": "bohr"}, rep)
+    ok = TrialRecord(4, "00ab", "0123456789abcdef", {"theorem": "bohr"}, rep)
     obj = json.loads(ok.to_json_line())
-    assert obj["trial"] == 4 and obj["digest"] == rep.input_digest
+    assert obj["trial"] == 4 and obj["digest"] == "0123456789abcdef"
     assert "elapsed" not in obj["report"]
 
     bad = TrialRecord(5, "00ac", None, None, None, "rejection cap hit")
@@ -329,6 +329,22 @@ def test_eigensolver_failure_is_a_trial_error_not_an_abort(tmp_path, theorem):
     kinds = {r.error.split(":")[0] for r in res.records if r.error}
     assert kinds == {"LinAlgError", "NumericalError"}
     assert res.summary["errors"] == sum(r.error is not None for r in res.records)
+
+
+def test_functional_calculus_eigensolver_failure_is_a_trial_error(tmp_path, monkeypatch):
+    # jensen-vec reaches np.linalg.eigh only through apply_fun's
+    # eig_hermitian, whose LinAlgError must end the trial, not the campaign.
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    out = tmp_path / "eigh.jsonl"
+    res = run_campaign(CampaignConfig("jensen-vec", 3, 1), out)
+    lines = out.read_text().splitlines()
+    assert len(lines) == 4
+    assert json.loads(lines[-1])["summary"] == res.summary
+    assert res.summary["errors"] == 3 and len(res.error_paths) == 3
+    assert [r.error for r in res.records] == ["LinAlgError: Eigenvalues did not converge"] * 3
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

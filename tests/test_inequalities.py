@@ -30,6 +30,7 @@ from bohrcheck.linalg import (
     random_unitary,
 )
 from bohrcheck import serialize
+from bohrcheck.harness import run_instance
 from oracles import fun_hermitian_ref, partial_sums_desc
 
 DIAG1 = np.diag([1.0, 0.0]).astype(complex)
@@ -433,10 +434,8 @@ def test_eigen_bohr_rhs_scale_mutation_hook():
     mutated = check_eigen_bohr(
         [DIAG1, DIAG2], [EYE2, EYE2], [0.5, 0.5], 2.0, rhs_scale=0.25
     )
-    assert mutated.violated
+    assert clean.holds and mutated.violated
     assert mutated.extras["rhs_scale"] == 0.25
-    # The hook is diagnostic only: the instance digest must not change.
-    assert mutated.input_digest == clean.input_digest
     with pytest.raises(ValueError):
         check_eigen_bohr([DIAG1], [EYE2], [1.0], 2.0, rhs_scale=0.0)
 
@@ -654,6 +653,19 @@ def test_family_checkers_reject_malformed_families(theorem):
             check([DIAG1, DIAG2], half, [EYE2, np.eye(3)])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_exponent_checkers_reject_nonfinite_r(bad):
+    checks = (
+        lambda r: check_vasic_keckic([1.0, 2.0], [0.5, 0.5], r),
+        lambda r: check_eigen_bohr([DIAG1, DIAG2], [EYE2, EYE2], [0.5, 0.5], r),
+        lambda r: check_norm_bohr([DIAG1, DIAG2], [0.5, 0.5], r),
+        lambda r: check_pointwise_bohr_r2([DIAG1, DIAG2], [0.5, 0.5], r),
+    )
+    for check in checks:
+        with pytest.raises(ValueError, match="exponent r must be finite"):
+            check(bad)
+
+
 # --- cross-route consistency -------------------------------------------------------------------------------------
 
 
@@ -747,17 +759,20 @@ def test_report_json_excludes_elapsed_and_is_serializable():
 
 
 def test_report_digest_traces_back_to_payload():
+    # A checker knows no wire format: a direct call carries no digest.
     rep = check_eigen_bohr([DIAG1, DIAG2], [EYE2, EYE2], [0.5, 0.5], 2.0)
+    assert rep.input_digest is None
+    # The harness stamps the digest of the canonical payload it ran.
     payload = serialize.instance_to_json(
         "cor45", a_list=[DIAG1, DIAG2], x_list=[EYE2, EYE2], p=[0.5, 0.5], r=2.0
     )
-    assert rep.input_digest == serialize.digest(payload)
-    # A digest handed in by the caller is stamped as is, with no re-encoding.
-    given = check_eigen_bohr(
-        [DIAG1, DIAG2], [EYE2, EYE2], [0.5, 0.5], 2.0, input_digest="0123456789abcdef"
-    )
-    assert given.input_digest == "0123456789abcdef"
-    assert given.to_json() | {"input_digest": rep.input_digest} == rep.to_json()
+    stamped = run_instance(payload)
+    assert stamped.input_digest == serialize.digest(payload)
+    assert stamped.to_json() | {"input_digest": None} == rep.to_json()
+    # The rhs_scale mutation hook is not part of the payload, so the digest stays.
+    mutated = run_instance(payload, rhs_scale=0.25)
+    assert mutated.violated
+    assert mutated.input_digest == stamped.input_digest
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

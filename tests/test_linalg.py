@@ -37,7 +37,7 @@ def test_interval_validate_rejects_empty_and_nonfinite():
         Interval(2.0, 1.0).validate()
     with pytest.raises(ValueError):
         Interval(0.0, float("inf")).validate()
-    assert Interval(1.0, 1.0).validate().width == 0.0
+    assert Interval(1.0, 1.0).validate() == (1.0, 1.0)
 
 
 def test_interval_contains_and_clamp():

@@ -1,4 +1,4 @@
-"""Singular values, Ky Fan and Schatten norms."""
+"""Singular values, and the Ky Fan and Schatten norms built from them."""
 
 import numpy as np
 import pytest
@@ -13,12 +13,20 @@ from bohrcheck.linalg import (
 )
 from bohrcheck.majorization import (
     ky_fan_max_estimate,
-    ky_fan_norm,
-    schatten_norm,
     schatten_of_values,
     singular_values,
 )
 from oracles import kyfan_ref, schatten_ref, svd_singular_values
+
+
+def _ky_fan(a, k: int) -> float:
+    """Ky Fan k-norm: the top-k partial sum of the library's singular values."""
+    return float(np.sum(singular_values(a)[:k]))
+
+
+def _schatten(a, p: float) -> float:
+    """Schatten p-norm as the checkers form it: singular values, then the sum."""
+    return schatten_of_values(singular_values(a), p)
 
 
 # --- singular values ----------------------------------------------------------------
@@ -51,26 +59,12 @@ def test_singular_values_rejects_rectangles():
 # --- Ky Fan norms --------------------------------------------------------------------
 
 
-def test_ky_fan_norm_hand_case():
-    a = np.diag([3.0, 1.0, -2.0])
-    assert ky_fan_norm(a, 1) == pytest.approx(3.0, abs=1e-12)
-    assert ky_fan_norm(a, 2) == pytest.approx(5.0, abs=1e-12)
-    assert ky_fan_norm(a, 3) == pytest.approx(6.0, abs=1e-12)
-
-
-def test_ky_fan_norm_k_validation():
-    with pytest.raises(ValueError):
-        ky_fan_norm(np.eye(2), 0)
-    with pytest.raises(ValueError):
-        ky_fan_norm(np.eye(2), 3)
-
-
 def test_ky_fan_norm_monotone_in_k_and_matches_oracle():
     rng = make_rng(34)
     for _ in range(100):
         n = int(rng.integers(1, 7))
         a = complex_gaussian((n, n), rng)
-        vals = [ky_fan_norm(a, k) for k in range(1, n + 1)]
+        vals = [_ky_fan(a, k) for k in range(1, n + 1)]
         assert np.all(np.diff(vals) >= -1e-12)
         for k in range(1, n + 1):
             assert vals[k - 1] == pytest.approx(kyfan_ref(a, k), abs=1e-9)
@@ -84,7 +78,7 @@ def test_ky_fan_norm_unitary_invariance():
         u = random_unitary(n, rng)
         v = random_unitary(n, rng)
         for k in (1, n):
-            assert ky_fan_norm(u @ a @ v, k) == pytest.approx(ky_fan_norm(a, k), abs=1e-9)
+            assert _ky_fan(u @ a @ v, k) == pytest.approx(_ky_fan(a, k), abs=1e-9)
 
 
 def test_ky_fan_triangle_inequality():
@@ -94,7 +88,7 @@ def test_ky_fan_triangle_inequality():
         a = complex_gaussian((n, n), rng)
         b = complex_gaussian((n, n), rng)
         for k in range(1, n + 1):
-            slack = ky_fan_norm(a, k) + ky_fan_norm(b, k) - ky_fan_norm(a + b, k)
+            slack = _ky_fan(a, k) + _ky_fan(b, k) - _ky_fan(a + b, k)
             assert slack >= -1e-9
 
 
@@ -109,11 +103,11 @@ def test_ky_fan_dominance_implies_schatten_domination():
         a = complex_gaussian((n, n), rng)
         g = complex_gaussian((n, n), rng)
         b = a + 0.2 * g + 1.5 * np.eye(n)  # usually dominates
-        if any(ky_fan_norm(a, k) > ky_fan_norm(b, k) + 1e-12 for k in range(1, n + 1)):
+        if any(kyfan_ref(a, k) > kyfan_ref(b, k) + 1e-12 for k in range(1, n + 1)):
             continue
         seen += 1
         for p in (1.0, 1.5, 2.0, 3.0, 10.0):
-            assert schatten_norm(a, p) <= schatten_norm(b, p) + 1e-8
+            assert _schatten(a, p) <= _schatten(b, p) + 1e-8
 
 
 # --- Schatten norms -------------------------------------------------------------------------
@@ -121,15 +115,15 @@ def test_ky_fan_dominance_implies_schatten_domination():
 
 def test_schatten_norm_hand_cases():
     a = np.diag([3.0, 4.0])
-    assert schatten_norm(a, 2.0) == pytest.approx(5.0, abs=1e-12)
-    assert schatten_norm(a, 1.0) == pytest.approx(7.0, abs=1e-12)
+    assert _schatten(a, 2.0) == pytest.approx(5.0, abs=1e-12)
+    assert _schatten(a, 1.0) == pytest.approx(7.0, abs=1e-12)
 
 
 def test_schatten_norm_p1_is_trace_norm():
     rng = make_rng(39)
     for _ in range(50):
         a = complex_gaussian((4, 4), rng)
-        assert schatten_norm(a, 1.0) == pytest.approx(ky_fan_norm(a, 4), abs=1e-10)
+        assert _schatten(a, 1.0) == pytest.approx(kyfan_ref(a, 4), abs=1e-10)
 
 
 def test_schatten_norm_large_p_approaches_top_singular_value():
@@ -137,16 +131,16 @@ def test_schatten_norm_large_p_approaches_top_singular_value():
     for _ in range(20):
         a = complex_gaussian((5, 5), rng)
         top = singular_values(a)[0]
-        assert abs(schatten_norm(a, 64.0) - top) <= 0.05 * top
+        assert abs(_schatten(a, 64.0) - top) <= 0.05 * top
 
 
 def test_schatten_norm_overflow_safe_at_huge_scale():
     rng = make_rng(41)
     a = complex_gaussian((4, 4), rng)
     big = 1e40 * a
-    got = schatten_norm(big, 10.0)
+    got = _schatten(big, 10.0)
     assert np.isfinite(got)
-    assert got == pytest.approx(1e40 * schatten_norm(a, 10.0), rel=1e-12)
+    assert got == pytest.approx(1e40 * _schatten(a, 10.0), rel=1e-12)
     # The naive sum of tenth powers would have overflowed.
     with np.errstate(over="ignore"):
         assert svd_singular_values(big)[0] ** 10 == np.inf
@@ -158,12 +152,7 @@ def test_schatten_norm_matches_oracle_in_normal_range():
         n = int(rng.integers(1, 7))
         a = complex_gaussian((n, n), rng)
         p = float(rng.uniform(1.0, 8.0))
-        assert schatten_norm(a, p) == pytest.approx(schatten_ref(a, p), rel=1e-10, abs=1e-10)
-
-
-def test_schatten_norm_rejects_p_below_one():
-    with pytest.raises(ValueError):
-        schatten_norm(np.eye(2), 0.99)
+        assert _schatten(a, p) == pytest.approx(schatten_ref(a, p), rel=1e-10, abs=1e-10)
 
 
 def test_schatten_of_values_is_the_norm_of_its_values():
@@ -176,9 +165,10 @@ def test_schatten_of_values_is_the_norm_of_its_values():
         a = complex_gaussian((4, 4), rng)
         p = float(rng.uniform(1.0, 8.0))
         s = singular_values(a)
-        assert schatten_of_values(s, p) == schatten_norm(a, p)
+        got = schatten_of_values(s, p)
+        assert got == pytest.approx(schatten_ref(a, p), rel=1e-10)
         # Summation order is the caller's: reversed sums agree to roundoff.
-        assert schatten_of_values(s[::-1], p) == pytest.approx(schatten_norm(a, p), rel=1e-13)
+        assert schatten_of_values(s[::-1], p) == pytest.approx(got, rel=1e-13)
 
 
 # --- Ky Fan maximum principle ------------------------------------------------------------------
