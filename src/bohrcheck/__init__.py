@@ -11,8 +11,8 @@ The package is layered bottom-up:
 - :mod:`bohrcheck.cpmaps`: structured positive maps with Choi/Kraus/
   Stinespring machinery;
 - :mod:`bohrcheck.inequalities`: the inequality checkers;
-- :mod:`bohrcheck.serialize`: wire formats, instance payloads and their
-  digest;
+- :mod:`bohrcheck.serialize`: wire formats, instance payloads, and the
+  digest of checker arguments;
 - :mod:`bohrcheck.harness` / :mod:`bohrcheck.cli`: seeded fuzzing
   campaigns, replay (the harness stamps each report with its instance
   digest), demo, and the command-line front end.

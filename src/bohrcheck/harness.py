@@ -11,14 +11,13 @@ report for replay, and so are the inputs of trials that end in a
 numerical error.
 
 :data:`THEOREM_TABLE` names each theorem's checker and generator. A
-generator returns checker arguments, which :func:`generate_instance`
-encodes with :func:`serialize.instance_to_json`; :func:`run_instance`
-decodes a payload with :func:`serialize.instance_from_json` and calls the
-checker. This module is the only one that digests payloads, and it stamps
-the digest on every report it returns: a campaign digests the payload it
-generated and checks the generated arguments, so it neither decodes nor
-re-encodes; replay digests the canonical re-encoding of whatever file it
-was given.
+generator returns checker arguments; :func:`run_instance` decodes a
+payload with :func:`serialize.instance_from_json` and calls the checker.
+This module is the only one that digests instances, and it stamps the
+digest on every report it returns: a campaign digests and checks the
+generated arguments and encodes a payload only to write an artifact (or
+when :attr:`TrialRecord.payload` is read); replay digests the arguments it
+decoded.
 """
 
 from __future__ import annotations
@@ -121,9 +120,10 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One campaign trial: payload, its digest, stream id, and the report.
+    """One campaign trial: the checker arguments, their digest, stream id,
+    and the report.
 
-    ``report`` is None when generation failed (``payload`` is None too) or
+    ``report`` is None when generation failed (``args`` is None too) or
     when the checker raised :class:`NumericalError` or
     ``numpy.linalg.LinAlgError``; ``error`` then carries the reason.
     """
@@ -131,32 +131,24 @@ class TrialRecord:
     trial_index: int
     stream: str
     digest: str | None
-    payload: dict | None
+    theorem: str
+    args: dict | None
     report: CheckReport | None
     error: str | None = None
 
+    @property
+    def payload(self) -> dict | None:
+        """The instance payload of ``args``, encoded on each access."""
+        return None if self.args is None else serialize.instance_to_json(self.theorem, **self.args)
+
     def to_json_line(self) -> str:
-        if self.payload is None:
-            obj = {
-                "trial": self.trial_index,
-                "stream": self.stream,
-                "generation_failed": True,
-                "error": self.error or "unknown",
-            }
+        obj = {"trial": self.trial_index, "stream": self.stream}
+        if self.args is None:
+            obj.update(generation_failed=True, error=self.error or "unknown")
         elif self.report is None:
-            obj = {
-                "trial": self.trial_index,
-                "stream": self.stream,
-                "digest": self.digest,
-                "error": self.error,
-            }
+            obj.update(digest=self.digest, error=self.error)
         else:
-            obj = {
-                "trial": self.trial_index,
-                "stream": self.stream,
-                "digest": self.digest,
-                "report": self.report.to_json(),
-            }
+            obj.update(digest=self.digest, report=self.report.to_json())
         return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
 
@@ -175,27 +167,26 @@ class CampaignResult:
 def run_instance(payload: dict, tol: float | None = None, rhs_scale: float = 1.0) -> CheckReport:
     """Decode an instance payload and run its checker.
 
-    The report carries the digest of the payload's canonical re-encoding,
-    so payloads that decode to the same instance share one digest.
+    The report carries the digest of the decoded arguments, so payloads
+    that decode to the same instance share one digest.
     ``rhs_scale`` only affects the eigenvalue Bohr checker and is not part
     of the payload, so mutated runs keep the pristine digest.
     """
     theorem, args = serialize.instance_from_json(payload)
-    digest = serialize.digest(serialize.instance_to_json(theorem, **args))
-    return _check(theorem, args, tol, rhs_scale, digest)
+    # Digested after the check, so malformed input gets the checker's message.
+    report = _check(theorem, args, tol, rhs_scale)
+    return replace(report, input_digest=serialize.digest(theorem, args))
 
 
-def _check(theorem, args, tol, rhs_scale, digest) -> CheckReport:
-    """Run ``theorem``'s checker on ``args`` and stamp ``digest`` on its report."""
-    if theorem == "cor45":
-        args["rhs_scale"] = rhs_scale
+def _check(theorem, args, tol, rhs_scale) -> CheckReport:
+    """Run ``theorem``'s checker on ``args``, which it leaves as they are."""
+    mutation = {"rhs_scale": rhs_scale} if theorem == "cor45" else {}
     # Looked up by name on every call, so rebinding a checker reaches here.
     checker = getattr(inequalities, THEOREM_TABLE[theorem][0])
     # Overflow becomes inf or NaN and then a NumericalError, which already
     # says what happened, so numpy's own warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        report = checker(**args, tol=tol)
-    return replace(report, input_digest=digest)
+        return checker(**args, **mutation, tol=tol)
 
 
 # --- random building blocks --------------------------------------------------
@@ -488,16 +479,11 @@ THEOREM_TABLE = {
 }
 
 
-def generate_instance(cfg: CampaignConfig, trial: int, rng) -> tuple[dict, dict]:
-    """Constraint-aware random instance for the configured theorem.
-
-    Returns ``(payload, args)``: the canonical payload and the checker
-    arguments it encodes. Checking ``args`` gives the report that
-    :func:`run_instance` gives for ``payload``.
-    """
-    theorem = canonical_theorem(cfg.theorem)
-    args = THEOREM_TABLE[theorem][1](cfg, rng, trial)
-    return serialize.instance_to_json(theorem, **args), args
+def generate_instance(cfg: CampaignConfig, trial: int, rng) -> dict:
+    """Checker arguments of a constraint-aware random instance for the
+    configured theorem. Checking them gives the report that
+    :func:`run_instance` gives for their payload."""
+    return THEOREM_TABLE[canonical_theorem(cfg.theorem)][1](cfg, rng, trial)
 
 
 # --- campaign loop ------------------------------------------------------------
@@ -539,23 +525,18 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
         for trial in range(cfg.trials):
             rng = make_rng(cfg.seed, trial)
             stream = f"{stream_key(cfg.seed, trial):016x}"
-            payload = digest = report = error = None
+            args = digest = report = error = None
             try:
-                payload, args = generate_instance(cfg, trial, rng)
-                # The payload is canonical, so this is the digest replay
-                # computes from its re-encoding.
-                digest = serialize.digest(payload)
-                report = _check(theorem, args, cfg.tol_override, cfg.rhs_scale, digest)
+                args = generate_instance(cfg, trial, rng)
+                digest = serialize.digest(theorem, args)
+                report = _check(theorem, args, cfg.tol_override, cfg.rhs_scale)
+                report = replace(report, input_digest=digest)
             except GenerationError as exc:
                 generation_failures += 1
                 error = str(exc)
             except (NumericalError, np.linalg.LinAlgError) as exc:
                 errors += 1
                 error = f"{type(exc).__name__}: {exc}"
-                if out is not None:
-                    error_paths.append(
-                        _write_artifact(out, "error", trial, {"instance": payload, "error": error})
-                    )
             else:
                 if report.holds:
                     held += 1
@@ -563,25 +544,23 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
                     not_applicable += 1
                 else:
                     violations += 1
-                    if out is not None:
-                        violation_paths.append(
-                            _write_artifact(
-                                out,
-                                "violation",
-                                trial,
-                                {"instance": payload, "report": report.to_json()},
-                            )
-                        )
                 if report.min_slack is not None:
                     min_slack_overall = (
                         report.min_slack
                         if min_slack_overall is None
                         else min(min_slack_overall, report.min_slack)
                     )
-            record = TrialRecord(trial, stream, digest, payload, report, error)
+            record = TrialRecord(trial, stream, digest, theorem, args, report, error)
             records.append(record)
-            if sink is not None:
-                sink.write(record.to_json_line() + "\n")
+            if sink is None:
+                continue
+            sink.write(record.to_json_line() + "\n")
+            if report is not None and report.violated:
+                body = {"instance": record.payload, "report": report.to_json()}
+                violation_paths.append(_write_artifact(out, "violation", trial, body))
+            elif report is None and args is not None:
+                body = {"instance": record.payload, "error": error}
+                error_paths.append(_write_artifact(out, "error", trial, body))
         summary = {
             "theorem": theorem,
             "total": cfg.trials,

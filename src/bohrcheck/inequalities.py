@@ -17,9 +17,9 @@ a ``comparison`` tag). Near-ties within 1e-10 of scale are reported in
 ``extras["equality_ks"]`` but never required. A non-finite side or slack
 raises :class:`NumericalError` instead of yielding a verdict.
 
-Checkers know nothing of wire formats: a report's ``input_digest`` is
-None here, and the harness, which holds the instance payload, stamps the
-payload's digest on it.
+Checkers know nothing of wire formats and leave their arguments as they
+are: a report's ``input_digest`` is None here, and the harness, which
+holds the instance, stamps the digest of the checker arguments on it.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class CheckReport:
     ``hypothesis_report`` records every hypothesis by name, and any False
     entry forces "not_applicable". ``min_slack`` is None for inapplicable
     instances. ``input_digest`` is None unless the harness stamped the
-    digest of the instance payload on the report.
+    digest of the instance's checker arguments on the report.
     """
 
     theorem_id: str

@@ -1,4 +1,4 @@
-"""JSON wire formats, canonical hashing, and instance payloads.
+"""JSON wire formats, instance payloads, and their digest.
 
 Wire formats:
 
@@ -15,18 +15,24 @@ An instance payload is one flat JSON object per theorem with a "theorem"
 key. :data:`INSTANCE_SCHEMA` describes each theorem's payload once, as
 ordered (payload key, checker argument, codec) triples;
 :func:`instance_to_json` and :func:`instance_from_json` are the only
-encoder and decoder of payloads. :func:`digest` hashes the canonical
-rendering (sorted keys, no whitespace) with BLAKE2b cut to 64 bits
-(:data:`DIGEST_ALG`, RFC 7693). The harness stamps that value on every
-report it returns, so any report line can be traced back to its exact
-input: a campaign digests each payload it generates once, and replay
-digests the canonical re-encoding of the payload it decoded.
+encoder and decoder of payloads; decoding is exact and rejects
+non-finite numbers, naming the payload key.
+
+:func:`digest` hashes checker arguments, not their JSON text, with BLAKE2b
+cut to 64 bits (:data:`DIGEST_ALG`, RFC 7693): the theorem id, then each
+schema field's key and its value packed by the field's codec as tagged
+shapes and little-endian ``<f8`` / ``<c16`` bytes. Generated arguments
+and the arguments decoded from their payload therefore hash alike. The
+harness stamps the digest on every report it returns, so any report line
+can be traced back to its exact input.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import json
+import math
+import struct
 
 import numpy as np
 
@@ -57,7 +63,6 @@ __all__ = [
     "function_from_json",
     "map_to_json",
     "map_from_json",
-    "canonical_json",
     "DIGEST_ALG",
     "digest",
     "instance_to_json",
@@ -70,6 +75,14 @@ class SerializationError(ValueError):
 
 
 # --- primitive codecs -------------------------------------------------------
+
+
+def _finite(x) -> float:
+    """``float(x)``, refusing the ``Infinity`` and ``NaN`` that JSON lets through."""
+    v = float(x)
+    if not math.isfinite(v):
+        raise SerializationError(f"expected a finite number, got {v!r}")
+    return v
 
 
 def matrix_to_json(a) -> dict:
@@ -92,7 +105,10 @@ def matrix_from_json(obj) -> np.ndarray:
         raise SerializationError(
             f"matrix shape mismatch: n={n}, re {re.shape}, im {im.shape}"
         )
-    return as_complex_matrix(re + 1j * im)
+    # Not re + 1j * im, which turns a real part of -0.0 into 0.0.
+    m = re.astype(complex)
+    m.imag = im
+    return as_complex_matrix(m)
 
 
 def vector_to_json(x) -> dict:
@@ -115,7 +131,9 @@ def vector_from_json(obj) -> np.ndarray:
         raise SerializationError(f"vector shape mismatch: re {re.shape}, im {im.shape}")
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
         raise SerializationError("vector entries must be finite")
-    return re + 1j * im
+    v = re.astype(complex)
+    v.imag = im
+    return v
 
 
 def scalar_to_json(z) -> dict:
@@ -125,7 +143,7 @@ def scalar_to_json(z) -> dict:
 
 def scalar_from_json(obj) -> complex:
     try:
-        return complex(float(obj["re"]), float(obj["im"]))
+        return complex(_finite(obj["re"]), _finite(obj["im"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed complex scalar: {exc}") from exc
 
@@ -156,12 +174,7 @@ def map_to_json(spec: MapSpec) -> dict:
     if isinstance(spec, DiagonalPOVM):
         return {"kind": "povm", "P": [matrix_to_json(p) for p in spec.effects]}
     if isinstance(spec, WeightedSum):
-        return {
-            "kind": "sum",
-            "terms": [
-                {"alpha": float(a), "map": map_to_json(sub)} for a, sub in spec.terms
-            ],
-        }
+        return {"kind": "sum", "terms": _weighted_maps_to_json(spec.terms)}
     if isinstance(spec, BlockExtraction):
         return {
             "kind": "block",
@@ -185,11 +198,7 @@ def map_from_json(obj) -> MapSpec:
         if kind == "povm":
             return DiagonalPOVM(tuple(matrix_from_json(p) for p in obj["P"]))
         if kind == "sum":
-            return WeightedSum(
-                tuple(
-                    (float(t["alpha"]), map_from_json(t["map"])) for t in obj["terms"]
-                )
-            )
+            return WeightedSum(_weighted_maps_from_json(obj["terms"]))
         if kind == "block":
             return BlockExtraction(int(obj["i"]), int(obj["ell"]), matrix_from_json(obj["X"]))
     except (KeyError, TypeError, ValueError, SpecError) as exc:
@@ -197,20 +206,59 @@ def map_from_json(obj) -> MapSpec:
     raise SerializationError(f"unknown map kind {kind!r}")
 
 
-# --- canonical hashing ------------------------------------------------------
-
-#: Name of the digest algorithm, recorded in every campaign summary.
-DIGEST_ALG = "blake2b-64"
-
-
-def canonical_json(obj) -> str:
-    """Deterministic rendering: sorted keys, minimal separators, no NaN."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+# --- packing for the digest ------------------------------------------------
+#
+# A packer feeds a BLAKE2b state one decoded value as tagged items: b"s"
+# text (byte count, UTF-8), b"d" float64 and b"D" complex128 arrays (rank,
+# shape, little-endian C-order bytes; rank 0 for a scalar, rank 3 for a
+# list of matrices). Integers (block index and count) pack exactly as
+# float64.
 
 
-def digest(obj) -> str:
-    """16-hex-digit BLAKE2b-64 digest of the canonical JSON rendering."""
-    return hashlib.blake2b(canonical_json(obj).encode("utf-8"), digest_size=8).hexdigest()
+def _pack_text(h, text) -> None:
+    data = str(text).encode("utf-8")
+    h.update(struct.pack("<cq", b"s", len(data)) + data)
+
+
+def _pack_array(dtype, h, a) -> None:
+    a = np.asarray(a, dtype=dtype, order="C")
+    if not np.isfinite(a).all():
+        raise SerializationError("entries must be finite")
+    h.update(struct.pack(f"<cB{a.ndim}q", dtype.char.encode(), a.ndim, *a.shape))
+    h.update(a)
+
+
+_pack_real = functools.partial(_pack_array, np.dtype("<f8"))
+_pack_complex = functools.partial(_pack_array, np.dtype("<c16"))
+
+
+def _pack_function(h, spec: ConvexFunctionSpec) -> None:
+    _pack_text(h, spec.id)
+    _pack_real(h, [spec.domain.lo, spec.domain.hi] + ([] if spec.r is None else [spec.r]))
+
+
+def _pack_terms(h, terms) -> None:
+    _pack_real(h, [alpha for alpha, _ in terms])
+    for _, spec in terms:
+        _pack_map(h, spec)
+
+
+def _pack_map(h, spec: MapSpec) -> None:
+    if isinstance(spec, Congruence):
+        _pack_text(h, "congruence")
+        _pack_complex(h, spec.x)
+    elif isinstance(spec, DiagonalPOVM):
+        _pack_text(h, "povm")
+        _pack_complex(h, spec.effects)
+    elif isinstance(spec, WeightedSum):
+        _pack_text(h, "sum")
+        _pack_terms(h, spec.terms)
+    elif isinstance(spec, BlockExtraction):
+        _pack_text(h, "block")
+        _pack_real(h, [spec.index, spec.block_count])
+        _pack_complex(h, spec.x)
+    else:
+        raise SerializationError(f"map kind {type(spec).__name__} has no wire format")
 
 
 # --- instance payloads ------------------------------------------------------
@@ -226,20 +274,21 @@ def _weighted_maps_to_json(weighted_maps) -> list[dict]:
 
 
 def _weighted_maps_from_json(terms) -> list[tuple[float, MapSpec]]:
-    return [(float(t["alpha"]), map_from_json(t["map"])) for t in terms]
+    return [(_finite(t["alpha"]), map_from_json(t["map"])) for t in terms]
 
 
-# A codec is an (encode, decode) pair for one payload field.
-_FLOAT = (float, float)
-_TEXT = (str, str)
-_WEIGHTS = (_each(float), _each(float))
-_SCALAR = (scalar_to_json, scalar_from_json)
-_VECTOR = (vector_to_json, vector_from_json)
-_MATRIX = (matrix_to_json, matrix_from_json)
-_MATRICES = (_each(matrix_to_json), _each(matrix_from_json))
-_FUNCTION = (function_to_json, function_from_json)
-_MAP = (map_to_json, map_from_json)
-_WEIGHTED_MAPS = (_weighted_maps_to_json, _weighted_maps_from_json)
+# A codec is an (encode, decode, pack) triple for one payload field; pack
+# hashes the decoded value for :func:`digest`.
+_FLOAT = (float, _finite, _pack_real)
+_TEXT = (str, str, _pack_text)
+_WEIGHTS = (_each(float), _each(_finite), _pack_real)
+_SCALAR = (scalar_to_json, scalar_from_json, _pack_complex)
+_VECTOR = (vector_to_json, vector_from_json, _pack_complex)
+_MATRIX = (matrix_to_json, matrix_from_json, _pack_complex)
+_MATRICES = (_each(matrix_to_json), _each(matrix_from_json), _pack_complex)
+_FUNCTION = (function_to_json, function_from_json, _pack_function)
+_MAP = (map_to_json, map_from_json, _pack_map)
+_WEIGHTED_MAPS = (_weighted_maps_to_json, _weighted_maps_from_json, _pack_terms)
 
 #: Wire format of every theorem, in CLI order: the payload's fields as
 #: (payload key, checker argument, codec) triples, in payload key order.
@@ -302,7 +351,7 @@ def canonical_theorem(name: str) -> str:
 def instance_to_json(theorem: str, **args) -> dict:
     """Instance payload of a canonical ``theorem`` from its checker's arguments."""
     payload = {"theorem": theorem}
-    for key, arg, (encode, _) in INSTANCE_SCHEMA[theorem]:
+    for key, arg, (encode, _, _) in INSTANCE_SCHEMA[theorem]:
         payload[key] = encode(args[arg])
     return payload
 
@@ -315,9 +364,30 @@ def instance_from_json(payload) -> tuple[str, dict]:
     if not isinstance(payload, dict) or "theorem" not in payload:
         raise SerializationError("instance payload must carry a 'theorem' field")
     theorem = canonical_theorem(payload["theorem"])
-    try:
-        args = {arg: decode(payload[key]) for key, arg, (_, decode) in INSTANCE_SCHEMA[theorem]}
-    except KeyError as exc:
-        raise SerializationError(f"instance for {theorem!r} is missing field {exc}") from exc
+    args = {}
+    for key, arg, (_, decode, _) in INSTANCE_SCHEMA[theorem]:
+        try:
+            args[arg] = decode(payload[key])
+        except KeyError as exc:
+            raise SerializationError(f"instance for {theorem!r} is missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise SerializationError(f"field {key!r}: {exc}") from exc
     return theorem, args
 
+
+#: Name of the digest algorithm, recorded in every campaign summary.
+DIGEST_ALG = "blake2b-64-pack"
+
+
+def digest(theorem: str, args: dict) -> str:
+    """16-hex-digit BLAKE2b-64 digest of a canonical ``theorem``'s checker
+    arguments: the theorem id, then each field's payload key and packed value."""
+    h = hashlib.blake2b(digest_size=8)
+    _pack_text(h, theorem)
+    for key, arg, (_, _, pack) in INSTANCE_SCHEMA[theorem]:
+        _pack_text(h, key)
+        try:
+            pack(h, args[arg])
+        except (TypeError, ValueError) as exc:
+            raise SerializationError(f"field {key!r}: {exc}") from exc
+    return h.hexdigest()

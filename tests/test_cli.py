@@ -11,6 +11,7 @@ import bohrcheck.cli as cli
 from bohrcheck.cli import main
 from bohrcheck.harness import CampaignConfig, CampaignResult, generate_instance, run_instance
 from bohrcheck.linalg import make_rng
+from bohrcheck.serialize import instance_to_json
 
 
 def write_bohr_instance(path):
@@ -25,8 +26,6 @@ def write_bohr_instance(path):
 
 
 def cor45_diag_payload():
-    from bohrcheck.serialize import instance_to_json
-
     a1 = np.diag([1.0, 0.0]).astype(complex)
     a2 = np.diag([0.0, 1.0]).astype(complex)
     eye = np.eye(2, dtype=complex)
@@ -77,13 +76,26 @@ def test_check_missing_and_malformed_files(tmp_path, capsys):
     assert "bohrcheck: error:" in err
 
 
+@pytest.mark.parametrize("key, value", [("p", [float("inf")]), ("r", float("inf"))])
+def test_check_nonfinite_float_field_exits_one_naming_it(tmp_path, capsys, key, value):
+    # JSON's Infinity decodes to a float, which decoding must refuse.
+    cfg = CampaignConfig("zh", 1, 3)
+    payload = instance_to_json("zh", **generate_instance(cfg, 0, make_rng(3, 0)))
+    payload[key] = value
+    path = tmp_path / "zh.json"
+    path.write_text(json.dumps(payload))
+    assert main(["check", "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"bohrcheck: error: field '{key}': expected a finite number, got inf" in err
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_check_eigensolver_failure_exits_one(tmp_path, capsys):
     # |A_i|^r overflows at r in [800, 900], and the eigensolver does not
     # converge on the non-finite sum: an input error, not a verdict.
     cfg = CampaignConfig("cor45", 1, 3, r_range=(800.0, 900.0))
-    payload, _ = generate_instance(cfg, 0, make_rng(3, 0))
+    payload = instance_to_json("cor45", **generate_instance(cfg, 0, make_rng(3, 0)))
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(payload))
     assert main(["check", "--in", str(path)]) == 1
@@ -170,7 +182,7 @@ def test_fuzz_exit_code_precedence(monkeypatch, tmp_path):
             "generation_failures": fake_run_campaign.failures,
             "errors": fake_run_campaign.errors,
             "min_slack_overall": None,
-            "digest_alg": "blake2b-64",
+            "digest_alg": "blake2b-64-pack",
         }
         return CampaignResult(cfg, [], summary, [])
 

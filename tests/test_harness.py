@@ -37,6 +37,12 @@ ALL_THEOREMS = (
 )
 
 
+def _payload(cfg, trial):
+    """Payload of the instance a campaign with ``cfg`` generates at ``trial``."""
+    args = generate_instance(cfg, trial, make_rng(cfg.seed, trial))
+    return serialize.instance_to_json(serialize.canonical_theorem(cfg.theorem), **args)
+
+
 # --- configuration -----------------------------------------------------------------
 
 
@@ -67,7 +73,7 @@ def test_config_accepts_theorem_alias():
 def test_generated_instances_satisfy_hypotheses(theorem):
     cfg = CampaignConfig(theorem, 0, seed=314, n_range=(2, 6), m_range=(2, 6))
     for trial in range(20):
-        payload, _ = generate_instance(cfg, trial, make_rng(cfg.seed, trial))
+        payload = _payload(cfg, trial)
         assert payload["theorem"] == serialize.canonical_theorem(theorem)
         report = run_instance(payload)
         assert report.holds, (theorem, trial, report.failed_hypotheses())
@@ -77,29 +83,31 @@ def test_generated_instances_satisfy_hypotheses(theorem):
 def test_generated_payloads_are_deterministic(theorem):
     cfg = CampaignConfig(theorem, 0, seed=2718)
     for trial in (0, 3, 7):
-        first, _ = generate_instance(cfg, trial, make_rng(cfg.seed, trial))
-        second, _ = generate_instance(cfg, trial, make_rng(cfg.seed, trial))
-        assert serialize.digest(first) == serialize.digest(second)
+        first = generate_instance(cfg, trial, make_rng(cfg.seed, trial))
+        second = generate_instance(cfg, trial, make_rng(cfg.seed, trial))
+        assert serialize.digest(theorem, first) == serialize.digest(theorem, second)
 
 
 def test_generated_payloads_round_trip_canonical_json():
+    # Decoding a generated payload's JSON text gives arguments that pack to
+    # the same bytes as the generated ones.
     for theorem in ALL_THEOREMS:
         cfg = CampaignConfig(theorem, 0, seed=1)
-        payload, _ = generate_instance(cfg, 0, make_rng(1, 0))
-        text = serialize.canonical_json(payload)
-        assert serialize.digest(json.loads(text)) == serialize.digest(payload)
+        args = generate_instance(cfg, 0, make_rng(1, 0))
+        text = json.dumps(serialize.instance_to_json(theorem, **args))
+        decoded = serialize.instance_from_json(json.loads(text))
+        assert serialize.digest(*decoded) == serialize.digest(theorem, args)
 
 
 def test_jensen_map_variant_forcing():
     for variant in ("subunital", "unital"):
         cfg = CampaignConfig("jensen-map", 0, seed=9, variant=variant)
         for trial in range(6):
-            payload, _ = generate_instance(cfg, trial, make_rng(9, trial))
-            assert payload["variant"] == variant
+            assert generate_instance(cfg, trial, make_rng(9, trial))["variant"] == variant
     # Default alternates, so both profiles appear across trials.
     cfg = CampaignConfig("jensen-map", 0, seed=9)
     seen = {
-        generate_instance(cfg, t, make_rng(9, t))[0]["variant"] for t in range(6)
+        generate_instance(cfg, t, make_rng(9, t))["variant"] for t in range(6)
     }
     assert seen == {"subunital", "unital"}
 
@@ -108,8 +116,8 @@ def test_theorem_specific_r_clipping():
     zh_cfg = CampaignConfig("zh", 0, seed=3, r_range=(1.1, 4.0))
     prop_cfg = CampaignConfig("prop-r2", 0, seed=3, r_range=(1.1, 4.0))
     for trial in range(25):
-        assert generate_instance(zh_cfg, trial, make_rng(3, trial))[0]["r"] <= 2.0
-        assert generate_instance(prop_cfg, trial, make_rng(3, trial))[0]["r"] >= 2.0
+        assert generate_instance(zh_cfg, trial, make_rng(3, trial))["r"] <= 2.0
+        assert generate_instance(prop_cfg, trial, make_rng(3, trial))["r"] >= 2.0
 
 
 # --- run_instance dispatch ----------------------------------------------------------
@@ -127,19 +135,28 @@ def test_run_instance_reports_missing_field():
         run_instance({"theorem": "bohr", "z": {"re": 1.0, "im": 0.0}})
 
 
+def test_run_instance_reports_a_ragged_family_in_the_checkers_words():
+    # The digest is taken after the check, so malformed input gets the
+    # family validator's message rather than numpy's.
+    payload = serialize.instance_to_json("zh", a_list=[np.eye(2), np.eye(3)], p=[0.5, 0.5], r=1.5)
+    with pytest.raises(ValueError, match=r"matrix 1 has shape \(3, 3\), expected \(2, 2\)"):
+        run_instance(payload)
+
+
 def test_trial_record_json_line_shapes():
     rep = run_instance({"theorem": "bohr", "z": {"re": 1.0, "im": 0.0},
                         "w": {"re": 1.0, "im": 0.0}, "p": 2.0})
-    ok = TrialRecord(4, "00ab", "0123456789abcdef", {"theorem": "bohr"}, rep)
+    ok = TrialRecord(4, "00ab", "0123456789abcdef", "bohr", {}, rep)
     obj = json.loads(ok.to_json_line())
     assert obj["trial"] == 4 and obj["digest"] == "0123456789abcdef"
     assert "elapsed" not in obj["report"]
 
-    bad = TrialRecord(5, "00ac", None, None, None, "rejection cap hit")
+    bad = TrialRecord(5, "00ac", None, "bohr", None, None, "rejection cap hit")
+    assert bad.payload is None
     obj = json.loads(bad.to_json_line())
     assert obj["generation_failed"] is True and obj["error"] == "rejection cap hit"
 
-    err = TrialRecord(6, "00ad", "00000000000000ff", {"theorem": "bohr"}, None, "NumericalError: x")
+    err = TrialRecord(6, "00ad", "00000000000000ff", "bohr", {}, None, "NumericalError: x")
     obj = json.loads(err.to_json_line())
     assert obj == {"trial": 6, "stream": "00ad", "digest": "00000000000000ff", "error": "NumericalError: x"}
 
@@ -159,7 +176,7 @@ def test_campaign_zero_trials(tmp_path):
         "generation_failures": 0,
         "errors": 0,
         "min_slack_overall": None,
-        "digest_alg": "blake2b-64",
+        "digest_alg": "blake2b-64-pack",
     }
     lines = out.read_text().splitlines()
     assert len(lines) == 1 and "summary" in json.loads(lines[0])
@@ -191,8 +208,8 @@ def test_campaign_lines_reproducible_from_seed(tmp_path):
     run_campaign(cfg, out)
     for line in out.read_text().splitlines()[:-1]:
         obj = json.loads(line)
-        payload, _ = generate_instance(cfg, obj["trial"], make_rng(23, obj["trial"]))
-        assert serialize.digest(payload) == obj["digest"]
+        payload = _payload(cfg, obj["trial"])
+        assert serialize.digest(*serialize.instance_from_json(payload)) == obj["digest"]
         fresh = run_instance(payload)
         assert fresh.verdict == obj["report"]["verdict"]
         assert fresh.min_slack == obj["report"]["min_slack"]
@@ -200,17 +217,17 @@ def test_campaign_lines_reproducible_from_seed(tmp_path):
 
 @pytest.mark.parametrize("theorem", ALL_THEOREMS)
 def test_campaign_digest_matches_replay_digest(tmp_path, theorem):
-    # The campaign checks the generated arguments and hands the checker the
-    # digest of their payload; replay decodes the payload and lets the
-    # checker digest its re-encoding. Both must give the same report, so a
-    # campaign line is exactly what its persisted payload reproduces.
+    # The campaign digests and checks the generated arguments; replay
+    # decodes their payload and digests the decoded arguments. Both must
+    # give the same report, so a campaign line is exactly what its
+    # persisted payload reproduces.
     out = tmp_path / "c.jsonl"
     res = run_campaign(CampaignConfig(theorem, 6, seed=11), out)
     lines = [json.loads(line) for line in out.read_text().splitlines()[:-1]]
     assert len(lines) == len(res.records) == 6
     for line, rec in zip(lines, res.records):
         assert rec.report is not None
-        expected = serialize.digest(rec.payload)
+        expected = serialize.digest(theorem, rec.args)
         assert line["digest"] == line["report"]["input_digest"] == expected
         fresh = run_instance(rec.payload)
         assert fresh.to_json() == rec.report.to_json()
@@ -218,9 +235,32 @@ def test_campaign_digest_matches_replay_digest(tmp_path, theorem):
         assert replay(json.loads(json.dumps(rec.payload))).input_digest == expected
 
 
+@pytest.mark.parametrize("theorem", ALL_THEOREMS)
+def test_checkers_leave_their_arguments_unchanged(theorem):
+    # Records keep the generated arguments and encode their payload on
+    # demand, so the check must not alter them (rhs_scale included).
+    cfg = CampaignConfig(theorem, 4, seed=13, rhs_scale=0.5)
+    res = run_campaign(cfg)
+    for rec in res.records:
+        fresh = generate_instance(cfg, rec.trial_index, make_rng(cfg.seed, rec.trial_index))
+        assert rec.report is not None and list(rec.args) == list(fresh)
+        assert json.dumps(rec.payload) == json.dumps(serialize.instance_to_json(theorem, **fresh))
+
+
+def test_clean_campaign_encodes_no_payload(tmp_path, monkeypatch):
+    def refuse(theorem, **args):
+        raise AssertionError("instance_to_json called")
+
+    monkeypatch.setattr(serialize, "instance_to_json", refuse)
+    for theorem in ALL_THEOREMS:
+        res = run_campaign(CampaignConfig(theorem, 3, seed=5), tmp_path / f"{theorem}.jsonl")
+        assert res.summary["held"] == 3
+
+
 def test_replay_digests_the_canonical_re_encoding():
-    # An alias id, int-valued floats and an unknown key all vanish from the
-    # canonical payload, so they leave the replayed digest unchanged.
+    # An alias id, int-valued floats and an unknown key all vanish on
+    # decoding, so they leave the replayed digest unchanged: it is the
+    # digest of the checker arguments themselves.
     canonical = {
         "theorem": "cor45",
         "r": 2.0,
@@ -229,9 +269,11 @@ def test_replay_digests_the_canonical_re_encoding():
         "X": [serialize.matrix_to_json(np.eye(2))] * 2,
     }
     loose = dict(canonical, theorem="cor4.5", r=2, p=[1, 2], note="hand-written")
-    assert serialize.digest(loose) != serialize.digest(canonical)
+    assert json.dumps(loose) != json.dumps(canonical)
     assert replay(loose).input_digest == replay(canonical).input_digest
-    assert replay(canonical).input_digest == serialize.digest(canonical)
+    args = {"r": 2.0, "p": [1.0, 2.0], "a_list": [np.eye(2), np.diag([1.0, -1.0])],
+            "x_list": [np.eye(2)] * 2}
+    assert replay(canonical).input_digest == serialize.digest("cor45", args)
 
 
 def test_campaign_streams_are_byte_identical(tmp_path):
@@ -310,7 +352,7 @@ def test_numerical_error_is_a_trial_error_not_an_abort(tmp_path):
     for obj in errors:
         assert set(obj) == {"trial", "stream", "digest", "error"}
         assert obj["error"].startswith("NumericalError: ")
-        assert obj["digest"] == serialize.digest(res.records[obj["trial"]].payload)
+        assert obj["digest"] == serialize.digest("vasic", res.records[obj["trial"]].args)
     assert s["violations"] == 0
 
 

@@ -762,12 +762,11 @@ def test_report_digest_traces_back_to_payload():
     # A checker knows no wire format: a direct call carries no digest.
     rep = check_eigen_bohr([DIAG1, DIAG2], [EYE2, EYE2], [0.5, 0.5], 2.0)
     assert rep.input_digest is None
-    # The harness stamps the digest of the canonical payload it ran.
-    payload = serialize.instance_to_json(
-        "cor45", a_list=[DIAG1, DIAG2], x_list=[EYE2, EYE2], p=[0.5, 0.5], r=2.0
-    )
+    # The harness stamps the digest of the checker arguments it ran.
+    args = {"a_list": [DIAG1, DIAG2], "x_list": [EYE2, EYE2], "p": [0.5, 0.5], "r": 2.0}
+    payload = serialize.instance_to_json("cor45", **args)
     stamped = run_instance(payload)
-    assert stamped.input_digest == serialize.digest(payload)
+    assert stamped.input_digest == serialize.digest("cor45", args)
     assert stamped.to_json() | {"input_digest": None} == rep.to_json()
     # The rhs_scale mutation hook is not part of the payload, so the digest stays.
     mutated = run_instance(payload, rhs_scale=0.25)

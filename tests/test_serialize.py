@@ -1,7 +1,8 @@
-"""Wire formats, canonical JSON, digests, and the instance schema."""
+"""Wire formats, digests, and the instance schema."""
 
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from bohrcheck.serialize import (
     THEOREM_ALIASES,
     THEOREMS,
     SerializationError,
-    canonical_json,
     canonical_theorem,
     DIGEST_ALG,
     digest,
@@ -176,34 +176,82 @@ def test_map_from_json_rejects_malformed():
         map_from_json({"kind": "sum", "terms": []})
 
 
-# --- canonical JSON and digests ----------------------------------------------------------
+# --- digests ----------------------------------------------------------------------------
 
 
-def test_canonical_json_is_sorted_and_compact():
-    got = canonical_json({"b": [1.0, 2.5], "a": {"y": 1, "x": None}})
-    assert got == '{"a":{"x":null,"y":1},"b":[1.0,2.5]}'
-
-
-def test_canonical_json_rejects_nan():
-    with pytest.raises(ValueError):
-        canonical_json({"v": float("nan")})
+def _bohr_args(**changes):
+    return {"z": 1 + 2j, "w": 3 - 1j, "p": 2.0} | changes
 
 
 def test_digest_is_16_hex_and_insertion_order_free():
-    d1 = digest({"a": 1, "b": 2})
-    d2 = digest({"b": 2, "a": 1})
+    d1 = digest("bohr", _bohr_args())
+    d2 = digest("bohr", dict(reversed(_bohr_args().items())))
     assert d1 == d2
     assert len(d1) == 16
     int(d1, 16)
-    assert digest({"a": 1, "b": 3}) != d1
+    assert digest("bohr", _bohr_args(p=3.0)) != d1
+    # The theorem id is hashed too: zh and prop-r2 share one schema.
+    args = {"r": 2.0, "p": [1.0], "a_list": [np.eye(2)]}
+    assert digest("zh", args) != digest("prop-r2", args)
 
 
-def test_digest_is_blake2b_64_of_canonical_json():
-    assert DIGEST_ALG == "blake2b-64"
-    text = b'{"p":2.0,"theorem":"bohr"}'
-    assert digest({"theorem": "bohr", "p": 2.0}) == hashlib.blake2b(text, digest_size=8).hexdigest()
-    # Pinned, so a change of algorithm or rendering cannot pass unnoticed.
-    assert digest({"theorem": "bohr", "p": 2.0}) == "392909d12a556924"
+def test_digest_is_blake2b_64_of_packed_arguments():
+    assert DIGEST_ALG == "blake2b-64-pack"
+
+    def text(s):
+        return struct.pack("<cq", b"s", len(s)) + s.encode()
+
+    packed = (
+        text("bohr")
+        + text("p") + struct.pack("<cBd", b"d", 0, 2.0)
+        + text("z") + struct.pack("<cBdd", b"D", 0, 1.0, 2.0)
+        + text("w") + struct.pack("<cBdd", b"D", 0, 3.0, -1.0)
+    )
+    expected = hashlib.blake2b(packed, digest_size=8).hexdigest()
+    assert digest("bohr", _bohr_args()) == expected
+    # Pinned, so a change of algorithm or packing cannot pass unnoticed.
+    assert expected == "43f954099c85428d"
+
+
+def test_digest_packs_matrices_by_value_not_layout():
+    rng = make_rng(72)
+    a = rng.standard_normal((3, 3))
+    reference = digest("jensen-vec", {"f": make_function_spec("square", (-9.0, 9.0)),
+                                      "a": np.ascontiguousarray(a, dtype=complex),
+                                      "x": np.ones(3, dtype=complex)})
+    wide = rng.standard_normal((3, 6))
+    wide[:, ::2] = a
+    for layout in (a, np.asfortranarray(a), np.asfortranarray(a.astype(complex)), wide[:, ::2]):
+        args = {"f": make_function_spec("square", (-9.0, 9.0)), "a": layout, "x": [1.0, 1.0, 1.0]}
+        assert digest("jensen-vec", args) == reference
+    # A signed zero is a different value.
+    assert digest("jensen-vec", {"f": make_function_spec("square", (-9.0, 9.0)),
+                                 "a": a + 0j, "x": [-0.0, 1.0, 1.0]}) != reference
+
+
+def test_digest_rejects_nonfinite_arguments_naming_the_field():
+    with pytest.raises(SerializationError, match="field 'p'"):
+        digest("bohr", _bohr_args(p=float("inf")))
+    with pytest.raises(SerializationError, match="field 'z'"):
+        digest("bohr", _bohr_args(z=complex(1.0, float("nan"))))
+    with pytest.raises(SerializationError, match="field 'A'"):
+        digest("zh", {"r": 2.0, "p": [1.0], "a_list": [np.full((2, 2), np.inf)]})
+
+
+def test_signed_zeros_survive_decoding_and_the_digest():
+    # re + 1j*im would turn a real part of -0.0 into 0.0 wherever the
+    # imaginary part is +0.0, so the decoded arguments would pack to
+    # other bytes than those the payload was encoded from.
+    a = np.array([[complex(-0.0, 0.0), complex(-0.0, -0.0)], [complex(0.0, -0.0), 1.0]])
+    x = np.array([complex(-0.0, 0.0), complex(-0.0, -0.0)])
+    args = {"f": make_function_spec("square", (-3.0, 3.0)), "a": a, "x": x}
+    payload = json.loads(json.dumps(instance_to_json("jensen-vec", **args)))
+    assert payload["A"]["re"][0] == [-0.0, -0.0] and str(payload["A"]["re"][0][0]) == "-0.0"
+    theorem, decoded = instance_from_json(payload)
+    assert np.array_equal(np.signbit(decoded["a"].real), np.signbit(a.real))
+    assert np.array_equal(np.signbit(decoded["a"].imag), np.signbit(a.imag))
+    assert np.array_equal(np.signbit(decoded["x"].real), np.signbit(x.real))
+    assert digest(theorem, decoded) == digest("jensen-vec", args)
 
 
 # --- instance payloads ----------------------------------------------------------------------
@@ -225,7 +273,8 @@ def test_cor45_payload_fields_and_digest_stability():
     assert obj["r"] == 2.0
     assert obj["p"] == [0.5, 0.5]
     assert len(obj["A"]) == 2 and len(obj["X"]) == 2
-    assert digest(obj) == digest(json.loads(canonical_json(obj)))
+    args = {"a_list": a, "x_list": x, "p": [0.5, 0.5], "r": 2.0}
+    assert digest("cor45", args) == digest(*instance_from_json(json.loads(json.dumps(obj))))
 
 
 def test_jensen_payloads_embed_function_and_variant():
@@ -243,7 +292,7 @@ def test_jensen_payloads_embed_function_and_variant():
 
 def _generated(theorem, trial=0):
     cfg = CampaignConfig(theorem, 0, seed=11)
-    return generate_instance(cfg, trial, make_rng(cfg.seed, trial))[0]
+    return instance_to_json(theorem, **generate_instance(cfg, trial, make_rng(cfg.seed, trial)))
 
 
 def test_theorem_table_and_aliases_match_the_schema():
@@ -276,3 +325,28 @@ def test_instance_from_json_resolves_aliases_and_ignores_extra_keys():
     theorem, args = instance_from_json(payload)
     assert theorem == "cor45"
     assert sorted(args) == ["a_list", "p", "r", "x_list"]
+
+
+@pytest.mark.parametrize(
+    "theorem, key, value",
+    [
+        ("zh", "r", "Infinity"),
+        ("zh", "p", "[1.0, NaN]"),
+        ("bohr", "p", "-Infinity"),
+        ("bohr", "z", '{"re": Infinity, "im": 0.0}'),
+        ("bohr", "w", '{"re": 0.0, "im": NaN}'),
+        ("cornew", "alpha", "[Infinity]"),
+        ("jensen-vec", "f", '{"id": "abs_pow", "J": [-3.0, 3.0], "r": Infinity}'),
+        ("jensen-vec", "f", '{"id": "square", "J": [-Infinity, 3.0]}'),
+        ("thm1", "maps", '[{"alpha": Infinity, "map": {"kind": "congruence", "X": %s}}]'),
+        ("jensen-map", "map", '{"kind": "sum", "terms": [{"alpha": NaN, "map": '
+         '{"kind": "congruence", "X": %s}}]}'),
+    ],
+)
+def test_instance_from_json_rejects_nonfinite_numbers_naming_the_field(theorem, key, value):
+    if "%s" in value:
+        value %= json.dumps(matrix_to_json(np.eye(2)))
+    payload = _generated(theorem)
+    payload[key] = json.loads(value)
+    with pytest.raises(SerializationError, match=f"field '{key}'"):
+        instance_from_json(payload)
