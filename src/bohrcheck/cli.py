@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .cpmaps import SpecError, stinespring
+from .cpmaps import stinespring
 from .harness import (
     CampaignConfig,
     GenerationError,
@@ -27,7 +27,6 @@ from .harness import (
     replay,
     run_campaign,
 )
-from .linalg import DimensionError
 from .serialize import (
     SerializationError,
     THEOREM_ALIASES,
@@ -180,15 +179,8 @@ def main(argv=None) -> int:
         if args.command == "demo":
             print(demo_table())
             return EXIT_OK
-    except (
-        SerializationError,
-        HarnessError,
-        GenerationError,
-        SpecError,
-        DimensionError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    # Every input error (SerializationError, SpecError, DimensionError) is a ValueError.
+    except (HarnessError, GenerationError, FileNotFoundError, ValueError) as exc:
         print(f"bohrcheck: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -25,10 +25,12 @@ import numpy as np
 
 from .linalg import (
     DimensionError,
+    as_complex_matrix,
     frob,
     hermitize,
     make_rng,
     random_hermitian,
+    require_hermitian,
     require_square,
 )
 
@@ -68,9 +70,13 @@ PSD_TOL = 1e-10
 KRAUS_KEEP_RTOL = 1e-10
 
 
-def _frozen(a) -> np.ndarray:
-    """Defensive copy marked read-only; specs are immutable by contract."""
-    m = np.array(a, dtype=complex)
+def _frozen(validate, a, **kwargs) -> np.ndarray:
+    """``validate(a, **kwargs)`` as a read-only copy, since specs are
+    immutable by contract; a rejected input raises :class:`SpecError`."""
+    try:
+        m = np.array(validate(a, **kwargs))
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
     m.setflags(write=False)
     return m
 
@@ -82,12 +88,7 @@ class Congruence:
     x: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.x, dtype=complex)
-        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-            raise SpecError(f"congruence block must be a 2-d matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-            raise SpecError("congruence block must have finite entries")
-        object.__setattr__(self, "x", _frozen(m))
+        object.__setattr__(self, "x", _frozen(as_complex_matrix, self.x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,28 +96,21 @@ class DiagonalPOVM:
     """A -> sum_i A_ii P_i: diagonal entries weighted by PSD effects.
 
     Input dimension is the number of effects; every effect is an m x m PSD
-    matrix (checked within PSD_TOL at construction, all effects in one
-    stacked eigensolve).
+    matrix (checked within PSD_TOL at construction, all effects at once).
+    ``effects`` is a sequence of matrices or a ``(k, m, m)`` array, stored
+    as one read-only ``(k, m, m)`` array.
     """
 
-    effects: tuple[np.ndarray, ...]
+    effects: np.ndarray
 
     def __post_init__(self):
-        effs = tuple(require_square(p) for p in self.effects)
-        if not effs:
-            raise SpecError("POVM needs at least one effect")
-        m = effs[0].shape[0]
-        for i, p in enumerate(effs):
-            if p.shape != (m, m):
-                raise SpecError(f"effect {i} has shape {p.shape}, expected {(m, m)}")
-            if frob(p - p.conj().T) > PSD_TOL * max(1.0, frob(p)):
-                raise SpecError(f"effect {i} is not Hermitian within tolerance")
-        w = np.linalg.eigvalsh(hermitize(np.stack(effs)))
+        effs = _frozen(require_hermitian, self.effects, rtol=PSD_TOL, stack="effect")
+        w = np.linalg.eigvalsh(hermitize(effs))
         low = w[:, 0] < -PSD_TOL * np.maximum(1.0, w[:, -1])
         if low.any():
             i = int(np.argmax(low))
             raise SpecError(f"effect {i} has eigenvalue {w[i, 0]:.3e}, not PSD within tolerance")
-        object.__setattr__(self, "effects", tuple(_frozen(p) for p in effs))
+        object.__setattr__(self, "effects", effs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,12 +133,7 @@ class BlockExtraction:
             raise SpecError(
                 f"block index {self.index} outside [0, {self.block_count})"
             )
-        m = np.asarray(self.x, dtype=complex)
-        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-            raise SpecError(f"extraction block must be a 2-d matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-            raise SpecError("extraction block must have finite entries")
-        object.__setattr__(self, "x", _frozen(m))
+        object.__setattr__(self, "x", _frozen(as_complex_matrix, self.x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +228,7 @@ def _apply(spec: MapSpec, m: np.ndarray) -> np.ndarray:
 def applied_to_identity(spec: MapSpec) -> np.ndarray:
     """Phi(I) on the input dimension."""
     n_in, _ = map_dims(spec)
-    return hermitize(apply_map(spec, np.eye(n_in)))
+    return hermitize(_apply(spec, np.eye(n_in, dtype=complex)))
 
 
 def is_unital(spec: MapSpec, tol: float = PSD_TOL) -> bool:
@@ -406,7 +395,7 @@ def _post_conjugate(spec: MapSpec, s: np.ndarray) -> MapSpec:
     if isinstance(spec, Congruence):
         return Congruence(spec.x @ s)
     if isinstance(spec, DiagonalPOVM):
-        return DiagonalPOVM(tuple(s.conj().T @ p @ s for p in spec.effects))
+        return DiagonalPOVM(s.conj().T @ spec.effects @ s)
     if isinstance(spec, BlockExtraction):
         return BlockExtraction(spec.index, spec.block_count, spec.x @ s)
     if isinstance(spec, WeightedSum):

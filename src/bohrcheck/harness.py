@@ -42,7 +42,7 @@ from .cpmaps import (
     stinespring,
 )
 from .inequalities import CheckReport, NumericalError
-from .calculus import make_function_spec
+from .calculus import function_registry, make_function_spec
 from .linalg import (
     complex_gaussian,
     make_rng,
@@ -85,7 +85,8 @@ class CampaignConfig:
     needs r >= 2). ``variant`` forces one jensen-map profile; by default
     trials alternate between subunital and unital. ``rhs_scale`` rescales
     the right-hand constant of the eigenvalue Bohr checker and exists for
-    mutation-sensitivity experiments only.
+    mutation-sensitivity experiments only. Every setting is checked here,
+    so a bad one fails before a campaign writes anything.
     """
 
     theorem: str
@@ -104,18 +105,26 @@ class CampaignConfig:
 
     def __post_init__(self):
         canonical_theorem(self.theorem)
-        if self.trials < 0:
-            raise ValueError("trials must be >= 0")
-        for name in ("n_range", "m_range", "ell_range", "r_range"):
-            lo, hi = getattr(self, name)
-            if hi < lo:
-                raise ValueError(f"{name} is empty: ({lo}, {hi})")
-        if self.ell_range[0] < 1 or self.n_range[0] < 1 or self.m_range[0] < 1:
-            raise ValueError("dimension ranges must start at 1 or above")
-        if self.r_range[0] <= 1.0:
-            raise ValueError("r_range must stay strictly above 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        (lo, hi), tol, ids = self.spectrum, self.tol_override, tuple(self.function_ids)
+        dims = ("n_range", "m_range", "ell_range")
+        for ok, name, rule in (
+            (self.trials >= 0, "trials", ">= 0"),
+            (math.isfinite(lo) and math.isfinite(hi), "spectrum", "finite"),
+            *(
+                (getattr(self, n)[0] <= getattr(self, n)[1], n, "a nonempty range (lo, hi)")
+                for n in (*dims, "r_range", "spectrum")
+            ),
+            *((getattr(self, n)[0] >= 1, n, "a range from 1 up") for n in dims),
+            (self.r_range[0] > 1.0 and math.isfinite(self.r_range[1]), "r_range", "finite, > 1"),
+            (bool(ids) and set(ids) <= set(function_registry()), "function_ids",
+             f"a nonempty subset of {function_registry()}"),
+            (self.variant in (None, "subunital", "unital"), "variant", "None, subunital or unital"),
+            (tol is None or math.isfinite(tol) and tol >= 0, "tol_override", "None or finite >= 0"),
+            (math.isfinite(self.rhs_scale) and self.rhs_scale > 0, "rhs_scale", "finite > 0"),
+            (self.max_attempts >= 1, "max_attempts", ">= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -259,11 +268,8 @@ def _random_leaf_spec(n: int, m: int, rng, need_pd: bool) -> MapSpec:
         return BlockExtraction(
             _draw_int(rng, (0, b - 1)), b, complex_gaussian((d, m), rng) / math.sqrt(d)
         )
-    effects = []
-    for _ in range(n):
-        g = complex_gaussian((m, m), rng)
-        effects.append(g @ g.conj().T / (n * m))
-    return DiagonalPOVM(tuple(effects))
+    g = np.stack([complex_gaussian((m, m), rng) for _ in range(n)])
+    return DiagonalPOVM(g @ g.conj().swapaxes(-1, -2) / (n * m))
 
 
 def _random_map_spec(n: int, m: int, rng, need_pd: bool = False) -> MapSpec:
@@ -381,8 +387,8 @@ def _gen_cornew(cfg, rng, trial) -> dict:
     ell = _draw_int(rng, cfg.ell_range)
     alphas = rng.uniform(0.2, 2.0, size=ell)
     blocks = random_map_family(ell, n, n, alphas, rng)
-    mats = [random_hermitian(n, cfg.spectrum, rng) for _ in range(ell)]
-    mixed = sum(b.conj().T @ a @ b for a, b in zip(mats, blocks))
+    mats = random_hermitian(n, cfg.spectrum, rng, ell)
+    mixed = sum(blocks.conj().swapaxes(-1, -2) @ mats @ blocks)
     reach = max(
         1.0,
         max(abs(float(x)) for x in np.linalg.eigvalsh(mixed)),
@@ -408,7 +414,7 @@ def _gen_cor45(cfg, rng, trial) -> dict:
     if not np.all(np.isfinite(weights)):
         raise GenerationError(f"conjugate powers p^(1/(1-r)) overflow at r={r!r}")
     blocks = random_map_family(ell, n, n, weights, rng)
-    mats = [random_hermitian(n, cfg.spectrum, rng) for _ in range(ell)]
+    mats = random_hermitian(n, cfg.spectrum, rng, ell)
     return {"a_list": mats, "x_list": blocks, "p": p, "r": r}
 
 
@@ -417,7 +423,7 @@ def _gen_zh(cfg, rng, trial) -> dict:
     ell = _draw_int(rng, cfg.ell_range)
     r = _draw_r(cfg, rng, hi_cap=2.0)
     p = _sum_to_one_weights(ell, rng)
-    mats = [random_hermitian(n, cfg.spectrum, rng) for _ in range(ell)]
+    mats = random_hermitian(n, cfg.spectrum, rng, ell)
     return {"a_list": mats, "p": p, "r": r}
 
 
@@ -456,7 +462,7 @@ def _gen_inc_convex(cfg, rng, trial) -> dict:
     else:
         domain = cfg.spectrum
     f = _draw_function(cfg, rng, domain, ids=(fid,))
-    mats = [random_hermitian(n, domain, rng) for _ in range(ell)]
+    mats = random_hermitian(n, domain, rng, ell)
     return {"f": f, "a_list": mats, "p": p}
 
 
@@ -632,61 +638,40 @@ def replay(source: str | Path | dict, tol: float | None = None) -> CheckReport:
 
 def demo() -> list[dict]:
     """Worked examples: each row reports LHS, RHS, and slack (or residual)."""
-    rows = []
 
-    rep = inequalities.check_scalar_bohr(1.0 + 0.0j, 1.0 + 0.0j, 2.0)
-    rows.append(
-        {
-            "name": "scalar Bohr at the equality point w = (p-1)z",
-            "lhs": rep.partial_sums_lhs[-1],
-            "rhs": rep.partial_sums_rhs[-1],
-            "slack": rep.min_slack,
-            "verdict": rep.verdict,
-        }
-    )
+    def row(name, rep, sides=lambda sums: sums[-1]):
+        lhs, rhs = sides(rep.partial_sums_lhs), sides(rep.partial_sums_rhs)
+        slack, verdict = rep.min_slack, rep.verdict
+        return {"name": name, "lhs": lhs, "rhs": rhs, "slack": slack, "verdict": verdict}
 
-    p = np.array([0.5, 1.0, 2.0])
-    r = 2.5
+    p, r = np.array([0.5, 1.0, 2.0]), 2.5
     z = p ** (1.0 / (1.0 - r))
-    rep = inequalities.check_vasic_keckic(z.astype(complex), p, r)
-    rows.append(
-        {
-            "name": "Vasic-Keckic at the stationary family z_j = p_j^(1/(1-r))",
-            "lhs": rep.partial_sums_lhs[-1],
-            "rhs": rep.partial_sums_rhs[-1],
-            "slack": rep.min_slack,
-            "verdict": rep.verdict,
-        }
-    )
-
     dil = stinespring(Congruence(np.eye(3, dtype=complex)))
-    gram_defect = float(
-        np.linalg.norm(dil.isometry.conj().T @ dil.isometry - np.eye(3), "fro")
-    )
-    rows.append(
+    gram_defect = float(np.linalg.norm(dil.isometry.conj().T @ dil.isometry - np.eye(3), "fro"))
+    a1, a2 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    eye = np.eye(2, dtype=complex)
+    return [
+        row(
+            "scalar Bohr at the equality point w = (p-1)z",
+            inequalities.check_scalar_bohr(1.0 + 0.0j, 1.0 + 0.0j, 2.0),
+        ),
+        row(
+            "Vasic-Keckic at the stationary family z_j = p_j^(1/(1-r))",
+            inequalities.check_vasic_keckic(z.astype(complex), p, r),
+        ),
         {
             "name": "Stinespring dilation of the identity map on M_3",
             "lhs": dil.recon_residual,
             "rhs": gram_defect,
             "slack": 0.0,
             "verdict": "held" if max(dil.recon_residual, gram_defect) <= 1e-10 else "violated",
-        }
-    )
-
-    a1 = np.diag([1.0, 0.0]).astype(complex)
-    a2 = np.diag([0.0, 1.0]).astype(complex)
-    eye = np.eye(2, dtype=complex)
-    rep = inequalities.check_eigen_bohr([a1, a2], [eye, eye], [0.5, 0.5], 2.0)
-    rows.append(
-        {
-            "name": "eigenvalue Bohr on diag(1,0), diag(0,1), r=2, p=(1/2,1/2)",
-            "lhs": rep.partial_sums_lhs,
-            "rhs": rep.partial_sums_rhs,
-            "slack": rep.min_slack,
-            "verdict": rep.verdict,
-        }
-    )
-    return rows
+        },
+        row(
+            "eigenvalue Bohr on diag(1,0), diag(0,1), r=2, p=(1/2,1/2)",
+            inequalities.check_eigen_bohr([a1, a2], [eye, eye], [0.5, 0.5], 2.0),
+            sides=lambda sums: sums,
+        ),
+    ]
 
 
 def _fmt_value(v) -> str:

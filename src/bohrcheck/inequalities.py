@@ -32,7 +32,8 @@ import numpy as np
 
 from .calculus import ConvexFunctionSpec, abs_power, apply_fun
 from .cpmaps import MapSpec, map_dims, apply_map, applied_to_identity
-from .linalg import DimensionError, frob, hermitize, require_hermitian, require_square
+from .linalg import DimensionError, as_complex_matrix, frob, hermitize
+from .linalg import require_hermitian, require_square
 from .majorization import schatten_of_values, singular_values
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "OPERATOR_HYP_TOL",
     "NumericalError",
     "CheckReport",
-    "default_tolerance",
     "check_scalar_bohr",
     "check_vasic_keckic",
     "check_jensen_vector",
@@ -132,15 +132,6 @@ class CheckReport:
         }
 
 
-def default_tolerance(lhs, rhs) -> float:
-    """Absolute comparison tolerance: DEFAULT_RTOL * max(1, |sums|)."""
-    scale = 1.0
-    for v in (np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)):
-        if v.size:
-            scale = max(scale, float(np.max(np.abs(v))))
-    return DEFAULT_RTOL * scale
-
-
 def _weights(p) -> np.ndarray:
     w = np.asarray(p, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -173,26 +164,26 @@ def _na_report(theorem_id, hyps, tol, extras=None) -> CheckReport:
 def _graded_report(
     theorem_id, lhs, rhs, hyps, tol, extras=None, comparison="partial-sums"
 ) -> CheckReport:
-    lhs = np.asarray(lhs, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+    # Graded in Python floats, each step the IEEE operation numpy would do.
     # Sides are checked before they are subtracted, so no inf - inf is
     # computed; the slack of two finite sides can still overflow.
-    slack = rhs - lhs if np.isfinite(lhs).all() and np.isfinite(rhs).all() else None
-    if slack is None or not np.isfinite(slack).all():
-        raise NumericalError(
-            f"{theorem_id}: non-finite comparison, lhs {lhs.tolist()}, rhs {rhs.tolist()}"
-        )
-    tol_used = float(tol) if tol is not None else default_tolerance(lhs, rhs)
-    min_slack = float(np.min(slack))
-    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    equality_ks = [int(k) + 1 for k in np.nonzero(np.abs(slack) <= EQUALITY_RTOL * scale)[0]]
+    lhs = np.asarray(lhs, dtype=float).tolist()
+    rhs = np.asarray(rhs, dtype=float).tolist()
+    sides_finite = all(map(math.isfinite, lhs)) and all(map(math.isfinite, rhs))
+    slack = [r - l for l, r in zip(lhs, rhs)] if sides_finite else None
+    if slack is None or not all(map(math.isfinite, slack)):
+        raise NumericalError(f"{theorem_id}: non-finite comparison, lhs {lhs}, rhs {rhs}")
+    scale = max([1.0, *map(abs, lhs), *map(abs, rhs)])
+    tol_used = float(tol) if tol is not None else DEFAULT_RTOL * scale
+    min_slack = min(slack)
+    equality_ks = [k for k, s in enumerate(slack, 1) if abs(s) <= EQUALITY_RTOL * scale]
     merged = {"comparison": comparison, "equality_ks": equality_ks}
     merged.update(extras or {})
     return CheckReport(
         theorem_id=theorem_id,
         verdict="held" if min_slack >= -tol_used else "violated",
-        partial_sums_lhs=tuple(float(x) for x in lhs),
-        partial_sums_rhs=tuple(float(x) for x in rhs),
+        partial_sums_lhs=tuple(lhs),
+        partial_sums_rhs=tuple(rhs),
         min_slack=min_slack,
         tol_used=tol_used,
         hypothesis_report=dict(hyps),
@@ -205,25 +196,23 @@ def _family(a_list, weights, x_list=None, hermitian=True):
     is False), one finite weight each and, given ``x_list``, one n x n
     block X_i each. Returns ``(mats, weights, blocks)``, the matrices and
     the blocks as ``(ell, n, n)`` stacks (blocks None without ``x_list``),
-    so each family's spectral work runs as one stacked call.
+    each checked once, so each family's spectral work runs as one stacked
+    call. Messages name the first member that is ragged or not Hermitian.
     """
     # Validators are called by their module-global names, never captured,
     # so rebinding them (as tracing does) reaches every family.
-    mats = [require_hermitian(a) if hermitian else require_square(a) for a in a_list]
-    if not mats:
-        raise DimensionError("expected at least one matrix")
-    blocks = [] if x_list is None else [require_square(x) for x in x_list]
+    mats = (require_hermitian if hermitian else require_square)(a_list, stack="matrix")
     w = _weights(weights)
     if w.size != len(mats):
         raise DimensionError(f"{len(mats)} matrices but {w.size} weights")
-    if x_list is not None and len(blocks) != len(mats):
-        raise DimensionError(f"{len(mats)} matrices but {len(blocks)} blocks")
-    n = mats[0].shape[0]
-    for kind, family in (("matrix", mats), ("block", blocks)):
-        for i, m in enumerate(family):
-            if m.shape != (n, n):
-                raise DimensionError(f"{kind} {i} has shape {m.shape}, expected {(n, n)}")
-    return np.stack(mats), w, np.stack(blocks) if x_list is not None else None
+    if x_list is None:
+        return mats, w, None
+    if len(x_list) != len(mats):
+        raise DimensionError(f"{len(mats)} matrices but {len(x_list)} blocks")
+    blocks = as_complex_matrix(x_list, stack="block")
+    if blocks.shape != mats.shape:
+        raise DimensionError(f"block 0 has shape {blocks.shape[1:]}, expected {mats.shape[1:]}")
+    return mats, w, blocks
 
 
 def _descending(values) -> np.ndarray:
@@ -490,7 +479,7 @@ def check_cor_congruence(
         return _na_report("cornew", hyps, tol)
 
     lhs = np.cumsum(_descending(f(f.domain.clamp(mu))))
-    images = xh @ np.stack([apply_fun(f, m) for m in mats]) @ blocks
+    images = xh @ apply_fun(f, mats) @ blocks
     right = np.zeros_like(mixed)
     for w, image in zip(aw, images):
         right += w * float(f(f.domain.clamp(1.0 / w))) * image
@@ -578,15 +567,13 @@ def check_norm_bohr(a_list, p, r, tol: float | None = None) -> CheckReport:
 
     # Both matrices are PSD: clip roundoff; the Schatten sums run in
     # eigvalsh's ascending order.
-    wl, wr = np.clip(wl, 0.0, None), np.clip(wr, 0.0, None)
-    schatten = {}
-    schatten_ok = True
-    for order in (1.0, 1.5, 2.0, 3.0, 10.0):
-        ln = schatten_of_values(wl, order)
-        rn = schatten_of_values(wr, order)
-        schatten[f"{order:g}"] = [ln, rn]
-        if ln > rn + DEFAULT_RTOL * max(1.0, ln, rn):
-            schatten_ok = False
+    orders = (1.0, 1.5, 2.0, 3.0, 10.0)
+    left_norms = schatten_of_values(np.clip(wl, 0.0, None), orders)
+    right_norms = schatten_of_values(np.clip(wr, 0.0, None), orders)
+    schatten = {f"{q:g}": [ln, rn] for q, ln, rn in zip(orders, left_norms, right_norms)}
+    schatten_ok = not any(
+        ln > rn + DEFAULT_RTOL * max(1.0, ln, rn) for ln, rn in zip(left_norms, right_norms)
+    )
     extras = {"schatten_orders": schatten, "schatten_ok": schatten_ok}
     return _graded_report("zh", lhs, rhs, hyps, tol, extras)
 
@@ -687,7 +674,7 @@ def check_increasing_convex_eigen(
     if not all(hyps.values()):
         return _na_report("inc-convex", hyps, tol)
     lhs = _descending(f(f.domain.clamp(mu)))
-    right = hermitize(sum(w * apply_fun(f, m) for w, m in zip(pw, mats)))
+    right = hermitize(sum(w * fm for w, fm in zip(pw, apply_fun(f, mats))))
     rhs = _descending(np.linalg.eigvalsh(right))
     return _graded_report(
         "inc-convex", lhs, rhs, hyps, tol, comparison="pointwise"

@@ -117,12 +117,25 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 # --- validation helpers ----------------------------------------------------
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex ndarray with finite entries."""
+def as_complex_matrix(a, *, stack: str | None = None) -> np.ndarray:
+    """Coerce to a 2-d complex ndarray with finite entries.
+
+    With ``stack``, ``a`` is a nonempty sequence of matrices of one shape,
+    checked once as a ``(k, n, m)`` array; messages call a member
+    ``f"{stack} {i}"`` and name the first one whose shape differs.
+    """
+    if stack is not None:
+        # Compared before stacking, so numpy never sees a ragged family.
+        shapes = [np.shape(x) for x in a]
+        if not shapes:
+            raise DimensionError(f"expected at least one {stack}")
+        for i, shape in enumerate(shapes):
+            if shape != shapes[0]:
+                raise DimensionError(f"{stack} {i} has shape {shape}, expected {shapes[0]}")
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+    if m.ndim != (2 if stack is None else 3) or min(m.shape) < 1:
         raise DimensionError(
-            f"expected a 2-d matrix with positive dimensions, got shape {m.shape}"
+            f"expected 2-d matrices with positive dimensions, got shape {m.shape}"
         )
     # A complex entry is finite exactly when both of its parts are.
     if not np.isfinite(m).all():
@@ -130,10 +143,10 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def require_square(a) -> np.ndarray:
-    m = as_complex_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+def require_square(a, *, stack: str | None = None) -> np.ndarray:
+    m = as_complex_matrix(a, stack=stack)
+    if m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"expected square matrices, got shape {m.shape}")
     return m
 
 
@@ -148,12 +161,20 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def require_hermitian(a, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
-    m = require_square(a)
-    defect = frob(m - m.conj().T)
-    if defect > rtol * max(1.0, frob(m)):
+def require_hermitian(a, rtol: float = HERMITIAN_RTOL, *, stack: str | None = None) -> np.ndarray:
+    """Square matrix (or ``stack``, see :func:`as_complex_matrix`) with
+    ||A - A*||_F <= rtol * max(1, ||A||_F) for each matrix."""
+    m = require_square(a, stack=stack)
+    if stack is None:  # frob's dot products beat a per-slice norm on one matrix
+        defect, size, name = frob(m - m.conj().T), frob(m), "matrix"
+    else:
+        defects = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1))
+        sizes = np.linalg.norm(m, axis=(-2, -1))
+        i = int(np.argmax(defects > rtol * np.maximum(1.0, sizes)))
+        defect, size, name = float(defects[i]), float(sizes[i]), f"{stack} {i}"
+    if defect > rtol * max(1.0, size):
         raise ValueError(
-            f"matrix is not Hermitian: ||A - A*||_F = {defect:.3e} exceeds "
+            f"{name} is not Hermitian: ||A - A*||_F = {defect:.3e} exceeds "
             f"{rtol:g} * max(1, ||A||_F)"
         )
     return m
@@ -173,18 +194,25 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def eig_hermitian(a, rtol: float = HERMITIAN_RTOL) -> EigenDecomposition:
+def eig_hermitian(
+    a, rtol: float = HERMITIAN_RTOL, *, stack: str | None = None
+) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Ties keep the backend's order (stable sort), so the output is a
-    deterministic function of the input. A backend that fails to converge
-    raises ``numpy.linalg.LinAlgError``, which a campaign records as an
-    error line.
+    deterministic function of the input. A ``stack`` (see
+    :func:`as_complex_matrix`) is decomposed in one call, each member bit
+    for bit as alone. A backend that fails to converge raises
+    ``numpy.linalg.LinAlgError``, which a campaign records as an error line.
     """
-    m = require_hermitian(a, rtol)
+    m = require_hermitian(a, rtol, stack=stack)
     w, u = np.linalg.eigh(hermitize(m))
-    order = np.argsort(-w, kind="stable")
-    return EigenDecomposition(w[order], u[:, order])
+    order = np.argsort(-w, axis=-1, kind="stable")
+    if stack is None:  # plain indexing beats take_along_axis on one matrix
+        return EigenDecomposition(w[order], u[:, order])
+    return EigenDecomposition(
+        np.take_along_axis(w, order, -1), np.take_along_axis(u, order[:, None, :], -1)
+    )
 
 
 # --- random structured inputs ----------------------------------------------
@@ -195,44 +223,49 @@ def complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary.
+def _haar(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from Ginibre draws z of shape (..., n, n): QR, with
+    column phases fixed so the R factor has positive diagonal (without the
+    fix QR's sign ambiguity skews the distribution)."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d[d == 0] = 1.0
+    return q * (d / np.abs(d))[..., None, :]
 
-    QR of a complex Ginibre draw, with column phases fixed so the R factor
-    has positive diagonal; without the fix QR's sign ambiguity skews the
-    distribution.
-    """
+
+def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed n x n unitary (QR of a complex Ginibre draw)."""
     if n < 1:
         raise DimensionError(f"unitary dimension must be >= 1, got {n}")
-    z = complex_gaussian((n, n), rng)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
-    d[d == 0] = 1.0
-    return q * (d / np.abs(d))
+    return _haar(complex_gaussian((n, n), rng))
 
 
-def random_hermitian(n: int, interval, rng: np.random.Generator) -> np.ndarray:
+def random_hermitian(
+    n: int, interval, rng: np.random.Generator, count: int | None = None
+) -> np.ndarray:
     """Random Hermitian matrix with spectrum drawn uniformly in an interval.
 
     Conjugates a uniform eigenvalue draw by a Haar unitary, so the spectrum
     lies in [lo, hi] by construction (degenerate intervals give lam * I).
+    With ``count``, a ``(count, n, n)`` family: the members' numbers are
+    drawn in turn, then factored and conjugated in one stacked call, so
+    member i equals the i-th of ``count`` sequential calls bit for bit.
     """
     if n < 1:
         raise DimensionError(f"matrix dimension must be >= 1, got {n}")
     iv = as_interval(interval)
-    lam = rng.uniform(iv.lo, iv.hi, size=n)
-    u = random_unitary(n, rng)
-    return hermitize((u * lam) @ u.conj().T)
+    k = 1 if count is None else count
+    draws = [(rng.uniform(iv.lo, iv.hi, size=n), complex_gaussian((n, n), rng)) for _ in range(k)]
+    lam, z = draws[0] if count is None else map(np.stack, zip(*draws))
+    u = _haar(z)
+    return hermitize((u * lam[..., None, :]) @ u.conj().swapaxes(-1, -2))
 
 
 def random_map_family(
-    ell: int,
-    n: int,
-    m: int,
-    weights: Sequence[float],
-    rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Random n x m blocks X_i with sum_i w_i X_i* X_i <= I_m.
+    ell: int, n: int, m: int, weights: Sequence[float], rng: np.random.Generator
+) -> np.ndarray:
+    """Random n x m blocks X_i with sum_i w_i X_i* X_i <= I_m, as an
+    ``(ell, n, m)`` stack.
 
     Draws Ginibre blocks Y_i and rescales them all by
     1/sqrt(max(1, lambda_max(sum_i w_i Y_i* Y_i))), which enforces the
@@ -248,10 +281,9 @@ def random_map_family(
         raise DimensionError(f"expected {ell} weights, got shape {w.shape}")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError("weights must be finite and nonnegative")
-    ys = [complex_gaussian((n, m), rng) for _ in range(ell)]
+    ys = np.stack([complex_gaussian((n, m), rng) for _ in range(ell)])
     g = np.zeros((m, m), dtype=complex)
-    for wi, y in zip(w, ys):
-        g += wi * (y.conj().T @ y)
+    for wi, gram in zip(w, ys.conj().swapaxes(-1, -2) @ ys):
+        g += wi * gram
     top = float(np.linalg.eigvalsh(hermitize(g))[-1]) if np.any(w > 0) else 0.0
-    s = 1.0 / math.sqrt(max(1.0, top))
-    return [s * y for y in ys]
+    return ys * (1.0 / math.sqrt(max(1.0, top)))

@@ -44,20 +44,29 @@ def singular_values(a) -> np.ndarray:
     return np.sqrt(w)[::-1]
 
 
-def schatten_of_values(values, p: float) -> float:
+def schatten_of_values(values, p):
     """(sum_j v_j^p)^(1/p) of nonnegative values v, for p >= 1.
 
-    Sums in the order given, so callers fix their own roundoff. The largest
-    value is factored out so v^p cannot overflow for large p.
+    ``p`` is one order, giving a float, or a sequence of orders, giving a
+    list with one sum per order in one stacked reduction. Sums in the
+    order given, so callers fix their own roundoff. The largest value is
+    factored out so v^p cannot overflow for large p.
     """
-    p = float(p)
-    if not math.isfinite(p) or p < 1.0:
-        raise ValueError(f"Schatten order must satisfy p >= 1, got {p}")
+    orders = [float(q) for q in np.atleast_1d(p)]
+    for q in orders:
+        if not math.isfinite(q) or q < 1.0:
+            raise ValueError(f"Schatten order must satisfy p >= 1, got {q}")
     v = np.asarray(values, dtype=float)
     top = float(np.max(v))
     if top == 0.0:
-        return 0.0
-    return top * float(np.sum((v / top) ** p)) ** (1.0 / p)
+        norms = [0.0] * len(orders)
+    else:
+        u = v / top
+        # One power per order: a scalar exponent keeps numpy's exact
+        # square at p = 2, which an array of exponents does not.
+        sums = np.sum([u**q for q in orders], axis=-1).tolist()
+        norms = [top * s ** (1.0 / q) for q, s in zip(orders, sums)]
+    return norms if np.ndim(p) else norms[0]
 
 
 def ky_fan_max_estimate(a, k: int, trials: int, rng: np.random.Generator) -> float:

@@ -5,8 +5,10 @@ singular values come from np.linalg.svd instead of the Gram
 eigendecomposition, Choi matrices are assembled with np.kron instead of
 block writes, flag scans evaluate the full pair grid instead of its upper
 triangle, complete positivity is decided by applying the lifted map
-to explicit positive inputs, and partial sums are accumulated in plain
-Python.
+to explicit positive inputs, partial sums are accumulated in plain
+Python, random families are drawn and factored one member at a time
+instead of as one stack, and reports are graded on numpy arrays instead
+of Python floats.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import numpy as np
 
 from bohrcheck.calculus import SCAN_TOL
 from bohrcheck.cpmaps import MapSpec, apply_map, map_dims
+from bohrcheck.inequalities import DEFAULT_RTOL, EQUALITY_RTOL, CheckReport
+from bohrcheck.linalg import complex_gaussian, hermitize
 
 MASK64 = (1 << 64) - 1
 
@@ -171,3 +175,47 @@ def scan_function_flags(fn, lo: float, hi: float, grid_size: int) -> tuple[dict,
         "submultiplicative": sub_worst,
     }
     return flags, worst
+
+
+def random_hermitian_ref(n: int, lo: float, hi: float, rng) -> np.ndarray:
+    """One Haar-conjugated uniform spectrum, factored as a lone matrix."""
+    lam = rng.uniform(lo, hi, size=n)
+    q, r = np.linalg.qr(complex_gaussian((n, n), rng))
+    d = np.diagonal(r).copy()
+    d[d == 0] = 1.0
+    u = q * (d / np.abs(d))
+    return hermitize((u * lam) @ u.conj().T)
+
+
+def random_map_family_ref(ell: int, n: int, m: int, weights, rng) -> list[np.ndarray]:
+    """Contractive Ginibre blocks, one Gram product per member."""
+    ys = [complex_gaussian((n, m), rng) for _ in range(ell)]
+    g = np.zeros((m, m), dtype=complex)
+    for wi, y in zip(weights, ys):
+        g += wi * (y.conj().T @ y)
+    top = float(np.linalg.eigvalsh(hermitize(g))[-1]) if np.any(np.asarray(weights) > 0) else 0.0
+    s = 1.0 / math.sqrt(max(1.0, top))
+    return [s * y for y in ys]
+
+
+def graded_report_ref(theorem_id, lhs, rhs, hyps, tol, extras=None, comparison="partial-sums"):
+    """A report graded on numpy arrays (the checkers grade in Python floats)."""
+    lhs = np.asarray(lhs, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    slack = rhs - lhs
+    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+    min_slack = float(np.min(slack))
+    tol_used = float(tol) if tol is not None else DEFAULT_RTOL * scale
+    near = np.nonzero(np.abs(slack) <= EQUALITY_RTOL * scale)[0]
+    merged = {"comparison": comparison, "equality_ks": [int(k) + 1 for k in near]}
+    merged.update(extras or {})
+    return CheckReport(
+        theorem_id=theorem_id,
+        verdict="held" if min_slack >= -tol_used else "violated",
+        partial_sums_lhs=tuple(float(x) for x in lhs),
+        partial_sums_rhs=tuple(float(x) for x in rhs),
+        min_slack=min_slack,
+        tol_used=tol_used,
+        hypothesis_report=dict(hyps),
+        extras=merged,
+    )

@@ -252,6 +252,32 @@ def test_apply_fun_clamps_roundoff_but_rejects_real_excursions():
         apply_fun(f, np.diag([1.5, 0.0]))
 
 
+def test_apply_fun_on_a_stack_is_each_member_alone():
+    rng = make_rng(52)
+    for fid, domain in (("expm1", (-3.0, 3.0)), ("relu", (-3.0, 3.0)), ("half_pow", (0.0, 3.0))):
+        f = make_function_spec(fid, domain, 2.5 if fid == "half_pow" else None)
+        for n in range(1, 9):
+            # A scalar member has repeated eigenvalues, whose order is a tie.
+            mats = np.stack([random_hermitian(n, domain, rng) for _ in range(3)] + [np.eye(n)])
+            out = apply_fun(f, mats)
+            assert out.shape == mats.shape
+            for got, m in zip(out, mats):
+                want = apply_fun(f, m)
+                assert got.tobytes() == want.tobytes()
+
+
+def test_apply_fun_on_a_stack_reports_the_escaping_member():
+    f = make_function_spec("square", (-1.0, 1.0))
+    mats = np.stack([np.diag([0.5, 0.0]), np.diag([1.5, -0.25]), np.diag([2.0, 0.0])])
+    message = r"^spectrum \[-0\.25, 1\.5\] escapes domain \[-1, 1\] beyond tolerance 1\.5e-09$"
+    with pytest.raises(DomainError, match=message):
+        apply_fun(f, mats)
+    with pytest.raises(DomainError, match=message):
+        apply_fun(f, mats[1])
+    with pytest.raises(ValueError, match="^matrix 1 is not Hermitian"):
+        apply_fun(f, np.stack([np.eye(2), np.triu(np.ones((2, 2)))]))
+
+
 def test_apply_fun_rejects_nonfinite_values():
     f = make_function_spec("linear", (-2, 2))
     bad = type(f)(

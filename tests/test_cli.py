@@ -230,6 +230,19 @@ def test_fuzz_usage_errors_exit_one(tmp_path, capsys):
     assert "r_range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--rhs-scale", "0", "rhs_scale"), ("--tol", "-1", "tol_override"), ("--r-max", "inf", "r_range")],
+)
+def test_fuzz_bad_setting_exits_one_before_writing_a_report(tmp_path, capsys, flag, value, field):
+    # These once left a 0-byte report, or ran and recorded a verdict.
+    out = tmp_path / "never.jsonl"
+    argv = ["fuzz", "--theorem", "zh", "--trials", "3", "--seed", "1", flag, value, "--out", str(out)]
+    assert main(argv) == 1
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_no_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

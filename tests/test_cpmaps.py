@@ -106,6 +106,27 @@ def test_povm_names_the_bad_effect(k):
     effects[k] = np.eye(3, dtype=complex)
     with pytest.raises(SpecError, match=f"^effect {max(k, 1)} has shape"):
         DiagonalPOVM(tuple(effects))
+    # Ragged effects are named before numpy would try to stack them.
+    effects[k] = np.ones(2, dtype=complex)
+    with pytest.raises(SpecError, match=f"^effect {max(k, 1)} has shape"):
+        DiagonalPOVM(tuple(effects))
+
+
+def test_povm_from_a_stack_equals_povm_from_a_tuple():
+    rng = make_rng(77)
+    for n, m in ((1, 1), (3, 2), (4, 5)):
+        g = np.stack([complex_gaussian((m, m), rng) for _ in range(n)])
+        stacked = DiagonalPOVM(g @ g.conj().swapaxes(-1, -2) / (n * m))
+        single = DiagonalPOVM(tuple(x @ x.conj().T / (n * m) for x in g))
+        assert stacked.effects.shape == (n, m, m) and not stacked.effects.flags.writeable
+        assert stacked.effects.tobytes() == single.effects.tobytes()
+        a = random_hermitian(n, (-2.0, 2.0), rng)
+        assert apply_map(stacked, a).tobytes() == apply_map(single, a).tobytes()
+    # The spec keeps its own copy of the effects.
+    effects = np.stack([np.eye(2, dtype=complex)] * 2)
+    spec = DiagonalPOVM(effects)
+    effects[0] = 0.0
+    assert np.array_equal(spec.effects[0], np.eye(2))
 
 
 def test_block_extraction_picks_the_right_block():

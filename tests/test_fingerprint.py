@@ -5,19 +5,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from bohrcheck.serialize import THEOREMS
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 
 
-def _run(*flags):
-    return subprocess.run(
+def _run(*flags, stream="stdout"):
+    done = subprocess.run(
         [sys.executable, str(TOOL), "--trials", "3", *flags],
         capture_output=True,
         text=True,
         check=True,
         timeout=300,
-    ).stdout.splitlines()
+    )
+    return getattr(done, stream).splitlines()
 
 
 def test_fingerprint_prints_one_sha256_per_output():
@@ -28,6 +31,14 @@ def test_fingerprint_prints_one_sha256_per_output():
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.rsplit(" ", 1)[1]) for line in lines)
     # Seeds 7 and 42 draw different instances, so their reports differ.
     assert len({line.rsplit(" ", 1)[1] for line in lines}) == len(lines)
+
+
+def test_environment_goes_to_stderr_only():
+    # stdout holds fingerprint lines only (checked above); the numpy and
+    # BLAS versions that explain a cross-machine mismatch go to stderr.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    expected = f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
+    assert _run(stream="stderr") == [expected]
 
 
 def test_mask_digests_changes_only_outputs_that_carry_digests():

@@ -61,6 +61,46 @@ def test_config_rejects_bad_values():
         CampaignConfig("bohr", 1, 0, max_attempts=0)
 
 
+def test_config_rejects_bad_spectrum():
+    # Each of these once aborted a campaign part-way instead.
+    for spectrum in ((3.0, -3.0), (float("nan"), 3.0), (-3.0, float("inf"))):
+        with pytest.raises(ValueError, match="^spectrum must be"):
+            CampaignConfig("zh", 1, 0, spectrum=spectrum)
+
+
+def test_config_rejects_bad_function_ids():
+    for ids in ((), ("square", "cube")):
+        with pytest.raises(ValueError, match="^function_ids must be a nonempty subset"):
+            CampaignConfig("jensen-map", 1, 0, function_ids=ids)
+    assert CampaignConfig("jensen-map", 1, 0, function_ids=("linear",)).function_ids == ("linear",)
+
+
+def test_config_rejects_bad_variant():
+    with pytest.raises(ValueError, match="^variant must be"):
+        CampaignConfig("jensen-map", 1, 0, variant="unitary")
+    for variant in (None, "subunital", "unital"):
+        CampaignConfig("jensen-map", 1, 0, variant=variant)
+
+
+def test_config_rejects_unbounded_r_range():
+    for r_range in ((1.5, float("inf")), (1.5, float("nan")), (float("nan"), 2.0)):
+        with pytest.raises(ValueError, match="^r_range must be"):
+            CampaignConfig("cor45", 1, 0, r_range=r_range)
+
+
+def test_config_rejects_bad_tol_override():
+    for tol in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^tol_override must be"):
+            CampaignConfig("zh", 1, 0, tol_override=tol)
+    assert CampaignConfig("zh", 1, 0, tol_override=0.0).tol_override == 0.0
+
+
+def test_config_rejects_bad_rhs_scale():
+    for scale in (0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^rhs_scale must be"):
+            CampaignConfig("cor45", 1, 0, rhs_scale=scale)
+
+
 def test_config_accepts_theorem_alias():
     cfg = CampaignConfig("cor4.5", 1, 0)
     assert cfg.theorem == "cor4.5"  # stored as given, canonicalized on use

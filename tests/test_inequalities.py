@@ -1,6 +1,8 @@
 """Inequality checkers: hand values, equality families, gating, cross-checks."""
 
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from bohrcheck.calculus import make_function_spec
 from bohrcheck.cpmaps import Congruence, DiagonalPOVM
 from bohrcheck.inequalities import (
     NumericalError,
+    _graded_report,
     check_cor_congruence,
     check_eigen_bohr,
     check_increasing_convex_eigen,
@@ -30,8 +33,8 @@ from bohrcheck.linalg import (
     random_unitary,
 )
 from bohrcheck import serialize
-from bohrcheck.harness import run_instance
-from oracles import fun_hermitian_ref, partial_sums_desc
+from bohrcheck.harness import CampaignConfig, run_campaign, run_instance
+from oracles import fun_hermitian_ref, graded_report_ref, partial_sums_desc
 
 DIAG1 = np.diag([1.0, 0.0]).astype(complex)
 DIAG2 = np.diag([0.0, 1.0]).astype(complex)
@@ -651,6 +654,60 @@ def test_family_checkers_reject_malformed_families(theorem):
             check([DIAG1, DIAG2], half, [EYE2])
         with pytest.raises(DimensionError, match="block 1 has shape"):
             check([DIAG1, DIAG2], half, [EYE2, np.eye(3)])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("theorem", ["cornew", "cor45", "zh", "prop-r2", "sumsq", "inc-convex"])
+def test_family_messages_name_the_bad_member(theorem, k):
+    check = _family_checker(theorem)
+    third = [1 / 3] * 3
+    mats = [DIAG1, DIAG2, EYE2]
+    mats[k] = np.eye(3, dtype=complex)
+    bad, shape, expected = (1, (2, 2), (3, 3)) if k == 0 else (k, (3, 3), (2, 2))
+    message = f"matrix {bad} has shape {shape}, expected {expected}"
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        check(mats, third, [EYE2] * 3)
+    mats[k] = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    if theorem in ("prop-r2", "sumsq"):  # their members need not be Hermitian
+        check(mats, third, [EYE2] * 3)
+    else:
+        with pytest.raises(ValueError, match=f"^matrix {k} is not Hermitian: "):
+            check(mats, third, [EYE2] * 3)
+
+
+def test_graded_report_matches_the_numpy_grader():
+    cases = [
+        ([1.0, 2.0], [1.5, 2.0]),  # a zero slack
+        ([1.0, 3.0, 4.0], [1.0 + 2e-10, 3.0 - 1e-11, 5.0]),  # ties within EQUALITY_RTOL * scale
+        ([2.0, 5.0], [1.0, 5.0 + 1e-9]),  # violated
+        ([-7.5e-9], [-1.5e-8]),  # inside the default tolerance, outside tol=0
+        ([0.0, 0.0, 0.25], [0.0, 0.0, 1.0]),
+        ([1e300], [2e300]),
+    ]
+    rng = make_rng(211)
+    for _ in range(200):
+        k = int(rng.integers(1, 9))
+        lhs = np.cumsum(rng.standard_normal(k) * 10.0 ** float(rng.uniform(-3, 3)))
+        cases.append((lhs, lhs + rng.choice([0.0, 1e-12, -1e-7, 1.0], size=k)))
+    for lhs, rhs in cases:
+        for tol in (None, 0.0, 1e-3):
+            for comparison in ("partial-sums", "pointwise"):
+                args = ("t", lhs, rhs, {"h": True}, tol, {"x": 1}, comparison)
+                got, want = _graded_report(*args), graded_report_ref(*args)
+                assert got == want
+                assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+@pytest.mark.parametrize("theorem", ["cornew", "cor45", "zh", "prop-r2", "sumsq", "inc-convex"])
+def test_campaign_reports_regrade_alike_on_numpy(theorem):
+    for rec in run_campaign(CampaignConfig(theorem, 40, seed=17)).records:
+        rep = rec.report
+        if rep is None or rep.min_slack is None:
+            continue
+        extras = {k: v for k, v in rep.extras.items() if k not in ("comparison", "equality_ks")}
+        args = (theorem, rep.partial_sums_lhs, rep.partial_sums_rhs, rep.hypothesis_report)
+        want = graded_report_ref(*args, None, extras, rep.extras["comparison"])
+        assert json.dumps(rep.to_json()) == json.dumps(replace(want, input_digest=rep.input_digest).to_json())
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

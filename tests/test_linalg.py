@@ -1,5 +1,7 @@
 """Core linear algebra: intervals, seeded streams, eigensolver, samplers."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from bohrcheck.linalg import (
     stream_key,
 )
 from bohrcheck.calculus import abs_power
-from oracles import splitmix64_ref
+from oracles import random_hermitian_ref, random_map_family_ref, splitmix64_ref
 
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -147,6 +149,53 @@ def test_eig_hermitian_rejects_non_hermitian():
         eig_hermitian(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_eig_hermitian_of_a_stack_is_each_member_alone():
+    rng = make_rng(16)
+    for n in range(1, 9):
+        # A repeated eigenvalue exercises the stable order of ties.
+        mats = [random_hermitian(n, (-2.0, 2.0), rng) for _ in range(3)] + [np.eye(n) * 0.5]
+        w, u = eig_hermitian(np.stack(mats), stack="matrix")
+        for i, m in enumerate(mats):
+            wi, ui = eig_hermitian(m)
+            assert _same_bits(w[i], wi) and _same_bits(u[i], ui)
+
+
+def test_validators_take_a_stack_only_when_asked():
+    stack = np.stack([np.eye(2, dtype=complex)] * 3)
+    for check in (as_complex_matrix, require_square, require_hermitian, eig_hermitian):
+        with pytest.raises(DimensionError):
+            check(stack)
+    assert require_hermitian(stack, stack="matrix").shape == (3, 2, 2)
+    assert require_hermitian(list(stack), stack="matrix").shape == (3, 2, 2)
+    with pytest.raises(DimensionError, match="expected at least one block"):
+        as_complex_matrix([], stack="block")
+    with pytest.raises(DimensionError, match="expected square matrices"):
+        require_square([np.zeros((2, 3))] * 2, stack="matrix")
+    with pytest.raises(DimensionError):
+        require_square(np.eye(2), stack="matrix")  # one matrix is not a stack
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        as_complex_matrix([np.eye(2), np.full((2, 2), np.nan)], stack="matrix")
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_stacked_validators_name_the_bad_member(k):
+    mats = [np.eye(2, dtype=complex) for _ in range(3)]
+    mats[k] = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match=f"^effect {k} is not Hermitian: "):
+        require_hermitian(mats, stack="effect")
+    mats[k] = np.eye(3, dtype=complex)
+    # Member 0 sets the expected shape, so a bad member 0 is reported at 1.
+    bad, shape, expected = (1, (2, 2), (3, 3)) if k == 0 else (k, (3, 3), (2, 2))
+    message = f"block {bad} has shape {shape}, expected {expected}"
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        as_complex_matrix(mats, stack="block")
+
+
 def test_weyl_monotonicity_under_psd_bump():
     rng = make_rng(103)
     for _ in range(100):
@@ -232,6 +281,34 @@ def test_random_map_family_respects_constraint():
         gram = sum(wi * (x.conj().T @ x) for wi, x in zip(w, xs))
         top = float(np.linalg.eigvalsh(hermitize(gram))[-1])
         assert top <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_random_hermitian_family_is_its_sequential_draws(n):
+    # A family consumes the stream as k sequential draws do, and member i
+    # is the i-th draw bit for bit, factored alone or one member at a time.
+    for k in range(1, 5):
+        seed = 100 * n + k
+        family_rng, single_rng, ref_rng = make_rng(seed), make_rng(seed), make_rng(seed)
+        family = random_hermitian(n, (-3.0, 3.0), family_rng, k)
+        assert family.shape == (k, n, n)
+        for member in family:
+            assert _same_bits(member, random_hermitian(n, (-3.0, 3.0), single_rng))
+            assert _same_bits(member, random_hermitian_ref(n, -3.0, 3.0, ref_rng))
+        assert family_rng.uniform() == single_rng.uniform() == ref_rng.uniform()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_random_map_family_is_its_member_by_member_draws(n):
+    for ell in range(1, 5):
+        for m, weights in ((n, np.linspace(0.2, 2.0, ell)), (9 - n, np.zeros(ell))):
+            seed = 1000 * n + 10 * ell + m
+            got_rng, ref_rng = make_rng(seed), make_rng(seed)
+            got = random_map_family(ell, n, m, weights, got_rng)
+            ref = random_map_family_ref(ell, n, m, weights, ref_rng)
+            assert got.shape == (ell, n, m)
+            assert all(_same_bits(x, y) for x, y in zip(got, ref))
+            assert got_rng.uniform() == ref_rng.uniform()
 
 
 def test_random_map_family_zero_weights_unscaled():

@@ -171,6 +171,22 @@ def test_schatten_of_values_is_the_norm_of_its_values():
         assert schatten_of_values(s[::-1], p) == pytest.approx(got, rel=1e-13)
 
 
+def test_schatten_of_values_over_orders_is_each_order_alone():
+    orders = (1.0, 1.5, 2.0, 3.0, 10.0)
+    rng = make_rng(47)
+    # On x86-64 numpy 2.4, one power with an array of exponents misses
+    # numpy's exact square at p = 2 on these vectors; a scalar exponent
+    # per order does not.
+    pinned = [[2.8, 0.257, 2.535], [1.668, 0.72, 2.224], [2.381, 1.197, 1.782, 2.212]]
+    drawn = [np.clip(3.0 * rng.standard_normal(int(rng.integers(1, 9))), 0.0, None) for _ in range(500)]
+    for v in pinned + drawn + [[0.0, 0.0]]:
+        got = schatten_of_values(v, orders)
+        assert isinstance(got, list) and len(got) == len(orders)
+        assert [x.hex() for x in got] == [schatten_of_values(v, q).hex() for q in orders]
+    with pytest.raises(ValueError, match="p >= 1, got 0.5"):
+        schatten_of_values([1.0], (2.0, 0.5))
+
+
 # --- Ky Fan maximum principle ------------------------------------------------------------------
 
 

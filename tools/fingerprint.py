@@ -15,6 +15,11 @@ One line per output, each ending in a sha256:
 Two checkouts that print the same lines produce the same bytes, digests
 included. Compare a change against its parent with ``diff``.
 
+The numpy version and the BLAS name and version go to stderr, so stdout
+diffs stay clean. Stacked kernels are bitwise equal to their loops on the
+BLAS they were checked on; when two machines print different lines,
+compare those first: a BLAS difference can explain the mismatch.
+
 ``--mask-digests`` blanks the string values of ``digest``, ``input_digest``
 and ``digest_alg`` (compact and indented JSON) before hashing, so a change
 of digest algorithm can show every other byte identical.
@@ -30,6 +35,8 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
 
 from bohrcheck import harness, serialize  # noqa: E402
 
@@ -63,6 +70,12 @@ def fingerprint_lines(trials: int, workdir: Path, mask_digests: bool = False) ->
     return lines
 
 
+def environment() -> str:
+    """numpy version and BLAS name and version, from ``numpy.show_config``."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -76,6 +89,7 @@ def main(argv=None) -> int:
         help="blank digest, input_digest and digest_alg values before hashing",
     )
     args = parser.parse_args(argv)
+    print(environment(), file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         for line in fingerprint_lines(args.trials, Path(tmp), args.mask_digests):
             print(line)
