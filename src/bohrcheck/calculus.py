@@ -62,7 +62,8 @@ SCAN_TOL = 1e-12
 DEFAULT_SCAN_GRID = 129
 
 #: Eigenvalues within this relative distance outside the domain are clamped
-#: to the nearest endpoint; anything further out raises DomainError.
+#: to the nearest endpoint; anything further out raises DomainError. The
+#: checkers' domain hypotheses draw the same line.
 SPECTRUM_CLAMP_RTOL = 1e-9
 
 #: Point count of the coarser subgrid used for product (u*v) scans.
@@ -246,12 +247,7 @@ def function_registry() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def make_function_spec(
-    fid: str,
-    domain,
-    r: float | None = None,
-    grid_size: int = DEFAULT_SCAN_GRID,
-) -> ConvexFunctionSpec:
+def make_function_spec(fid: str, domain, r: float | None = None) -> ConvexFunctionSpec:
     """Build a registry function on a domain and scan its hypothesis flags.
 
     ``r`` is required for the parametric families (abs_pow, half_pow) and
@@ -273,7 +269,7 @@ def make_function_spec(
     if nonneg_domain and iv.lo < 0:
         raise DomainError(f"function {fid!r} needs a nonnegative domain, got {iv}")
     fn = factory(r)
-    report = scan_function_flags(fn, iv, grid_size)
+    report = scan_function_flags(fn, iv)
     return ConvexFunctionSpec(id=fid, domain=iv, fn=fn, flags=dict(report.flags), r=r)
 
 

@@ -33,6 +33,7 @@ from .serialize import (
     THEOREMS,
     map_from_json,
     matrix_to_json,
+    read_json,
 )
 
 __all__ = ["main"]
@@ -142,14 +143,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_dilate(args) -> int:
-    text = Path(args.mapfile).read_text(encoding="utf-8")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(
-            f"{args.mapfile}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    spec = map_from_json(obj)
+    spec = map_from_json(read_json(args.mapfile))
     dilation = stinespring(spec)
     out = {
         "V": matrix_to_json(dilation.isometry)

@@ -18,7 +18,7 @@ its spectral decomposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -37,7 +37,6 @@ from .linalg import (
 __all__ = [
     "SpecError",
     "PSD_TOL",
-    "KRAUS_KEEP_RTOL",
     "Congruence",
     "DiagonalPOVM",
     "BlockExtraction",
@@ -62,12 +61,10 @@ class SpecError(ValueError):
     """A map spec is structurally invalid or violates a precondition."""
 
 
-#: Relative tolerance for PSD checks on effects and Choi matrices.
+#: The one relative tolerance of this module's decisions: PSD effects and
+#: Choi matrices, Hermitian Choi matrices, unitality, and the Choi
+#: eigenvalues (as a fraction of the largest) kept as Kraus operators.
 PSD_TOL = 1e-10
-
-#: Choi eigenvalues at or below this fraction of the largest are dropped
-#: when extracting Kraus operators.
-KRAUS_KEEP_RTOL = 1e-10
 
 
 def _frozen(validate, a, **kwargs) -> np.ndarray:
@@ -231,10 +228,10 @@ def applied_to_identity(spec: MapSpec) -> np.ndarray:
     return hermitize(_apply(spec, np.eye(n_in, dtype=complex)))
 
 
-def is_unital(spec: MapSpec, tol: float = PSD_TOL) -> bool:
-    """True when Phi(I) = I within tolerance."""
+def is_unital(spec: MapSpec) -> bool:
+    """True when Phi(I) = I within PSD_TOL."""
     t = applied_to_identity(spec)
-    return frob(t - np.eye(t.shape[0])) <= tol * math.sqrt(t.shape[0])
+    return frob(t - np.eye(t.shape[0])) <= PSD_TOL * math.sqrt(t.shape[0])
 
 
 def choi_matrix(spec: MapSpec) -> np.ndarray:
@@ -254,53 +251,49 @@ def choi_matrix(spec: MapSpec) -> np.ndarray:
     return c
 
 
-def is_completely_positive(spec: MapSpec, tol: float = PSD_TOL) -> bool:
-    """True iff the Choi matrix is PSD within tol (relative to its top eigenvalue)."""
-    c = choi_matrix(spec)
-    if frob(c - c.conj().T) > 1e-10 * max(1.0, frob(c)):
-        raise SpecError("Choi matrix is not Hermitian; map is not *-preserving")
-    w = np.linalg.eigvalsh(hermitize(c))
-    return bool(w[0] >= -tol * max(1.0, float(w[-1])))
+def _choi_eigh(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Ascending eigenpairs of a Choi matrix and whether it is PSD within
+    PSD_TOL (relative to max(1, top eigenvalue)); the one place where a
+    Choi matrix is checked Hermitian."""
+    if frob(c - c.conj().T) > PSD_TOL * max(1.0, frob(c)):
+        raise SpecError("Choi matrix is not Hermitian; the map is not *-preserving")
+    w, v = np.linalg.eigh(hermitize(c))
+    return w, v, bool(w[0] >= -PSD_TOL * max(1.0, float(w[-1])))
 
 
-def kraus_from_choi(c, n: int, m: int, tol: float = KRAUS_KEEP_RTOL) -> list[np.ndarray]:
+def is_completely_positive(spec: MapSpec) -> bool:
+    """True iff the Choi matrix is PSD within PSD_TOL (Choi's criterion)."""
+    return _choi_eigh(choi_matrix(spec))[2]
+
+
+def kraus_from_choi(c, n: int, m: int) -> list[np.ndarray]:
     """Kraus operators K_s (n x m) from a PSD Choi matrix.
 
-    Eigenpairs with eigenvalue <= tol * lambda_max are dropped as numerical
-    zeros; eigenvalues below -tol * lambda_max raise. For the convention
-    C = sum_ij E_ij (x) Phi(E_ij), each eigenvector v reshapes row-major to
-    n x m and contributes K = sqrt(lam) * conj(V), giving
+    A C that is not PSD within PSD_TOL raises; eigenpairs with eigenvalue
+    <= PSD_TOL * lambda_max are dropped as numerical zeros. For the
+    convention C = sum_ij E_ij (x) Phi(E_ij), each eigenvector v reshapes
+    row-major to n x m and contributes K = sqrt(lam) * conj(V), giving
     Phi(A) = sum_s K_s* A K_s. Operators are returned largest-weight first.
     """
     cm = require_square(c)
     if cm.shape != (n * m, n * m):
         raise DimensionError(f"Choi matrix must be {n * m} x {n * m}, got {cm.shape}")
-    if frob(cm - cm.conj().T) > 1e-10 * max(1.0, frob(cm)):
-        raise SpecError("Choi matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(hermitize(cm))
-    top = max(0.0, float(w[-1]))
-    if w[0] < -tol * max(1.0, top):
+    w, v, psd = _choi_eigh(cm)
+    if not psd:
         raise SpecError(f"Choi matrix has eigenvalue {w[0]:.3e}; not PSD within tolerance")
+    top = max(0.0, float(w[-1]))
     kraus = []
     for idx in range(len(w) - 1, -1, -1):
         lam = float(w[idx])
-        if lam <= tol * top:
+        if lam <= PSD_TOL * top:
             break
-        k = math.sqrt(lam) * np.conj(v[:, idx].reshape(n, m))
-        kraus.append(k)
+        kraus.append(math.sqrt(lam) * np.conj(v[:, idx].reshape(n, m)))
     return kraus
 
 
-def kraus_operators(spec: MapSpec, tol: float = KRAUS_KEEP_RTOL) -> list[np.ndarray]:
+def kraus_operators(spec: MapSpec) -> list[np.ndarray]:
     """Kraus decomposition of a completely positive spec."""
-    n, m = map_dims(spec)
-    return kraus_from_choi(choi_matrix(spec), n, m, tol)
-
-
-def _dilation_apply(v: np.ndarray, k: int, a: np.ndarray) -> np.ndarray:
-    """V* pi(A) V with pi the k-fold block-diagonal repetition of A."""
-    pi = np.kron(np.eye(k), a)
-    return v.conj().T @ pi @ v
+    return kraus_from_choi(choi_matrix(spec), *map_dims(spec))
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,40 +314,34 @@ class StinespringDilation:
     def represent(self, a) -> np.ndarray:
         """Evaluate V* pi(A) V directly from the dilation."""
         m = require_square(a)
-        k = self.block_count
-        if k == 0:
-            return np.zeros((self.isometry.shape[1],) * 2, dtype=complex)
+        k = self.block_count  # k = 0 (the zero map) gives the zero matrix
         if self.isometry.shape[0] != k * m.shape[0]:
             raise DimensionError(
                 f"dilation expects input dimension {self.isometry.shape[0] // k}, "
                 f"got {m.shape}"
             )
-        return _dilation_apply(self.isometry, k, m)
+        return self.isometry.conj().T @ np.kron(np.eye(k), m) @ self.isometry
 
 
-def stinespring(spec: MapSpec, tol: float = PSD_TOL) -> StinespringDilation:
-    """Stinespring dilation of a completely positive spec.
+def stinespring(spec: MapSpec) -> StinespringDilation:
+    """Stinespring dilation of a completely positive spec, from its Kraus
+    operators.
 
-    Raises :class:`SpecError` when the Choi matrix is not PSD within tol
-    (the map is not CP, e.g. a transpose) or when the reconstruction
-    residual on 20 fixed-seed random Hermitian inputs exceeds
-    1e-10 * max(1, ||Phi(A)||_F).
+    Raises :class:`SpecError` when the Choi matrix is not PSD within
+    PSD_TOL (the map is not CP, e.g. a transpose) or when the
+    reconstruction residual of :meth:`StinespringDilation.represent` on 20
+    fixed-seed random Hermitian inputs exceeds 1e-10 * max(1, ||Phi(A)||_F).
     """
     n, m = map_dims(spec)
-    kraus = kraus_from_choi(choi_matrix(spec), n, m, tol)
+    kraus = kraus_operators(spec)
     v = np.vstack(kraus) if kraus else np.zeros((0, m), dtype=complex)
-    k = len(kraus)
+    dil = StinespringDilation(v, tuple(kraus), len(kraus), recon_residual=0.0)
     rng = make_rng(0x57135)
     worst = 0.0
     for _ in range(20):
         a = random_hermitian(n, (-2.0, 2.0), rng)
         direct = apply_map(spec, a)
-        via = (
-            _dilation_apply(v, k, a)
-            if k
-            else np.zeros((m, m), dtype=complex)
-        )
-        worst = max(worst, frob(direct - via) / max(1.0, frob(direct)))
+        worst = max(worst, frob(direct - dil.represent(a)) / max(1.0, frob(direct)))
     if worst > 1e-10:
         raise SpecError(f"dilation reconstruction residual {worst:.3e} exceeds 1e-10")
     if is_unital(spec):
@@ -364,9 +351,7 @@ def stinespring(spec: MapSpec, tol: float = PSD_TOL) -> StinespringDilation:
             raise SpecError(
                 f"unital map produced non-isometric V: ||V*V - I||_F = {defect:.3e}"
             )
-    return StinespringDilation(
-        isometry=v, kraus=tuple(kraus), block_count=k, recon_residual=worst
-    )
+    return replace(dil, recon_residual=worst)
 
 
 def normalize_unital(spec: MapSpec) -> MapSpec:

@@ -26,7 +26,6 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -84,8 +83,8 @@ class CampaignConfig:
     hypothesis range (zh needs r <= 2, prop-r2 needs r >= 2, half_pow
     needs r >= 2). ``variant`` forces one jensen-map profile; by default
     trials alternate between subunital and unital. ``rhs_scale`` rescales
-    the right-hand constant of the eigenvalue Bohr checker and exists for
-    mutation-sensitivity experiments only. Every setting is checked here,
+    the right-hand constant of the cor45 checker, for mutation experiments
+    only; every other theorem requires 1.0. Every setting is checked here,
     so a bad one fails before a campaign writes anything.
     """
 
@@ -101,10 +100,9 @@ class CampaignConfig:
     variant: str | None = None
     tol_override: float | None = None
     rhs_scale: float = 1.0
-    max_attempts: int = 1000
 
     def __post_init__(self):
-        canonical_theorem(self.theorem)
+        theorem = canonical_theorem(self.theorem)
         (lo, hi), tol, ids = self.spectrum, self.tol_override, tuple(self.function_ids)
         dims = ("n_range", "m_range", "ell_range")
         for ok, name, rule in (
@@ -121,7 +119,7 @@ class CampaignConfig:
             (self.variant in (None, "subunital", "unital"), "variant", "None, subunital or unital"),
             (tol is None or math.isfinite(tol) and tol >= 0, "tol_override", "None or finite >= 0"),
             (math.isfinite(self.rhs_scale) and self.rhs_scale > 0, "rhs_scale", "finite > 0"),
-            (self.max_attempts >= 1, "max_attempts", ">= 1"),
+            (self.rhs_scale == 1.0 or theorem == "cor45", "rhs_scale", _RHS_SCALE_RULE),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -172,16 +170,21 @@ class CampaignResult:
 
 # --- instance execution ------------------------------------------------------
 
+#: Only the cor45 checker takes ``rhs_scale``.
+_RHS_SCALE_RULE = "1.0 for every theorem but cor45"
+
 
 def run_instance(payload: dict, tol: float | None = None, rhs_scale: float = 1.0) -> CheckReport:
     """Decode an instance payload and run its checker.
 
     The report carries the digest of the decoded arguments, so payloads
     that decode to the same instance share one digest.
-    ``rhs_scale`` only affects the eigenvalue Bohr checker and is not part
-    of the payload, so mutated runs keep the pristine digest.
+    ``rhs_scale`` reaches the cor45 checker only (any other theorem needs
+    1.0) and is not part of the payload, so mutated runs keep the digest.
     """
     theorem, args = serialize.instance_from_json(payload)
+    if rhs_scale != 1.0 and theorem != "cor45":
+        raise ValueError(f"rhs_scale must be {_RHS_SCALE_RULE}, got {rhs_scale!r}")
     # Digested after the check, so malformed input gets the checker's message.
     report = _check(theorem, args, tol, rhs_scale)
     return replace(report, input_digest=serialize.digest(theorem, args))
@@ -282,9 +285,13 @@ def _random_map_spec(n: int, m: int, rng, need_pd: bool = False) -> MapSpec:
     return _random_leaf_spec(n, m, rng, need_pd)
 
 
-def _subunital_spec(cfg: CampaignConfig, n: int, m: int, rng) -> MapSpec:
+#: Rejection-sampling budget of the map generators.
+_MAX_ATTEMPTS = 1000
+
+
+def _subunital_spec(n: int, m: int, rng) -> MapSpec:
     """Random map with 0 < Phi(I) <= I, scaled constraint-aware."""
-    for _ in range(cfg.max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         spec = _random_map_spec(n, m, rng, need_pd=True)
         w = np.linalg.eigvalsh(applied_to_identity(spec))
         top = float(w[-1])
@@ -292,11 +299,7 @@ def _subunital_spec(cfg: CampaignConfig, n: int, m: int, rng) -> MapSpec:
             continue
         target = float(rng.uniform(0.4, 0.98))
         return WeightedSum(((target / top, spec),))
-    raise GenerationError(f"no well-conditioned subunital map after {cfg.max_attempts} attempts")
-
-
-def _unital_spec(cfg: CampaignConfig, n: int, m: int, rng) -> MapSpec:
-    return normalize_unital(_subunital_spec(cfg, n, m, rng))
+    raise GenerationError(f"no well-conditioned subunital map after {_MAX_ATTEMPTS} attempts")
 
 
 def _short_vector(m: int, rng, unit: bool) -> np.ndarray:
@@ -342,12 +345,12 @@ def _gen_jensen_map(cfg, rng, trial: int) -> dict:
     m = _draw_int(rng, cfg.m_range)
     variant = cfg.variant or ("subunital" if trial % 2 == 0 else "unital")
     if variant == "subunital":
-        spec = _subunital_spec(cfg, n, m, rng)
+        spec = _subunital_spec(n, m, rng)
         domain = cfg.spectrum
         f = _draw_function(cfg, rng, domain)
         x = _short_vector(m, rng, unit=False)
     elif variant == "unital":
-        spec = _unital_spec(cfg, n, m, rng)
+        spec = normalize_unital(_subunital_spec(n, m, rng))
         # The unital profile has no condition at 0, so exercise domains
         # that exclude it about a third of the time.
         if rng.uniform() < 1.0 / 3.0:
@@ -366,7 +369,7 @@ def _gen_thm1(cfg, rng, trial) -> dict:
     n = _draw_int(rng, cfg.n_range)
     m = _draw_int(rng, cfg.m_range)
     ell = _draw_int(rng, cfg.ell_range)
-    for _ in range(cfg.max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         specs = [_random_map_spec(n, m, rng) for _ in range(ell)]
         alphas = rng.uniform(0.2, 1.0, size=ell)
         total = sum(
@@ -379,7 +382,7 @@ def _gen_thm1(cfg, rng, trial) -> dict:
         f = _draw_function(cfg, rng, cfg.spectrum)
         a = random_hermitian(n, cfg.spectrum, rng)
         return {"f": f, "a": a, "weighted_maps": list(zip(alphas, specs))}
-    raise GenerationError(f"no usable map family after {cfg.max_attempts} attempts")
+    raise GenerationError(f"no usable map family after {_MAX_ATTEMPTS} attempts")
 
 
 def _gen_cornew(cfg, rng, trial) -> dict:
@@ -598,16 +601,7 @@ def replay(source: str | Path | dict, tol: float | None = None) -> CheckReport:
     report must match the fresh one in verdict and min_slack (within
     1e-15); otherwise :class:`HarnessError` is raised.
     """
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise serialize.SerializationError(
-                f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    else:
-        obj = source
+    obj = serialize.read_json(source) if isinstance(source, (str, Path)) else source
     stored = None
     if isinstance(obj, dict) and "instance" in obj:
         stored = obj.get("report")
@@ -680,11 +674,10 @@ def _fmt_value(v) -> str:
     return f"{v:.6g}"
 
 
-def demo_table(rows: Sequence[dict] | None = None) -> str:
-    """Plain-text table for the demo rows."""
-    rows = demo() if rows is None else rows
+def demo_table() -> str:
+    """Plain-text table of the :func:`demo` rows."""
     lines = [f"{'case':<58} {'lhs':>18} {'rhs':>18} {'slack':>12} verdict"]
-    for row in rows:
+    for row in demo():
         lines.append(
             f"{row['name']:<58} {_fmt_value(row['lhs']):>18} "
             f"{_fmt_value(row['rhs']):>18} {row['slack']:>12.3g} {row['verdict']}"

@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .calculus import ConvexFunctionSpec, abs_power, apply_fun
+from .calculus import SPECTRUM_CLAMP_RTOL, ConvexFunctionSpec, abs_power, apply_fun
 from .cpmaps import MapSpec, map_dims, apply_map, applied_to_identity
 from .linalg import DimensionError, as_complex_matrix, frob, hermitize
 from .linalg import require_hermitian, require_square
@@ -70,10 +70,6 @@ OPERATOR_HYP_TOL = 1e-10
 
 #: Tolerance on vector norm hypotheses (||x|| <= 1, ||x|| = 1).
 _NORM_TOL = 1e-12
-
-#: Spectra may poke this far (times scale) outside a function domain before
-#: the domain hypothesis fails; within it they are clamped.
-_DOMAIN_RTOL = 1e-9
 
 
 class NumericalError(ValueError):
@@ -222,7 +218,7 @@ def _descending(values) -> np.ndarray:
 def _spectrum_in_domain(spec: ConvexFunctionSpec, eigenvalues) -> bool:
     w = np.asarray(eigenvalues, dtype=float)
     scale = max(1.0, float(np.max(np.abs(w))))
-    return spec.domain.contains(w, _DOMAIN_RTOL * scale)
+    return spec.domain.contains(w, SPECTRUM_CLAMP_RTOL * scale)
 
 
 def _sum_weight_hyps(w: np.ndarray) -> dict[str, bool]:
@@ -382,7 +378,7 @@ def check_jensen_map(
     phi_a = hermitize(apply_map(spec, am))
     t = float(np.real(xv.conj() @ phi_a @ xv))
     t_scale = max(1.0, abs(t))
-    hyps["evaluation point within domain"] = f.domain.contains(t, _DOMAIN_RTOL * t_scale)
+    hyps["evaluation point within domain"] = f.domain.contains(t, SPECTRUM_CLAMP_RTOL * t_scale)
     if not all(hyps.values()):
         return _na_report("jensen-map", hyps, tol, {"variant": variant})
     lhs = float(f(f.domain.clamp(t)))

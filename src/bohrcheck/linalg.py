@@ -194,9 +194,7 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def eig_hermitian(
-    a, rtol: float = HERMITIAN_RTOL, *, stack: str | None = None
-) -> EigenDecomposition:
+def eig_hermitian(a, *, stack: str | None = None) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Ties keep the backend's order (stable sort), so the output is a
@@ -205,7 +203,7 @@ def eig_hermitian(
     for bit as alone. A backend that fails to converge raises
     ``numpy.linalg.LinAlgError``, which a campaign records as an error line.
     """
-    m = require_hermitian(a, rtol, stack=stack)
+    m = require_hermitian(a, stack=stack)
     w, u = np.linalg.eigh(hermitize(m))
     order = np.argsort(-w, axis=-1, kind="stable")
     if stack is None:  # plain indexing beats take_along_axis on one matrix

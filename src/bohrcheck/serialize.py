@@ -31,8 +31,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -67,6 +69,7 @@ __all__ = [
     "digest",
     "instance_to_json",
     "instance_from_json",
+    "read_json",
 ]
 
 
@@ -391,3 +394,14 @@ def digest(theorem: str, args: dict) -> str:
         except (TypeError, ValueError) as exc:
             raise SerializationError(f"field {key!r}: {exc}") from exc
     return h.hexdigest()
+
+
+def read_json(path: str | Path):
+    """The JSON value in the UTF-8 file at ``path``; malformed text raises
+    :class:`SerializationError` naming the path, line and column."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SerializationError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc

@@ -74,6 +74,7 @@ def test_check_missing_and_malformed_files(tmp_path, capsys):
     assert main(["check", "--in", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "bohrcheck: error:" in err
+    assert f"bohrcheck: error: {bad}: invalid JSON at line 1, column 2: " in err
 
 
 @pytest.mark.parametrize("key, value", [("p", [float("inf")]), ("r", float("inf"))])
@@ -232,7 +233,12 @@ def test_fuzz_usage_errors_exit_one(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag, value, field",
-    [("--rhs-scale", "0", "rhs_scale"), ("--tol", "-1", "tol_override"), ("--r-max", "inf", "r_range")],
+    [
+        ("--rhs-scale", "0", "rhs_scale"),
+        ("--rhs-scale", "0.5", "rhs_scale"),  # zh takes no rhs_scale; it was once ignored
+        ("--tol", "-1", "tol_override"),
+        ("--r-max", "inf", "r_range"),
+    ],
 )
 def test_fuzz_bad_setting_exits_one_before_writing_a_report(tmp_path, capsys, flag, value, field):
     # These once left a 0-byte report, or ran and recorded a verdict.
@@ -281,6 +287,7 @@ def test_dilate_rejects_transpose_wire_and_bad_json(tmp_path, capsys):
     assert main(["dilate", "--map", str(mapfile), "--out", str(tmp_path / "o.json")]) == 1
     err = capsys.readouterr().err
     assert "bohrcheck: error:" in err
+    assert f"bohrcheck: error: {mapfile}: invalid JSON at line 1, column 7: " in err
 
 
 # --- demo and packaging ------------------------------------------------------

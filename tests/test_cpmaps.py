@@ -381,6 +381,52 @@ def test_stinespring_rejects_transpose():
         stinespring(Transpose(3))
 
 
+def _choi_path_specs(rng, count):
+    """Seeded specs of every wire kind, unital normalizations of them, and
+    weighted sums with a Transpose term, which are CP or not by their weights."""
+    specs = []
+    while len(specs) < count:
+        n = int(rng.integers(2, 5))
+        kind = len(specs) % 3
+        if kind == 0:
+            specs.append(random_structural(rng, n, int(rng.integers(2, 5))))
+        elif kind == 1:
+            try:
+                specs.append(normalize_unital(random_structural(rng, n, n)))
+            except SpecError:  # Phi(I) is singular; draw again
+                pass
+        else:
+            terms = ((float(rng.uniform(0.2, 1.0)), random_leaf(rng, n, n)),
+                     (float(rng.uniform(0.001, 0.05)), Transpose(n)))
+            specs.append(WeightedSum(terms))
+    return specs
+
+
+def test_kraus_fails_exactly_when_not_cp_and_the_dilation_reconstructs():
+    # is_completely_positive, kraus_from_choi and stinespring read one
+    # Choi eigendecomposition, so their verdicts cannot drift apart.
+    rng = make_rng(63)
+    mixed = []  # verdicts on the sums with a Transpose term
+    for spec in _choi_path_specs(rng, 150):
+        n, m = map_dims(spec)
+        cp = is_completely_positive(spec)
+        if isinstance(spec, WeightedSum) and isinstance(spec.terms[-1][1], Transpose):
+            mixed.append(cp)
+        if not cp:
+            with pytest.raises(SpecError, match="not PSD within tolerance"):
+                kraus_from_choi(choi_matrix(spec), n, m)
+            with pytest.raises(SpecError, match="not PSD within tolerance"):
+                stinespring(spec)
+            continue
+        assert len(kraus_from_choi(choi_matrix(spec), n, m)) >= 1
+        dil = stinespring(spec)
+        for _ in range(3):
+            a = random_hermitian(n, (-2.0, 2.0), rng)
+            direct = apply_map(spec, a)
+            assert frob(dil.represent(a) - direct) <= 1e-10 * max(1.0, frob(direct))
+    assert mixed.count(False) >= 10 and mixed.count(True) >= 3
+
+
 # --- unital normalization ---------------------------------------------------------------
 
 

@@ -26,7 +26,7 @@ def _run(*flags, stream="stdout"):
 def test_fingerprint_prints_one_sha256_per_output():
     lines = _run()
     expected = [f"{t} seed={seed} trials=3" for seed in (7, 42) for t in THEOREMS]
-    expected += ["cor45 seed=5 trials=40 rhs_scale=0.4 artifacts=14", "demo_table"]
+    expected += ["cor45 seed=5 trials=40 rhs_scale=0.4 artifacts=14", "demo_table", "cp specs=300"]
     assert [line.rsplit(" ", 1)[0] for line in lines] == expected
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.rsplit(" ", 1)[1]) for line in lines)
     # Seeds 7 and 42 draw different instances, so their reports differ.
@@ -44,5 +44,5 @@ def test_environment_goes_to_stderr_only():
 def test_mask_digests_changes_only_outputs_that_carry_digests():
     plain, masked = _run(), _run("--mask-digests")
     assert [line.rsplit(" ", 1)[0] for line in masked] == [line.rsplit(" ", 1)[0] for line in plain]
-    # Every report carries digests; the demo table carries none.
-    assert [a == b for a, b in zip(plain, masked)] == [False] * (len(plain) - 1) + [True]
+    # Every report carries digests; the demo table and the CP line carry none.
+    assert [a == b for a, b in zip(plain, masked)] == [False] * (len(plain) - 2) + [True, True]

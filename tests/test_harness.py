@@ -57,8 +57,6 @@ def test_config_rejects_bad_values():
         CampaignConfig("bohr", 1, 0, n_range=(0, 3))
     with pytest.raises(ValueError):
         CampaignConfig("bohr", 1, 0, r_range=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        CampaignConfig("bohr", 1, 0, max_attempts=0)
 
 
 def test_config_rejects_bad_spectrum():
@@ -99,6 +97,23 @@ def test_config_rejects_bad_rhs_scale():
     for scale in (0.0, -0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="^rhs_scale must be"):
             CampaignConfig("cor45", 1, 0, rhs_scale=scale)
+    # Only the cor45 checker takes rhs_scale; elsewhere it was once ignored,
+    # so a mutation campaign on another theorem read as clean.
+    others = [t for t in ALL_THEOREMS if t != "cor45"]
+    assert len(others) == 10
+    for theorem in others:
+        for scale in (0.5, 2.0):
+            with pytest.raises(ValueError, match="^rhs_scale must be 1.0 for every theorem but cor45"):
+                CampaignConfig(theorem, 1, 0, rhs_scale=scale)
+        assert CampaignConfig(theorem, 1, 0, rhs_scale=1.0).rhs_scale == 1.0
+    assert CampaignConfig("cor4.5", 1, 0, rhs_scale=0.5).rhs_scale == 0.5
+
+
+def test_run_instance_rejects_rhs_scale_off_cor45():
+    payload = _payload(CampaignConfig("zh", 1, 3), 0)
+    with pytest.raises(ValueError, match="^rhs_scale must be 1.0 for every theorem but cor45, got 0.5"):
+        run_instance(payload, rhs_scale=0.5)
+    assert run_instance(payload, rhs_scale=1.0).holds
 
 
 def test_config_accepts_theorem_alias():
@@ -278,8 +293,8 @@ def test_campaign_digest_matches_replay_digest(tmp_path, theorem):
 @pytest.mark.parametrize("theorem", ALL_THEOREMS)
 def test_checkers_leave_their_arguments_unchanged(theorem):
     # Records keep the generated arguments and encode their payload on
-    # demand, so the check must not alter them (rhs_scale included).
-    cfg = CampaignConfig(theorem, 4, seed=13, rhs_scale=0.5)
+    # demand, so the check must not alter them (cor45's rhs_scale included).
+    cfg = CampaignConfig(theorem, 4, seed=13, rhs_scale=0.5 if theorem == "cor45" else 1.0)
     res = run_campaign(cfg)
     for rec in res.records:
         fresh = generate_instance(cfg, rec.trial_index, make_rng(cfg.seed, rec.trial_index))
