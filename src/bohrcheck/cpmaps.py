@@ -300,26 +300,30 @@ def kraus_operators(spec: MapSpec) -> list[np.ndarray]:
 class StinespringDilation:
     """Phi(A) = V* pi(A) V with pi(A) = blockdiag(A, ..., A).
 
-    ``isometry`` is the (block_count * n) x m vertical stack of the Kraus
-    operators; ``recon_residual`` is the largest relative reconstruction
-    error observed on the internal Hermitian test set. When Phi is unital,
-    V is an isometry: V* V = I within tolerance.
+    ``kraus`` is the (block_count, n, m) stack of Kraus operators, which
+    keeps n even for the zero map, and ``isometry`` their vertical stack;
+    ``recon_residual`` is the largest relative reconstruction error observed
+    on the internal Hermitian test set. When Phi is unital, V is an
+    isometry: V* V = I within tolerance.
     """
 
-    isometry: np.ndarray
-    kraus: tuple[np.ndarray, ...]
-    block_count: int
+    kraus: np.ndarray
     recon_residual: float
+
+    @property
+    def block_count(self) -> int:
+        return len(self.kraus)
+
+    @property
+    def isometry(self) -> np.ndarray:
+        return self.kraus.reshape(-1, self.kraus.shape[2])
 
     def represent(self, a) -> np.ndarray:
         """Evaluate V* pi(A) V directly from the dilation."""
         m = require_square(a)
-        k = self.block_count  # k = 0 (the zero map) gives the zero matrix
-        if self.isometry.shape[0] != k * m.shape[0]:
-            raise DimensionError(
-                f"dilation expects input dimension {self.isometry.shape[0] // k}, "
-                f"got {m.shape}"
-            )
+        k, n, _ = self.kraus.shape
+        if m.shape[0] != n:
+            raise DimensionError(f"dilation expects input dimension {n}, got {m.shape}")
         return self.isometry.conj().T @ np.kron(np.eye(k), m) @ self.isometry
 
 
@@ -333,9 +337,7 @@ def stinespring(spec: MapSpec) -> StinespringDilation:
     fixed-seed random Hermitian inputs exceeds 1e-10 * max(1, ||Phi(A)||_F).
     """
     n, m = map_dims(spec)
-    kraus = kraus_operators(spec)
-    v = np.vstack(kraus) if kraus else np.zeros((0, m), dtype=complex)
-    dil = StinespringDilation(v, tuple(kraus), len(kraus), recon_residual=0.0)
+    dil = StinespringDilation(np.array(kraus_operators(spec), complex).reshape(-1, n, m), 0.0)
     rng = make_rng(0x57135)
     worst = 0.0
     for _ in range(20):
@@ -345,7 +347,7 @@ def stinespring(spec: MapSpec) -> StinespringDilation:
     if worst > 1e-10:
         raise SpecError(f"dilation reconstruction residual {worst:.3e} exceeds 1e-10")
     if is_unital(spec):
-        gram = v.conj().T @ v
+        gram = dil.isometry.conj().T @ dil.isometry
         defect = frob(gram - np.eye(m))
         if defect > 1e-10 * math.sqrt(m):
             raise SpecError(

@@ -137,6 +137,16 @@ def _weights(p) -> np.ndarray:
     return w
 
 
+def _vector(x, size: int) -> np.ndarray:
+    """``x`` raveled to a complex vector of ``size`` finite entries."""
+    v = np.asarray(x, dtype=complex).ravel()
+    if v.size != size:
+        raise DimensionError(f"vector length {v.size} does not match dimension {size}")
+    if not np.isfinite(v).all():
+        raise ValueError("vector entries must be finite")
+    return v
+
+
 def _exponent(r) -> float:
     r = float(r)
     if not math.isfinite(r):
@@ -264,14 +274,8 @@ def check_vasic_keckic(z, p, r, tol: float | None = None) -> CheckReport:
     z_j = p_j^(1/(1-r)) makes both sides equal and is flagged in
     extras["stationary_point"].
     """
-    zv = np.asarray(z, dtype=complex).ravel()
-    if zv.size == 0:
-        raise DimensionError("expected at least one term")
-    if not np.all(np.isfinite(zv.real)) or not np.all(np.isfinite(zv.imag)):
-        raise ValueError("terms must be finite")
     pw = _weights(p)
-    if pw.shape != zv.shape:
-        raise DimensionError(f"{zv.size} terms but {pw.size} weights")
+    zv = _vector(z, pw.size)
     r = _exponent(r)
     hyps = {"r > 1": r > 1.0, "weights positive": bool(np.all(pw > 0))}
     if not all(hyps.values()):
@@ -303,11 +307,7 @@ def check_jensen_vector(f: ConvexFunctionSpec, a, x, tol: float | None = None) -
     is what lets the missing mass sit at 0, where f is nonpositive.
     """
     am = require_hermitian(a)
-    xv = np.asarray(x, dtype=complex).ravel()
-    if xv.size != am.shape[0]:
-        raise DimensionError(f"vector length {xv.size} does not match matrix {am.shape}")
-    if not np.all(np.isfinite(xv.real)) or not np.all(np.isfinite(xv.imag)):
-        raise ValueError("vector entries must be finite")
+    xv = _vector(x, am.shape[0])
     w = np.linalg.eigvalsh(am)
     norm = float(np.linalg.norm(xv))
     hyps = {
@@ -349,11 +349,7 @@ def check_jensen_map(
     n_in, m_out = map_dims(spec)
     if am.shape[0] != n_in:
         raise DimensionError(f"map expects {n_in} x {n_in} input, got {am.shape}")
-    xv = np.asarray(x, dtype=complex).ravel()
-    if xv.size != m_out:
-        raise DimensionError(f"vector length {xv.size} does not match output dim {m_out}")
-    if not np.all(np.isfinite(xv.real)) or not np.all(np.isfinite(xv.imag)):
-        raise ValueError("vector entries must be finite")
+    xv = _vector(x, m_out)
 
     w = np.linalg.eigvalsh(am)
     norm = float(np.linalg.norm(xv))

@@ -6,9 +6,7 @@ Wire formats:
 - vector:   {"re": [...], "im": [...]}
 - scalar:   {"re": x, "im": y}
 - function: {"id": "abs_pow", "r": 2.5, "J": [lo, hi]}  ("r" only when set)
-- map:      {"kind": "congruence", "X": {matrix}}
-            {"kind": "povm", "P": [{matrix}, ...]}
-            {"kind": "sum", "terms": [{"alpha": a, "map": {...}}, ...]}
+- map:      {"kind": kind, ...}, one :data:`_MAP_KINDS` row per kind, e.g.
             {"kind": "block", "i": 0, "ell": 3, "X": {matrix}}
 
 An instance payload is one flat JSON object per theorem with a "theorem"
@@ -88,55 +86,49 @@ def _finite(x) -> float:
     return v
 
 
-def matrix_to_json(a) -> dict:
-    m = as_complex_matrix(a)
-    return {
-        "n": int(m.shape[0]),
-        "re": m.real.tolist(),
-        "im": m.imag.tolist(),
-    }
+def _re_im_to_json(v: np.ndarray) -> dict:
+    """The one re/im wire form of a complex vector or matrix."""
+    return {"re": v.real.tolist(), "im": v.imag.tolist()}
 
 
-def matrix_from_json(obj) -> np.ndarray:
+def _re_im_from_json(obj, ndim: int, what: str) -> np.ndarray:
+    """Complex ``ndim``-d array of a re/im object, exact for signed zeros."""
     try:
-        n = int(obj["n"])
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed matrix object: {exc}") from exc
-    if re.ndim != 2 or re.shape != im.shape or re.shape[0] != n:
-        raise SerializationError(
-            f"matrix shape mismatch: n={n}, re {re.shape}, im {im.shape}"
-        )
+        raise SerializationError(f"malformed {what} object: {exc}") from exc
+    if re.ndim != ndim or re.shape != im.shape:
+        raise SerializationError(f"{what} shape mismatch: re {re.shape}, im {im.shape}")
     # Not re + 1j * im, which turns a real part of -0.0 into 0.0.
-    m = re.astype(complex)
-    m.imag = im
-    return as_complex_matrix(m)
+    v = re.astype(complex)
+    v.imag = im
+    if not np.isfinite(v).all():
+        raise SerializationError(f"{what} entries must be finite")
+    return v
+
+
+def matrix_to_json(a) -> dict:
+    m = as_complex_matrix(a)
+    return {"n": int(m.shape[0]), **_re_im_to_json(m)}
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    m = _re_im_from_json(obj, 2, "matrix")
+    if m.shape[0] != obj.get("n") or m.shape[1] < 1:
+        raise SerializationError(f"matrix shape mismatch: n={obj.get('n')!r}, re and im {m.shape}")
+    return m
 
 
 def vector_to_json(x) -> dict:
     v = np.asarray(x, dtype=complex)
     if v.ndim != 1:
         raise SerializationError(f"expected a 1-d vector, got shape {v.shape}")
-    return {
-        "re": v.real.tolist(),
-        "im": v.imag.tolist(),
-    }
+    return _re_im_to_json(v)
 
 
 def vector_from_json(obj) -> np.ndarray:
-    try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed vector object: {exc}") from exc
-    if re.ndim != 1 or re.shape != im.shape:
-        raise SerializationError(f"vector shape mismatch: re {re.shape}, im {im.shape}")
-    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-        raise SerializationError("vector entries must be finite")
-    v = re.astype(complex)
-    v.imag = im
-    return v
+    return _re_im_from_json(obj, 1, "vector")
 
 
 def scalar_to_json(z) -> dict:
@@ -171,44 +163,6 @@ def function_from_json(obj) -> ConvexFunctionSpec:
         raise SerializationError(f"cannot build function spec: {exc}") from exc
 
 
-def map_to_json(spec: MapSpec) -> dict:
-    if isinstance(spec, Congruence):
-        return {"kind": "congruence", "X": matrix_to_json(spec.x)}
-    if isinstance(spec, DiagonalPOVM):
-        return {"kind": "povm", "P": [matrix_to_json(p) for p in spec.effects]}
-    if isinstance(spec, WeightedSum):
-        return {"kind": "sum", "terms": _weighted_maps_to_json(spec.terms)}
-    if isinstance(spec, BlockExtraction):
-        return {
-            "kind": "block",
-            "i": int(spec.index),
-            "ell": int(spec.block_count),
-            "X": matrix_to_json(spec.x),
-        }
-    raise SerializationError(
-        f"map kind {type(spec).__name__} has no wire format"
-    )
-
-
-def map_from_json(obj) -> MapSpec:
-    try:
-        kind = obj["kind"]
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"malformed map object: {exc}") from exc
-    try:
-        if kind == "congruence":
-            return Congruence(matrix_from_json(obj["X"]))
-        if kind == "povm":
-            return DiagonalPOVM(tuple(matrix_from_json(p) for p in obj["P"]))
-        if kind == "sum":
-            return WeightedSum(_weighted_maps_from_json(obj["terms"]))
-        if kind == "block":
-            return BlockExtraction(int(obj["i"]), int(obj["ell"]), matrix_from_json(obj["X"]))
-    except (KeyError, TypeError, ValueError, SpecError) as exc:
-        raise SerializationError(f"cannot build {kind!r} map: {exc}") from exc
-    raise SerializationError(f"unknown map kind {kind!r}")
-
-
 # --- packing for the digest ------------------------------------------------
 #
 # A packer feeds a BLAKE2b state one decoded value as tagged items: b"s"
@@ -240,36 +194,44 @@ def _pack_function(h, spec: ConvexFunctionSpec) -> None:
     _pack_real(h, [spec.domain.lo, spec.domain.hi] + ([] if spec.r is None else [spec.r]))
 
 
-def _pack_terms(h, terms) -> None:
-    _pack_real(h, [alpha for alpha, _ in terms])
-    for _, spec in terms:
-        _pack_map(h, spec)
+# --- maps: each kind is one _MAP_KINDS row ---------------------------------
+
+
+def _map_kind(spec: MapSpec) -> tuple[str, tuple]:
+    if type(spec) not in _KIND_OF_CLASS:
+        raise SerializationError(f"map kind {type(spec).__name__} has no wire format")
+    return _KIND_OF_CLASS[type(spec)]
+
+
+def map_to_json(spec: MapSpec) -> dict:
+    kind, fields = _map_kind(spec)
+    obj = {"kind": kind}
+    for key, attr, (encode, _, _) in fields:
+        obj[key] = encode(getattr(spec, attr))
+    return obj
+
+
+def map_from_json(obj) -> MapSpec:
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in _MAP_KINDS:
+        raise SerializationError(f"unknown map kind {kind!r}")
+    cls, fields = _MAP_KINDS[kind]
+    try:
+        return cls(**{attr: decode(obj[key]) for key, attr, (_, decode, _) in fields})
+    except (KeyError, TypeError, ValueError, SpecError) as exc:
+        raise SerializationError(f"cannot build {kind!r} map: {exc}") from exc
 
 
 def _pack_map(h, spec: MapSpec) -> None:
-    if isinstance(spec, Congruence):
-        _pack_text(h, "congruence")
-        _pack_complex(h, spec.x)
-    elif isinstance(spec, DiagonalPOVM):
-        _pack_text(h, "povm")
-        _pack_complex(h, spec.effects)
-    elif isinstance(spec, WeightedSum):
-        _pack_text(h, "sum")
-        _pack_terms(h, spec.terms)
-    elif isinstance(spec, BlockExtraction):
-        _pack_text(h, "block")
-        _pack_real(h, [spec.index, spec.block_count])
-        _pack_complex(h, spec.x)
-    else:
-        raise SerializationError(f"map kind {type(spec).__name__} has no wire format")
-
-
-# --- instance payloads ------------------------------------------------------
-
-
-def _each(convert):
-    """Lift a one-value conversion to lists."""
-    return lambda items: [convert(x) for x in items]
+    """The kind, its counts as one float64 array, then its other fields."""
+    kind, fields = _map_kind(spec)
+    _pack_text(h, kind)
+    counts = [getattr(spec, attr) for _, attr, (_, _, pack) in fields if pack is None]
+    if counts:
+        _pack_real(h, counts)
+    for _, attr, (_, _, pack) in fields:
+        if pack is not None:
+            pack(h, getattr(spec, attr))
 
 
 def _weighted_maps_to_json(weighted_maps) -> list[dict]:
@@ -280,9 +242,22 @@ def _weighted_maps_from_json(terms) -> list[tuple[float, MapSpec]]:
     return [(_finite(t["alpha"]), map_from_json(t["map"])) for t in terms]
 
 
+def _pack_terms(h, terms) -> None:
+    _pack_real(h, [alpha for alpha, _ in terms])
+    for _, spec in terms:
+        _pack_map(h, spec)
+
+
+def _each(convert):
+    """Lift a one-value conversion to lists."""
+    return lambda items: [convert(x) for x in items]
+
+
 # A codec is an (encode, decode, pack) triple for one payload field; pack
-# hashes the decoded value for :func:`digest`.
+# hashes the decoded value for :func:`digest`. A map's counts have no
+# packer of their own: :func:`_pack_map` packs them together.
 _FLOAT = (float, _finite, _pack_real)
+_COUNT = (int, int, None)
 _TEXT = (str, str, _pack_text)
 _WEIGHTS = (_each(float), _each(_finite), _pack_real)
 _SCALAR = (scalar_to_json, scalar_from_json, _pack_complex)
@@ -292,6 +267,20 @@ _MATRICES = (_each(matrix_to_json), _each(matrix_from_json), _pack_complex)
 _FUNCTION = (function_to_json, function_from_json, _pack_function)
 _MAP = (map_to_json, map_from_json, _pack_map)
 _WEIGHTED_MAPS = (_weighted_maps_to_json, _weighted_maps_from_json, _pack_terms)
+
+#: Wire format of every map kind: wire kind -> (class, fields), the fields
+#: as (wire key, class attribute, codec) triples in wire key order.
+#: :class:`~bohrcheck.cpmaps.Transpose` has no row, so no wire format.
+_MAP_KINDS = {
+    "congruence": (Congruence, (("X", "x", _MATRIX),)),
+    "povm": (DiagonalPOVM, (("P", "effects", _MATRICES),)),
+    "sum": (WeightedSum, (("terms", "terms", _WEIGHTED_MAPS),)),
+    "block": (
+        BlockExtraction,
+        (("i", "index", _COUNT), ("ell", "block_count", _COUNT), ("X", "x", _MATRIX)),
+    ),
+}
+_KIND_OF_CLASS = {cls: (kind, fields) for kind, (cls, fields) in _MAP_KINDS.items()}
 
 #: Wire format of every theorem, in CLI order: the payload's fields as
 #: (payload key, checker argument, codec) triples, in payload key order.

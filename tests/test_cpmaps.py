@@ -364,6 +364,20 @@ def test_stinespring_unital_povm_isometry():
     assert frob(dil.isometry.conj().T @ dil.isometry - np.eye(3)) <= 1e-10
 
 
+def test_stinespring_zero_map_keeps_its_input_dimension():
+    # With no Kraus operators the isometry has no rows, so only the Kraus
+    # stack's shape records that the map acts on 3 x 3 inputs.
+    zero = stinespring(Congruence(np.zeros((3, 2))))
+    assert zero.block_count == 0 and zero.kraus.shape == (0, 3, 2)
+    assert zero.isometry.shape == (0, 2)
+    assert np.array_equal(zero.represent(np.eye(3)), np.zeros((2, 2)))
+    one = stinespring(Congruence(np.ones((3, 2))))
+    message = r"^dilation expects input dimension 3, got \(5, 5\)$"
+    for dil in (zero, one):
+        with pytest.raises(DimensionError, match=message):
+            dil.represent(np.eye(5))
+
+
 def test_stinespring_represent_matches_apply():
     rng = make_rng(61)
     for _ in range(30):

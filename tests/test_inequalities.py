@@ -156,6 +156,20 @@ def test_vasic_constant_near_r_one_is_one_over_min_p(p, constant):
     assert rep.extras["stationary_point"] is False
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+def test_vector_checkers_reject_nonfinite_entries(bad):
+    f = make_function_spec("square", (-3, 3))
+    a = np.diag([2.0, -1.0]).astype(complex)
+    v = np.array([0.5, bad], dtype=complex)
+    for check, args in (
+        (check_vasic_keckic, (v, [1.0, 1.0], 2.0)),
+        (check_jensen_vector, (f, a, v)),
+        (check_jensen_map, (f, a, Congruence(EYE2), v, "unital")),
+    ):
+        with pytest.raises(ValueError, match="^vector entries must be finite$"):
+            check(*args)
+
+
 # --- Jensen (vector state) ------------------------------------------------------------------
 
 

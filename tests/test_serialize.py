@@ -3,11 +3,13 @@
 import hashlib
 import json
 import struct
+import typing
 
 import numpy as np
 import pytest
 
 from bohrcheck.calculus import make_function_spec
+from bohrcheck import cpmaps
 from bohrcheck.cpmaps import (
     BlockExtraction,
     Congruence,
@@ -15,10 +17,12 @@ from bohrcheck.cpmaps import (
     Transpose,
     WeightedSum,
     apply_map,
+    map_dims,
 )
 from bohrcheck.harness import THEOREM_TABLE, CampaignConfig, generate_instance
 from bohrcheck.linalg import complex_gaussian, frob, make_rng
 from bohrcheck.serialize import (
+    _MAP_KINDS,
     INSTANCE_SCHEMA,
     THEOREM_ALIASES,
     THEOREMS,
@@ -98,8 +102,10 @@ def test_matrix_from_json_validation():
         matrix_from_json({"n": 1, "re": [[1.0]]})
     with pytest.raises(SerializationError):
         matrix_from_json({"n": 2, "re": [[1.0, 2.0], [3.0]], "im": [[0, 0], [0, 0]]})
-    with pytest.raises((SerializationError, ValueError)):
+    with pytest.raises(SerializationError, match="matrix entries must be finite"):
         matrix_from_json({"n": 1, "re": [[float("nan")]], "im": [[0.0]]})
+    with pytest.raises(SerializationError, match="matrix shape mismatch"):
+        matrix_from_json({"n": 1, "re": [[]], "im": [[]]})
 
 
 def test_vector_and_scalar_round_trips():
@@ -109,6 +115,8 @@ def test_vector_and_scalar_round_trips():
     assert scalar_from_json(scalar_to_json(z)) == z
     with pytest.raises(SerializationError):
         vector_from_json({"re": [1.0], "im": [1.0, 2.0]})
+    with pytest.raises(SerializationError, match="vector entries must be finite"):
+        vector_from_json({"re": [1.0, 0.0], "im": [0.0, float("inf")]})
     with pytest.raises(SerializationError):
         scalar_from_json({"re": 1.0})
 
@@ -140,15 +148,25 @@ def test_map_round_trip_all_kinds():
         DiagonalPOVM(tuple(effects)),
         BlockExtraction(1, 2, complex_gaussian((2, 2), rng)),
         WeightedSum(((0.5, Congruence(x)), (0.25, Congruence(2 * x)))),
+        WeightedSum(((0.5, BlockExtraction(0, 2, x)), (0.25, DiagonalPOVM(effects * 3)))),
     ]
-    from bohrcheck.cpmaps import map_dims
-
     for spec in specs:
-        back = map_from_json(map_to_json(spec))
+        obj = json.loads(json.dumps(map_to_json(spec)))
+        back = map_from_json(obj)
+        assert type(back) is type(spec)
+        assert map_to_json(back) == obj
         n_in = map_dims(spec)[0]
         probe = complex_gaussian((n_in, n_in), rng)
         probe = probe + probe.conj().T
         assert frob(apply_map(spec, probe) - apply_map(back, probe)) <= 1e-14
+
+
+def test_map_kinds_name_every_structural_class_but_transpose():
+    structural = set(typing.get_args(cpmaps.MapSpec))
+    exported = {obj for obj in map(vars(cpmaps).get, cpmaps.__all__) if isinstance(obj, type)}
+    assert structural == exported - {cpmaps.SpecError, cpmaps.StinespringDilation}
+    assert {cls for cls, _ in _MAP_KINDS.values()} == structural - {Transpose}
+    assert list(_MAP_KINDS) == ["congruence", "povm", "sum", "block"]
 
 
 def test_map_json_kind_tags():
@@ -227,6 +245,41 @@ def test_digest_packs_matrices_by_value_not_layout():
     # A signed zero is a different value.
     assert digest("jensen-vec", {"f": make_function_spec("square", (-9.0, 9.0)),
                                  "a": a + 0j, "x": [-0.0, 1.0, 1.0]}) != reference
+
+
+def _jensen_map_specs():
+    rng = make_rng(73)
+    x = complex_gaussian((4, 2), rng)
+    g = complex_gaussian((4, 2, 2), rng)
+    y = complex_gaussian((2, 2), rng)
+    return {
+        "congruence": Congruence(x),
+        "povm": DiagonalPOVM(g @ g.conj().swapaxes(-1, -2)),
+        "block": BlockExtraction(1, 2, y),
+        "sum": WeightedSum(((0.5, Congruence(x)), (0.25, BlockExtraction(0, 2, y)))),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, expected",
+    [
+        ("congruence", "88c1331fd271bf22"),
+        ("povm", "1398ab88d7195e02"),
+        ("block", "3f372727c6dd9ab6"),
+        ("sum", "1f867c4a926cf35a"),
+    ],
+)
+def test_digest_of_each_map_kind_is_pinned(kind, expected):
+    # Pinned per wire kind, so a packing slip in one kind (a block's index
+    # and count pack as one float64 pair ahead of X) cannot pass unnoticed.
+    spec = _jensen_map_specs()[kind]
+    assert map_to_json(spec)["kind"] == kind
+    args = {"variant": "subunital", "f": make_function_spec("square", (-3.0, 3.0)),
+            "a": np.diag([-1.0, -0.5, 0.5, 1.0]).astype(complex), "spec": spec,
+            "x": np.full(2, 0.5, dtype=complex)}
+    assert digest("jensen-map", args) == expected
+    payload = json.loads(json.dumps(instance_to_json("jensen-map", **args)))
+    assert digest(*instance_from_json(payload)) == expected
 
 
 def test_digest_rejects_nonfinite_arguments_naming_the_field():
