@@ -63,7 +63,7 @@ DEFAULT_SCAN_GRID = 129
 
 #: Eigenvalues within this relative distance outside the domain are clamped
 #: to the nearest endpoint; anything further out raises DomainError. The
-#: checkers' domain hypotheses draw the same line.
+#: checkers' domain hypotheses draw the same line (``covers``).
 SPECTRUM_CLAMP_RTOL = 1e-9
 
 #: Point count of the coarser subgrid used for product (u*v) scans.
@@ -93,6 +93,26 @@ class ConvexFunctionSpec:
         if name not in FLAG_NAMES:
             raise KeyError(f"unknown hypothesis flag {name!r}")
         return bool(self.flags.get(name, False))
+
+    def covers(self, values) -> bool:
+        """True when :func:`apply_fun` accepts every spectrum in ``values``."""
+        return _escape(self.domain, values) is None
+
+
+def _escape(iv: Interval, values) -> str | None:
+    """The one domain rule for spectra: a spectrum (a 1-d set, or each row
+    of a 2-d array) is inside ``iv`` when it lies within
+    SPECTRUM_CLAMP_RTOL * max(1, its own largest |value|) of it. Returns
+    the DomainError text of the first spectrum outside, or None."""
+    w = np.atleast_2d(np.asarray(values, dtype=float))
+    for bottom, top in zip(w.min(axis=-1).tolist(), w.max(axis=-1).tolist()):
+        tol = SPECTRUM_CLAMP_RTOL * max(1.0, abs(top), abs(bottom))
+        if not (bottom >= iv.lo - tol and top <= iv.hi + tol):
+            return (
+                f"spectrum [{bottom:.6g}, {top:.6g}] escapes domain "
+                f"[{iv.lo:g}, {iv.hi:g}] beyond tolerance {tol:.3g}"
+            )
+    return None
 
 
 @dataclass(frozen=True)
@@ -146,13 +166,7 @@ def scan_function_flags(fn, domain, grid_size: int = DEFAULT_SCAN_GRID) -> Funct
     val_scale = max(1.0, float(np.max(np.abs(vals))))
 
     zero_in = iv.lo <= 0.0 <= iv.hi
-    if zero_in:
-        f0 = float(_eval(fn, [0.0])[0])
-        f0_worst = f0
-        f0_ok = f0 <= SCAN_TOL
-    else:
-        f0_worst = math.nan
-        f0_ok = False
+    f0_worst = float(_eval(fn, [0.0])[0]) if zero_in else math.nan
 
     # Both pair tables are symmetric in (u, v) bit for bit (float + and *
     # commute), so the pairs i <= j give the same flags and worst values.
@@ -160,11 +174,9 @@ def scan_function_flags(fn, domain, grid_size: int = DEFAULT_SCAN_GRID) -> Funct
     midvals = _eval(fn, (grid[iu] + grid[ju]) / 2.0)
     means = 0.5 * (vals[iu] + vals[ju])
     conv_worst = float(np.max((midvals - means) / np.maximum(1.0, np.abs(means))))
-    convex = conv_worst <= SCAN_TOL
 
     diffs = vals[1:] - vals[:-1]
     mono_worst = float(np.max(-diffs)) / val_scale if diffs.size else 0.0
-    increasing = mono_worst <= SCAN_TOL
 
     sub_size = min(_PRODUCT_GRID, grid_size)
     sub = np.linspace(iv.lo, iv.hi, sub_size)
@@ -172,28 +184,20 @@ def scan_function_flags(fn, domain, grid_size: int = DEFAULT_SCAN_GRID) -> Funct
     iu, ju = _upper_pairs(sub_size)
     prod = sub[iu] * sub[ju]
     mask = (prod >= iv.lo) & (prod <= iv.hi)
+    sub_worst = math.nan
     if np.any(mask):
         fprod = _eval(fn, prod[mask])
         fpair = (subvals[iu] * subvals[ju])[mask]
         sub_worst = float(np.max((fprod - fpair) / np.maximum(1.0, np.abs(fpair))))
-        submult = sub_worst <= SCAN_TOL
-    else:
-        sub_worst = math.nan
-        submult = False
 
-    flags = {
-        "convex_on_J": convex,
-        "zero_in_J": zero_in,
-        "f0_nonpositive": f0_ok,
-        "increasing": increasing,
-        "submultiplicative": submult,
-    }
     worst = {
         "convex_on_J": conv_worst,
         "f0_nonpositive": f0_worst,
         "increasing": mono_worst,
         "submultiplicative": sub_worst,
     }
+    flags = {name: value <= SCAN_TOL for name, value in worst.items()}
+    flags["zero_in_J"] = zero_in
     return FunctionFlagReport(flags=flags, worst=worst, grid_size=grid_size)
 
 
@@ -288,14 +292,9 @@ def apply_fun(spec: ConvexFunctionSpec, a) -> np.ndarray:
     """
     w, u = eig_hermitian(a, stack="matrix" if np.ndim(a) == 3 else None)
     iv = spec.domain
-    # Each spectrum is sorted descending, so its two ends decide the test.
-    for top, bottom in zip(np.ravel(w[..., 0]).tolist(), np.ravel(w[..., -1]).tolist()):
-        tol = SPECTRUM_CLAMP_RTOL * max(1.0, abs(top), abs(bottom))
-        if not (bottom >= iv.lo - tol and top <= iv.hi + tol):
-            raise DomainError(
-                f"spectrum [{bottom:.6g}, {top:.6g}] escapes domain "
-                f"[{iv.lo:g}, {iv.hi:g}] beyond tolerance {tol:.3g}"
-            )
+    escape = _escape(iv, w)
+    if escape is not None:
+        raise DomainError(escape)
     fw = _eval(spec.fn, iv.clamp(w))
     return hermitize((u * fw[..., None, :]) @ u.conj().swapaxes(-1, -2))
 

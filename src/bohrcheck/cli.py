@@ -62,6 +62,7 @@ def _build_parser() -> _Parser:
     p_check = sub.add_parser("check", help="re-run one saved instance file")
     p_check.add_argument("--in", dest="infile", required=True, help="instance JSON path")
     p_check.add_argument("--tol", type=float, default=None, help="absolute slack tolerance")
+    p_check.set_defaults(run=_cmd_check)
 
     p_fuzz = sub.add_parser("fuzz", help="run a seeded campaign")
     p_fuzz.add_argument("--theorem", required=True, choices=THEOREMS + tuple(THEOREM_ALIASES))
@@ -78,19 +79,22 @@ def _build_parser() -> _Parser:
     p_fuzz.add_argument("--rhs-scale", type=float, default=1.0,
                         help="mutation hook: rescale the cor45 right-hand constant")
     p_fuzz.add_argument("--out", required=True, help="JSONL report path")
+    p_fuzz.set_defaults(run=_cmd_fuzz)
 
     p_dilate = sub.add_parser("dilate", help="Stinespring-dilate a map spec")
     p_dilate.add_argument("--map", dest="mapfile", required=True, help="map spec JSON path")
     p_dilate.add_argument("--out", required=True, help="dilation JSON path")
+    p_dilate.set_defaults(run=_cmd_dilate)
 
-    sub.add_parser("demo", help="run the worked equality examples")
+    sub.add_parser("demo", help="run the worked equality examples").set_defaults(run=_cmd_demo)
     return parser
 
 
-def _env_tol() -> float | None:
+def _tol(args) -> float | None:
+    """``--tol`` if given, else BOHR_TOL if set and nonempty, else None."""
     raw = os.environ.get("BOHR_TOL")
-    if raw is None or raw == "":
-        return None
+    if args.tol is not None or not raw:
+        return args.tol
     try:
         return float(raw)
     except ValueError as exc:
@@ -98,8 +102,7 @@ def _env_tol() -> float | None:
 
 
 def _cmd_check(args) -> int:
-    tol = args.tol if args.tol is not None else _env_tol()
-    report = replay(args.infile, tol)
+    report = replay(args.infile, _tol(args))
     print(f"theorem:  {report.theorem_id}")
     print(f"verdict:  {report.verdict}")
     print(f"digest:   {report.input_digest}")
@@ -114,7 +117,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    tol = args.tol if args.tol is not None else _env_tol()
     n_max, ell_max = args.n_max, args.ell_max
     m_max = args.m_max if args.m_max is not None else n_max
     cfg = CampaignConfig(
@@ -126,7 +128,7 @@ def _cmd_fuzz(args) -> int:
         ell_range=(1, ell_max),
         r_range=(args.r_min, args.r_max),
         variant=args.variant,
-        tol_override=tol,
+        tol_override=_tol(args),
         rhs_scale=args.rhs_scale,
     )
     result = run_campaign(cfg, args.out)
@@ -161,23 +163,19 @@ def _cmd_dilate(args) -> int:
     return EXIT_OK
 
 
+def _cmd_demo(args) -> int:
+    print(demo_table())
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "fuzz":
-            return _cmd_fuzz(args)
-        if args.command == "dilate":
-            return _cmd_dilate(args)
-        if args.command == "demo":
-            print(demo_table())
-            return EXIT_OK
+        return args.run(args)
     # Every input error (SerializationError, SpecError, DimensionError) is a ValueError.
     except (HarnessError, GenerationError, FileNotFoundError, ValueError) as exc:
         print(f"bohrcheck: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

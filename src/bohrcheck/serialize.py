@@ -86,6 +86,21 @@ def _finite(x) -> float:
     return v
 
 
+def _count(v) -> int:
+    """A JSON integer, refusing the ``true``, ``1.9`` and ``"2"`` that ``int`` takes."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise SerializationError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _decoded(decode, obj, key):
+    """``decode(obj[key])``; a malformed value raises naming ``key``."""
+    try:
+        return decode(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"field {key!r}: {exc}") from exc
+
+
 def _re_im_to_json(v: np.ndarray) -> dict:
     """The one re/im wire form of a complex vector or matrix."""
     return {"re": v.real.tolist(), "im": v.imag.tolist()}
@@ -217,7 +232,7 @@ def map_from_json(obj) -> MapSpec:
         raise SerializationError(f"unknown map kind {kind!r}")
     cls, fields = _MAP_KINDS[kind]
     try:
-        return cls(**{attr: decode(obj[key]) for key, attr, (_, decode, _) in fields})
+        return cls(**{attr: _decoded(decode, obj, key) for key, attr, (_, decode, _) in fields})
     except (KeyError, TypeError, ValueError, SpecError) as exc:
         raise SerializationError(f"cannot build {kind!r} map: {exc}") from exc
 
@@ -257,7 +272,7 @@ def _each(convert):
 # hashes the decoded value for :func:`digest`. A map's counts have no
 # packer of their own: :func:`_pack_map` packs them together.
 _FLOAT = (float, _finite, _pack_real)
-_COUNT = (int, int, None)
+_COUNT = (int, _count, None)
 _TEXT = (str, str, _pack_text)
 _WEIGHTS = (_each(float), _each(_finite), _pack_real)
 _SCALAR = (scalar_to_json, scalar_from_json, _pack_complex)
@@ -356,14 +371,11 @@ def instance_from_json(payload) -> tuple[str, dict]:
     if not isinstance(payload, dict) or "theorem" not in payload:
         raise SerializationError("instance payload must carry a 'theorem' field")
     theorem = canonical_theorem(payload["theorem"])
-    args = {}
-    for key, arg, (_, decode, _) in INSTANCE_SCHEMA[theorem]:
-        try:
-            args[arg] = decode(payload[key])
-        except KeyError as exc:
-            raise SerializationError(f"instance for {theorem!r} is missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise SerializationError(f"field {key!r}: {exc}") from exc
+    fields = INSTANCE_SCHEMA[theorem]
+    try:
+        args = {arg: _decoded(decode, payload, key) for key, arg, (_, decode, _) in fields}
+    except KeyError as exc:
+        raise SerializationError(f"instance for {theorem!r} is missing field {exc}") from exc
     return theorem, args
 
 

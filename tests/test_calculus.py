@@ -21,6 +21,7 @@ from bohrcheck.linalg import (
     hermitize,
     make_rng,
     random_hermitian,
+    random_unitary,
 )
 from oracles import abs_via_svd, fun_hermitian_ref, svd_singular_values
 from oracles import scan_function_flags as full_grid_scan
@@ -230,8 +231,6 @@ def test_apply_fun_spectral_mapping_and_commutation():
 
 
 def test_apply_fun_unitary_equivariance():
-    from bohrcheck.linalg import random_unitary
-
     rng = make_rng(24)
     f = make_function_spec("relu", (-3, 3))
     for _ in range(20):
@@ -264,6 +263,48 @@ def test_apply_fun_on_a_stack_is_each_member_alone():
             for got, m in zip(out, mats):
                 want = apply_fun(f, m)
                 assert got.tobytes() == want.tobytes()
+
+
+def test_covers_is_false_exactly_when_apply_fun_raises():
+    # Seeded stacks with one eigenvalue per member a few tolerances inside
+    # or outside a domain edge. covers() reads the eigenvalues apply_fun
+    # itself computes, so the two must agree member by member, both ways.
+    f = make_function_spec("square", (-2.0, 3.0))
+    rng = make_rng(11)
+    seen = set()
+    for _ in range(200):
+        k, n = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        w = rng.uniform(-1.0, 2.0, size=(k, n))
+        edge = rng.choice([-2.0, 3.0], size=k)
+        w[:, 0] = edge * (1.0 + rng.uniform(-3e-9, 3e-9, size=k))
+        u = np.stack([random_unitary(n, rng) for _ in range(k)])
+        mats = hermitize((u * w[:, None, :]) @ u.conj().swapaxes(-1, -2))
+        spectra = eig_hermitian(mats, stack="matrix").eigenvalues
+        try:
+            apply_fun(f, mats)
+            raised = False
+        except DomainError:
+            raised = True
+        assert f.covers(spectra) is not raised
+        for m, spectrum in zip(mats, spectra):
+            try:
+                apply_fun(f, m)
+                assert f.covers(spectrum)
+            except DomainError:
+                assert not f.covers(spectrum)
+        seen.add(raised)
+    assert seen == {False, True}
+
+
+def test_covers_reads_each_row_as_its_own_spectrum():
+    f = make_function_spec("relu", (0.0, 3.0))
+    # -2e-9 is outside [0, 3] beyond 1e-9 * max(1, 0.5) but within
+    # 1e-9 * max(1, 3): a row is judged at its own scale, not the stack's.
+    assert not f.covers([[3.0, 1.0], [0.5, -2e-9]])
+    assert f.covers([3.0, 1.0, 0.5, -2e-9])
+    assert f.covers([[3.0, 1.0], [0.5, -0.5e-9]])
+    assert f.covers(3.0 + 2e-9) and not f.covers(3.0 + 4e-9)
+    assert not f.covers(float("nan"))
 
 
 def test_apply_fun_on_a_stack_reports_the_escaping_member():

@@ -523,6 +523,26 @@ def test_replay_verifies_stored_report(tmp_path):
         replay(tampered)
 
 
+def test_replay_forgives_a_few_ulps_of_slack_scale():
+    # A stored slack that moved by BLAS roundoff (here 4 ulps of the report's
+    # scale, about 1.1e-13 on zh seed 7 trial 0) must still replay; a move
+    # of 1e-12 of scale and more is refused.
+    record = run_campaign(CampaignConfig("zh", 1, seed=7)).records[0]
+    fresh = record.report
+    scale = max(map(abs, (1.0, *fresh.partial_sums_lhs, *fresh.partial_sums_rhs)))
+    assert scale > 100.0
+    wrapped = {"instance": record.payload, "report": fresh.to_json()}
+    for step, ok in ((4 * np.spacing(scale), True), (-4 * np.spacing(scale), True),
+                     (2e-12 * scale, False)):
+        moved = json.loads(json.dumps(wrapped))
+        moved["report"]["min_slack"] += step
+        if ok:
+            assert replay(moved).min_slack == fresh.min_slack
+        else:
+            with pytest.raises(HarnessError, match="min_slack"):
+                replay(moved)
+
+
 def test_replay_reuses_stored_tolerance(tmp_path):
     payload = _bohr_payload()
     loose = run_instance(payload, tol=1e6)

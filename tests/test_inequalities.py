@@ -637,6 +637,74 @@ def test_increasing_convex_rejects_nonmonotone_f():
     assert "f increasing on domain" in rep.failed_hypotheses()
 
 
+# --- domain hypotheses: apply_fun's own test, member by member -------------------------------------------
+
+
+def test_increasing_convex_gates_each_member_at_its_own_scale():
+    # -2e-9 escapes [0, 3] beyond A2's own tolerance 1e-9 * max(1, 0.5),
+    # though not beyond 1e-9 * 3 at the family's scale; apply_fun judges
+    # A2 alone and would raise, so the gate must abstain.
+    f = make_function_spec("relu", (0.0, 3.0))
+    a1, a2 = np.diag([3.0, 1.0]), np.diag([0.5, -2e-9])
+    rep = check_increasing_convex_eigen(f, [a1, a2], [0.5, 0.5])
+    assert rep.not_applicable
+    assert rep.failed_hypotheses() == ("spectra within domain",)
+
+
+def test_cor_congruence_gates_each_member_at_its_own_scale():
+    # -1 - 5e-9 escapes [-1, 12] beyond A2's own tolerance of about 1e-9,
+    # though not beyond 1e-9 * 10.5 at the scale of all points at once.
+    f = make_function_spec("abs_pow", (-1.0, 12.0), r=2.0)
+    a1, a2 = np.diag([10.0, 0.0]), np.diag([0.5, -1.0 - 5e-9])
+    rep = check_cor_congruence(f, [a1, a2], [EYE2, EYE2], [0.5, 0.5])
+    assert rep.not_applicable
+    assert rep.failed_hypotheses() == ("domain covers evaluation points",)
+
+
+def _edge_instance(theorem, k):
+    """An instance whose first member has one eigenvalue k tolerances of
+    SPECTRUM_CLAMP_RTOL * max(1, |lambda|) below the domain's low end -2."""
+    rng = make_rng(3)
+    u, v = random_unitary(3, rng), random_unitary(3, rng)
+    low = -2.0 - k * 1e-9 * 2.0
+    a1 = u @ np.diag([low, 0.5, 1.0]) @ u.conj().T
+    a2 = v @ np.diag([0.3, 0.1, 0.2]) @ v.conj().T
+    x = np.array([0.9, 0.0, 0.0], dtype=complex)
+    square = make_function_spec("square", (-2.0, 3.0))
+    if theorem == "jensen-vec":
+        return check_jensen_vector, (square, a1, x)
+    if theorem == "jensen-map":
+        return check_jensen_map, (square, a1, Congruence(0.8 * v), x)
+    if theorem == "thm1":
+        maps = [(0.5, Congruence(np.eye(3))), (0.5, Congruence(0.5 * v))]
+        return check_thm_weak_major, (square, a1, maps)
+    if theorem == "cornew":
+        return check_cor_congruence, (square, [a1, a2], [np.eye(3)] * 2, [0.5, 0.5])
+    relu = make_function_spec("relu", (-2.0, 3.0))
+    return check_increasing_convex_eigen, (relu, [a1, a2], [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "theorem, failed",
+    [
+        ("jensen-vec", ("spectrum within domain",)),
+        ("jensen-map", ("spectrum within domain",)),
+        ("thm1", ("spectrum within domain",)),
+        ("cornew", ("domain covers evaluation points",)),
+        ("inc-convex", ("spectra within domain",)),
+    ],
+)
+def test_domain_gates_draw_apply_funs_line(theorem, failed):
+    # k = 0.5 and 2 stay clear of the edge k = 1, where the gate's eigvalsh
+    # and apply_fun's eigh may differ by roundoff.
+    checker, args = _edge_instance(theorem, 0.5)
+    assert checker(*args).holds
+    checker, args = _edge_instance(theorem, 2.0)
+    rep = checker(*args)
+    assert rep.not_applicable
+    assert rep.failed_hypotheses() == failed
+
+
 # --- family validation ------------------------------------------------------------------------------------------
 
 

@@ -194,6 +194,18 @@ def test_map_from_json_rejects_malformed():
         map_from_json({"kind": "sum", "terms": []})
 
 
+@pytest.mark.parametrize("key", ["i", "ell"])
+@pytest.mark.parametrize("bad", [1.9, "2", True, None])
+def test_block_counts_decode_only_from_json_integers(key, bad):
+    # int() would read 1.9 as 1, "2" as 2 and true as 1, and the map would
+    # then re-encode to other bytes than it was read from.
+    obj = map_to_json(BlockExtraction(1, 2, np.eye(2)))
+    assert map_from_json(obj).index == 1
+    obj[key] = bad
+    with pytest.raises(SerializationError, match=f"field '{key}': expected an integer, got {bad!r}"):
+        map_from_json(obj)
+
+
 # --- digests ----------------------------------------------------------------------------
 
 
