@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -76,8 +77,8 @@ class ConvexFunctionSpec:
 
     ``fn`` must accept and return float ndarrays. ``flags`` maps each name
     in :data:`FLAG_NAMES` to the outcome of its numeric scan at
-    construction time; a True flag means the property held on the scan
-    grid, nothing stronger.
+    construction time, read-only; a True flag means the property held on
+    the scan grid, nothing stronger.
     """
 
     id: str
@@ -273,8 +274,8 @@ def make_function_spec(fid: str, domain, r: float | None = None) -> ConvexFuncti
     if nonneg_domain and iv.lo < 0:
         raise DomainError(f"function {fid!r} needs a nonnegative domain, got {iv}")
     fn = factory(r)
-    report = scan_function_flags(fn, iv)
-    return ConvexFunctionSpec(id=fid, domain=iv, fn=fn, flags=dict(report.flags), r=r)
+    flags = types.MappingProxyType(scan_function_flags(fn, iv).flags)  # specs may be shared
+    return ConvexFunctionSpec(id=fid, domain=iv, fn=fn, flags=flags, r=r)
 
 
 # --- functional calculus ----------------------------------------------------
@@ -290,7 +291,12 @@ def apply_fun(spec: ConvexFunctionSpec, a) -> np.ndarray:
     anything further out raises :class:`DomainError`, naming the first
     member's spectrum that escapes.
     """
-    w, u = eig_hermitian(a, stack="matrix" if np.ndim(a) == 3 else None)
+    return _apply_eig(spec, *eig_hermitian(a, stack="matrix" if np.ndim(a) == 3 else None))
+
+
+def _apply_eig(spec: ConvexFunctionSpec, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`apply_fun` from a validated matrix's or stack's decomposition
+    (w, u), so a caller that gated on ``spec.covers(w)`` applies f to it."""
     iv = spec.domain
     escape = _escape(iv, w)
     if escape is not None:

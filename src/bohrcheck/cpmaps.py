@@ -202,21 +202,18 @@ def _apply(spec: MapSpec, m: np.ndarray) -> np.ndarray:
     if isinstance(spec, Congruence):
         return spec.x.conj().T @ m @ spec.x
     if isinstance(spec, DiagonalPOVM):
-        out = np.zeros((spec.effects[0].shape[0],) * 2, dtype=complex)
-        for i, p in enumerate(spec.effects):
-            out += m[i, i] * p
-        return out
+        # Summed in effect order from +0, bit for bit the loop
+        # out += m[i, i] * P_i; np.add.reduce sums in another order.
+        terms = np.diagonal(m)[:, None, None] * spec.effects
+        terms[0] += 0.0
+        return np.add.accumulate(terms)[-1]
     if isinstance(spec, BlockExtraction):
         d = spec.x.shape[0]
         i = spec.index
         block = m[i * d : (i + 1) * d, i * d : (i + 1) * d]
         return spec.x.conj().T @ block @ spec.x
     if isinstance(spec, WeightedSum):
-        n_out = map_dims(spec)[1]
-        out = np.zeros((n_out, n_out), dtype=complex)
-        for alpha, sub in spec.terms:
-            out += alpha * _apply(sub, m)
-        return out
+        return sum(alpha * _apply(sub, m) for alpha, sub in spec.terms)
     if isinstance(spec, Transpose):
         return m.T.copy()
     raise SpecError(f"unknown map spec type {type(spec).__name__}")

@@ -22,6 +22,7 @@ decoded.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -105,6 +106,8 @@ class CampaignConfig:
         (lo, hi), tol = self.spectrum, self.tol_override
         dims = ("n_range", "m_range", "ell_range")
         for ok, name, rule in (
+            *((_is_int(getattr(self, n)), n, "an integer") for n in ("trials", "seed")),
+            *((all(map(_is_int, getattr(self, n))), n, "a range of integers") for n in dims),
             (self.trials >= 0, "trials", ">= 0"),
             (math.isfinite(lo) and math.isfinite(hi), "spectrum", "finite"),
             *(
@@ -120,6 +123,10 @@ class CampaignConfig:
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -140,6 +147,9 @@ class TrialRecord:
     report: CheckReport | None
     error: str | None = None
 
+    #: What json.dumps builds for these settings, built once for all lines.
+    _encoder = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
     @property
     def payload(self) -> dict | None:
         """The instance payload of ``args``, encoded on each access."""
@@ -153,7 +163,7 @@ class TrialRecord:
             obj.update(digest=self.digest, error=self.error)
         else:
             obj.update(digest=self.digest, report=self.report.to_json())
-        return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+        return self._encoder.encode(obj)
 
 
 @dataclass
@@ -206,21 +216,14 @@ def _draw_int(rng, bounds) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
-def _draw_log_uniform(rng, lo: float, hi: float) -> float:
+def _draw_r(cfg: CampaignConfig, rng, lo_cap=-math.inf, hi_cap=math.inf) -> float:
+    """Log-uniform draw from ``cfg.r_range`` cut to [lo_cap, hi_cap]."""
+    lo, hi = max(cfg.r_range[0], lo_cap), min(cfg.r_range[1], hi_cap)
     if hi < lo:
         raise GenerationError(f"empty parameter range [{lo}, {hi}]")
     if hi == lo:
         return float(lo)
     return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
-
-
-def _draw_r(cfg: CampaignConfig, rng, lo_cap=None, hi_cap=None) -> float:
-    lo, hi = cfg.r_range
-    if lo_cap is not None:
-        lo = max(lo, lo_cap)
-    if hi_cap is not None:
-        hi = min(hi, hi_cap)
-    return _draw_log_uniform(rng, lo, hi)
 
 
 def _sum_to_one_weights(ell: int, rng) -> np.ndarray:
@@ -244,12 +247,22 @@ def _draw_function(cfg: CampaignConfig, rng, domain, ids=_FUNCTION_IDS):
     return _function_spec(fid, domain, r)
 
 
+#: Specs of the campaign running in this context, keyed by id and the bits
+#: of the endpoints and r (-0.0 and 0.0 digest apart); unset outside one.
+_campaign_specs: contextvars.ContextVar[dict] = contextvars.ContextVar("campaign_specs")
+
+
 def _function_spec(fid: str, domain, r):
-    """:func:`make_function_spec`, with a failed flag scan a GenerationError."""
-    try:
-        return make_function_spec(fid, domain, r)
-    except ValueError as exc:  # the flag scan overflowed on this domain
-        raise GenerationError(f"cannot build {fid!r} on {tuple(domain)}: {exc}") from exc
+    """:func:`make_function_spec`, with a failed flag scan a GenerationError;
+    built once per key within a campaign (a failed build is not kept)."""
+    key = (fid, *(float(x).hex() for x in domain), None if r is None else float(r).hex())
+    memo = _campaign_specs.get({})  # outside a campaign, a dict that nothing keeps
+    if key not in memo:
+        try:
+            memo[key] = make_function_spec(fid, domain, r)
+        except ValueError as exc:  # the flag scan overflowed on this domain
+            raise GenerationError(f"cannot build {fid!r} on {tuple(domain)}: {exc}") from exc
+    return memo[key]
 
 
 def _random_leaf_spec(n: int, m: int, rng, need_pd: bool) -> MapSpec:
@@ -271,7 +284,9 @@ def _random_leaf_spec(n: int, m: int, rng, need_pd: bool) -> MapSpec:
         return BlockExtraction(
             _draw_int(rng, (0, b - 1)), b, complex_gaussian((d, m), rng) / math.sqrt(d)
         )
-    g = np.stack([complex_gaussian((m, m), rng) for _ in range(n)])
+    # Each block's real, then imaginary part: n complex_gaussian((m, m)) draws.
+    z = rng.standard_normal((n, 2, m, m))
+    g = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
     return DiagonalPOVM(g @ g.conj().swapaxes(-1, -2) / (n * m))
 
 
@@ -353,10 +368,7 @@ def _gen_jensen_map(cfg, rng, trial: int) -> dict:
         spec = normalize_unital(_subunital_spec(n, m, rng))
         # The unital profile has no condition at 0, so exercise domains
         # that exclude it about a third of the time.
-        if rng.uniform() < 1.0 / 3.0:
-            domain = (1.0, 3.0)
-        else:
-            domain = cfg.spectrum
+        domain = (1.0, 3.0) if rng.uniform() < 1.0 / 3.0 else cfg.spectrum
         f = _draw_function(cfg, rng, domain)
         x = _short_vector(m, rng, unit=True)
     a = random_hermitian(n, domain, rng)
@@ -455,13 +467,11 @@ def _gen_inc_convex(cfg, rng, trial) -> dict:
     p = _sum_to_one_weights(ell, rng)
     ids = ("expm1", "relu", "linear", "half_pow")
     fid = ids[_draw_int(rng, (0, len(ids) - 1))]
-    if fid == "half_pow":
+    domain = cfg.spectrum
+    if fid == "half_pow" and cfg.r_range[1] < 2.0:
+        fid = "expm1"
+    elif fid == "half_pow":
         domain = (0.0, max(cfg.spectrum[1], 1.0))
-        if cfg.r_range[1] < 2.0:
-            fid = "expm1"
-            domain = cfg.spectrum
-    else:
-        domain = cfg.spectrum
     f = _draw_function(cfg, rng, domain, ids=(fid,))
     mats = random_hermitian(n, domain, rng, ell)
     return {"f": f, "a_list": mats, "p": p}
@@ -545,6 +555,7 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
 
     out = Path(out_path) if out_path is not None else None
     sink = open(out, "w", encoding="utf-8") if out is not None else None
+    token = _campaign_specs.set({})
     try:
         for trial in range(cfg.trials):
             rng = make_rng(cfg.seed, trial)
@@ -574,6 +585,7 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
         if sink is not None:
             sink.write(json.dumps({"summary": summary}, separators=(",", ":")) + "\n")
     finally:
+        _campaign_specs.reset(token)
         if sink is not None:
             sink.close()
     return CampaignResult(cfg, records, summary, violation_paths, error_paths)

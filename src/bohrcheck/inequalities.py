@@ -30,9 +30,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .calculus import ConvexFunctionSpec, abs_power, apply_fun
-from .cpmaps import MapSpec, map_dims, apply_map, applied_to_identity, is_unital
-from .linalg import DimensionError, as_complex_matrix, frob, hermitize
+from .calculus import ConvexFunctionSpec, _apply_eig, abs_power
+from .cpmaps import MapSpec, _apply, map_dims, apply_map, applied_to_identity, is_unital
+from .linalg import DimensionError, _eig_descending, as_complex_matrix, frob, hermitize
 from .linalg import require_hermitian, require_square
 from .majorization import schatten_of_values, singular_values
 
@@ -302,7 +302,7 @@ def check_jensen_vector(f: ConvexFunctionSpec, a, x, tol: float | None = None) -
     """
     am = require_hermitian(a)
     xv = _vector(x, am.shape[0])
-    w = np.linalg.eigvalsh(am)
+    w, u = _eig_descending(am)
     norm = float(np.linalg.norm(xv))
     hyps = {
         "f convex on domain": f.flag("convex_on_J"),
@@ -315,7 +315,7 @@ def check_jensen_vector(f: ConvexFunctionSpec, a, x, tol: float | None = None) -
         return _na_report("jensen-vec", hyps, tol)
     t = float(np.real(xv.conj() @ am @ xv))
     lhs = float(f(f.domain.clamp(t)))
-    rhs = float(np.real(xv.conj() @ apply_fun(f, am) @ xv))
+    rhs = float(np.real(xv.conj() @ _apply_eig(f, w, u) @ xv))
     return _graded_report(
         "jensen-vec", [lhs], [rhs], hyps, tol, {"evaluation_point": t}
     )
@@ -341,11 +341,12 @@ def check_jensen_map(
         raise ValueError(f"variant must be 'subunital' or 'unital', got {variant!r}")
     am = require_hermitian(a)
     xv = _vector(x, map_dims(spec)[1])
+    w, u = _eig_descending(am)
 
     norm = float(np.linalg.norm(xv))
     hyps = {
         "f convex on domain": f.flag("convex_on_J"),
-        "spectrum within domain": f.covers(np.linalg.eigvalsh(am)),
+        "spectrum within domain": f.covers(w),
     }
     if variant == "subunital":
         wi = np.linalg.eigvalsh(applied_to_identity(spec))
@@ -358,13 +359,13 @@ def check_jensen_map(
         hyps["Phi(I) = I"] = is_unital(spec)
         hyps["||x|| = 1"] = abs(norm - 1.0) <= _NORM_TOL
 
-    phi_a = hermitize(apply_map(spec, am))
+    phi_a = hermitize(apply_map(spec, am))  # the one dimension check of A
     t = float(np.real(xv.conj() @ phi_a @ xv))
     hyps["evaluation point within domain"] = f.covers(t)
     if not all(hyps.values()):
         return _na_report("jensen-map", hyps, tol, {"variant": variant})
     lhs = float(f(f.domain.clamp(t)))
-    rhs = float(np.real(xv.conj() @ apply_map(spec, apply_fun(f, am)) @ xv))
+    rhs = float(np.real(xv.conj() @ _apply(spec, _apply_eig(f, w, u)) @ xv))
     extras = {"variant": variant, "evaluation_point": t}
     return _graded_report("jensen-map", [lhs], [rhs], hyps, tol, extras)
 
@@ -387,14 +388,12 @@ def check_thm_weak_major(
     pairs = [(float(alpha), spec) for alpha, spec in weighted_maps]
     if not pairs:
         raise DimensionError("expected at least one weighted map")
-    dims = map_dims(pairs[0][1])
-    for _, spec in pairs:
-        if map_dims(spec) != dims:
-            raise DimensionError("all maps must share the same input/output dimensions")
+    if len({map_dims(spec) for _, spec in pairs}) > 1:
+        raise DimensionError("all maps must share the same input/output dimensions")
     if not all(math.isfinite(alpha) for alpha, _ in pairs):
         raise ValueError("combination weights must be finite")
 
-    w = np.linalg.eigvalsh(am)
+    w, u = _eig_descending(am)
     t_id = hermitize(sum(alpha * applied_to_identity(spec) for alpha, spec in pairs))
     wi = np.linalg.eigvalsh(t_id)
     hyps = {
@@ -407,15 +406,17 @@ def check_thm_weak_major(
         "f(0) <= 0": f.flag("f0_nonpositive"),
         "spectrum within domain": f.covers(w),
     }
-    mixed = hermitize(sum(alpha * apply_map(spec, am) for alpha, spec in pairs))
+    # A's dimension is checked once, by apply_map; map_dims matched the rest.
+    images = [apply_map(pairs[0][1], am)] + [_apply(spec, am) for _, spec in pairs[1:]]
+    mixed = hermitize(sum(alpha * image for (alpha, _), image in zip(pairs, images)))
     mu = np.linalg.eigvalsh(mixed)
     hyps["mixed spectrum within domain"] = f.covers(mu)
     if not all(hyps.values()):
         return _na_report("thm1", hyps, tol)
 
     lhs = np.cumsum(_descending(f(f.domain.clamp(mu))))
-    fa = apply_fun(f, am)
-    right = hermitize(sum(alpha * apply_map(spec, fa) for alpha, spec in pairs))
+    fa = _apply_eig(f, w, u)
+    right = hermitize(sum(alpha * _apply(spec, fa) for alpha, spec in pairs))
     rhs = np.cumsum(_descending(np.linalg.eigvalsh(right)))
     return _graded_report("thm1", lhs, rhs, hyps, tol)
 
@@ -438,6 +439,7 @@ def check_cor_congruence(
     wg = np.linalg.eigvalsh(gram)
     mixed = hermitize(sum(xh @ mats @ blocks))
     mu = np.linalg.eigvalsh(mixed)
+    w, u = _eig_descending(mats)
     hyps = {
         "weights positive": bool(np.all(aw > 0)),
         "sum a_i X_i*X_i <= I": bool(wg[-1] <= 1.0 + OPERATOR_HYP_TOL),
@@ -446,16 +448,14 @@ def check_cor_congruence(
         "f submultiplicative": f.flag("submultiplicative"),
     }
     hyps["domain covers evaluation points"] = hyps["weights positive"] and (
-        f.covers(np.linalg.eigvalsh(mats)) and f.covers(mu) and f.covers(1.0 / aw)
+        f.covers(w) and f.covers(mu) and f.covers(1.0 / aw)
     )
     if not all(hyps.values()):
         return _na_report("cornew", hyps, tol)
 
     lhs = np.cumsum(_descending(f(f.domain.clamp(mu))))
-    images = xh @ apply_fun(f, mats) @ blocks
-    right = np.zeros_like(mixed)
-    for w, image in zip(aw, images):
-        right += w * float(f(f.domain.clamp(1.0 / w))) * image
+    images = xh @ _apply_eig(f, w, u) @ blocks
+    right = sum(a_i * float(f(f.domain.clamp(1.0 / a_i))) * image for a_i, image in zip(aw, images))
     rhs = np.cumsum(_descending(np.linalg.eigvalsh(hermitize(right))))
     return _graded_report("cornew", lhs, rhs, hyps, tol)
 
@@ -631,10 +631,11 @@ def check_increasing_convex_eigen(
     weak-majorization statement to a pointwise one.
     """
     mats, pw, _ = _family(a_list, p)
+    w, u = _eig_descending(mats)
     hyps = {
         "f convex on domain": f.flag("convex_on_J"),
         "f increasing on domain": f.flag("increasing"),
-        "spectra within domain": f.covers(np.linalg.eigvalsh(mats)),
+        "spectra within domain": f.covers(w),
     }
     hyps.update(_sum_weight_hyps(pw))
     if not all(hyps.values()):
@@ -646,7 +647,7 @@ def check_increasing_convex_eigen(
     if not all(hyps.values()):
         return _na_report("inc-convex", hyps, tol)
     lhs = _descending(f(f.domain.clamp(mu)))
-    right = hermitize(sum(w * fm for w, fm in zip(pw, apply_fun(f, mats))))
+    right = hermitize(sum(p_i * fm for p_i, fm in zip(pw, _apply_eig(f, w, u))))
     rhs = _descending(np.linalg.eigvalsh(right))
     return _graded_report(
         "inc-convex", lhs, rhs, hyps, tol, comparison="pointwise"

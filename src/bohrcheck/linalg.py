@@ -62,10 +62,6 @@ class Interval(NamedTuple):
             raise ValueError(f"interval is empty: {self!r}")
         return self
 
-    def contains(self, values, tol: float = 0.0) -> bool:
-        v = np.asarray(values, dtype=float)
-        return bool(np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol))
-
     def clamp(self, values) -> np.ndarray:
         return np.clip(np.asarray(values, dtype=float), self.lo, self.hi)
 
@@ -203,10 +199,15 @@ def eig_hermitian(a, *, stack: str | None = None) -> EigenDecomposition:
     for bit as alone. A backend that fails to converge raises
     ``numpy.linalg.LinAlgError``, which a campaign records as an error line.
     """
-    m = require_hermitian(a, stack=stack)
+    return _eig_descending(require_hermitian(a, stack=stack))
+
+
+def _eig_descending(m: np.ndarray) -> EigenDecomposition:
+    """:func:`eig_hermitian` of a matrix or ``(k, n, n)`` stack already
+    validated Hermitian, for callers that validated it themselves."""
     w, u = np.linalg.eigh(hermitize(m))
     order = np.argsort(-w, axis=-1, kind="stable")
-    if stack is None:  # plain indexing beats take_along_axis on one matrix
+    if m.ndim == 2:  # plain indexing beats take_along_axis on one matrix
         return EigenDecomposition(w[order], u[:, order])
     return EigenDecomposition(
         np.take_along_axis(w, order, -1), np.take_along_axis(u, order[:, None, :], -1)
@@ -280,8 +281,6 @@ def random_map_family(
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError("weights must be finite and nonnegative")
     ys = np.stack([complex_gaussian((n, m), rng) for _ in range(ell)])
-    g = np.zeros((m, m), dtype=complex)
-    for wi, gram in zip(w, ys.conj().swapaxes(-1, -2) @ ys):
-        g += wi * gram
+    g = sum(wi * gram for wi, gram in zip(w, ys.conj().swapaxes(-1, -2) @ ys))
     top = float(np.linalg.eigvalsh(hermitize(g))[-1]) if np.any(w > 0) else 0.0
     return ys * (1.0 / math.sqrt(max(1.0, top)))

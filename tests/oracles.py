@@ -7,8 +7,9 @@ block writes, flag scans evaluate the full pair grid instead of its upper
 triangle, complete positivity is decided by applying the lifted map
 to explicit positive inputs, partial sums are accumulated in plain
 Python, random families are drawn and factored one member at a time
-instead of as one stack, and reports are graded on numpy arrays instead
-of Python floats.
+instead of as one stack, POVMs are applied and their blocks drawn one
+effect at a time instead of in one broadcast or one draw, and reports are
+graded on numpy arrays instead of Python floats.
 """
 
 from __future__ import annotations
@@ -219,3 +220,17 @@ def graded_report_ref(theorem_id, lhs, rhs, hyps, tol, extras=None, comparison="
         hypothesis_report=dict(hyps),
         extras=merged,
     )
+
+
+def povm_apply_loop(effects, a) -> np.ndarray:
+    """sum_i A_ii P_i, one effect at a time from a +0 matrix."""
+    effects = np.asarray(effects, dtype=complex)
+    out = np.zeros(effects.shape[1:], dtype=complex)
+    for i, p in enumerate(effects):
+        out += a[i, i] * p
+    return out
+
+
+def povm_blocks_loop(n: int, m: int, rng) -> np.ndarray:
+    """n Gaussian m x m blocks, one complex_gaussian call each."""
+    return np.stack([complex_gaussian((m, m), rng) for _ in range(n)])

@@ -10,6 +10,7 @@ from bohrcheck.cpmaps import (
     SpecError,
     Transpose,
     WeightedSum,
+    _apply,
     applied_to_identity,
     apply_map,
     choi_matrix,
@@ -30,7 +31,13 @@ from bohrcheck.linalg import (
     random_hermitian,
     random_unitary,
 )
-from oracles import choi_via_kron, cp_by_lifted_positivity, entangled_projector, lifted_apply
+from oracles import (
+    choi_via_kron,
+    cp_by_lifted_positivity,
+    entangled_projector,
+    lifted_apply,
+    povm_apply_loop,
+)
 
 
 def random_leaf(rng, n, m):
@@ -127,6 +134,39 @@ def test_povm_from_a_stack_equals_povm_from_a_tuple():
     spec = DiagonalPOVM(effects)
     effects[0] = 0.0
     assert np.array_equal(spec.effects[0], np.eye(2))
+
+
+def _povm_cases(count: int):
+    """Seeded (spec, input) pairs: Gram effects, their real parts, some
+    effects negated zero, with Hermitian, identity, zero, and
+    signed-zero-diagonal inputs."""
+    rng = make_rng(808)
+    for case in range(count):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        g = complex_gaussian((n, m, m), rng)
+        effects = g @ g.conj().swapaxes(-1, -2) / (n * m)
+        if case % 3 == 1:
+            effects = effects.real.astype(complex)
+        elif case % 3 == 2:
+            effects[rng.uniform(size=n) < 0.5] = -0.0
+        spec = DiagonalPOVM(effects)
+        signed = np.diag(rng.choice([-1.5, -0.0, 0.0, 2.0], size=n)).astype(complex)
+        for a in (random_hermitian(n, (-2.0, 2.0), rng), np.eye(n), np.zeros((n, n)), signed):
+            yield spec, np.asarray(a, dtype=complex)
+
+
+def test_povm_apply_is_the_per_effect_loop_bit_for_bit():
+    # One broadcast product summed in effect order from +0. np.add.reduce
+    # over the effect axis sums in another order, and the count below shows
+    # that these cases tell the two apart.
+    reduce_differs = 0
+    for spec, a in _povm_cases(600):
+        expected = povm_apply_loop(spec.effects, a)
+        assert _apply(spec, a).tobytes() == expected.tobytes()
+        assert apply_map(spec, a).tobytes() == expected.tobytes()
+        terms = np.diagonal(a)[:, None, None] * spec.effects
+        reduce_differs += np.add.reduce(terms, axis=0).tobytes() != expected.tobytes()
+    assert reduce_differs > 0
 
 
 def test_block_extraction_picks_the_right_block():

@@ -57,12 +57,19 @@ def _tool(*flags):
     )
 
 
-def _run(*flags, stream="stdout"):
-    return getattr(_tool(*flags), stream).splitlines()
+# The tool starts once per output form, for every test of this module.
+@pytest.fixture(scope="module")
+def plain():
+    return _tool()
 
 
-def test_fingerprint_prints_one_sha256_per_output():
-    lines = _run()
+@pytest.fixture(scope="module")
+def masked():
+    return _tool("--mask-digests")
+
+
+def test_fingerprint_prints_one_sha256_per_output(plain):
+    lines = plain.stdout.splitlines()
     expected = [f"{t} seed={seed} trials=3" for seed in (7, 42) for t in THEOREMS]
     expected += ["cor45 seed=5 trials=40 rhs_scale=0.4 artifacts=14", "demo_table", "cp specs=300"]
     assert [line.rsplit(" ", 1)[0] for line in lines] == expected
@@ -71,23 +78,22 @@ def test_fingerprint_prints_one_sha256_per_output():
     assert len({line.rsplit(" ", 1)[1] for line in lines}) == len(lines)
 
 
-def test_environment_goes_to_stderr_only():
+def test_environment_goes_to_stderr_only(plain):
     # stdout holds fingerprint lines only (checked above); the numpy and
     # BLAS versions that explain a cross-machine mismatch go to stderr.
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     expected = f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
-    assert _run(stream="stderr") == [expected]
+    assert plain.stderr.splitlines() == [expected]
 
 
-def test_mask_digests_changes_only_outputs_that_carry_digests():
-    plain, masked = _run(), _run("--mask-digests")
+def test_mask_digests_changes_only_outputs_that_carry_digests(plain, masked):
+    plain, masked = plain.stdout.splitlines(), masked.stdout.splitlines()
     assert [line.rsplit(" ", 1)[0] for line in masked] == [line.rsplit(" ", 1)[0] for line in plain]
     # Every report carries digests; the demo table and the CP line carry none.
     assert [a == b for a, b in zip(plain, masked)] == [False] * (len(plain) - 2) + [True, True]
 
 
-def test_fingerprint_values_are_pinned():
-    done = _tool()
-    if done.stderr.splitlines() != [PINNED_ENV]:
-        pytest.skip(f"values pinned on {PINNED_ENV}, not on {done.stderr.strip()}")
-    assert done.stdout.splitlines() == PINNED
+def test_fingerprint_values_are_pinned(plain):
+    if plain.stderr.splitlines() != [PINNED_ENV]:
+        pytest.skip(f"values pinned on {PINNED_ENV}, not on {plain.stderr.strip()}")
+    assert plain.stdout.splitlines() == PINNED

@@ -1,17 +1,21 @@
 """Campaign configuration, generators, JSONL stream, replay, and demo."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from bohrcheck import serialize
+from bohrcheck.cpmaps import DiagonalPOVM
 from bohrcheck.inequalities import NumericalError
 from bohrcheck.harness import (
     CampaignConfig,
     GenerationError,
     HarnessError,
     TrialRecord,
+    _draw_int,
+    _random_leaf_spec,
     demo,
     demo_table,
     generate_instance,
@@ -21,6 +25,7 @@ from bohrcheck.harness import (
 )
 from bohrcheck.linalg import make_rng, stream_key
 from bohrcheck.serialize import SerializationError
+from oracles import povm_blocks_loop
 
 ALL_THEOREMS = (
     "bohr",
@@ -102,6 +107,37 @@ def test_config_rejects_bad_rhs_scale():
     assert CampaignConfig("cor4.5", 1, 0, rhs_scale=0.5).rhs_scale == 0.5
 
 
+@pytest.mark.parametrize(
+    "field, value, rule",
+    [
+        ("trials", 2.5, "an integer"),
+        ("trials", True, "an integer"),
+        ("trials", 3.0, "an integer"),
+        ("seed", 1.5, "an integer"),
+        ("seed", False, "an integer"),
+        ("n_range", (2.0, 8), "a range of integers"),
+        ("m_range", (2, 8.5), "a range of integers"),
+        ("ell_range", (True, 4), "a range of integers"),
+    ],
+)
+def test_config_rejects_non_integer_counts(tmp_path, field, value, rule):
+    # trials=2.5 once passed the config and then raised TypeError with the
+    # report file already created; trials=True ran one trial and seed=1.5
+    # silently ran seed 1.
+    settings = {"theorem": "zh", "trials": 3, "seed": 3, field: value}
+    out = tmp_path / "report.jsonl"
+    with pytest.raises(ValueError, match=f"^{field} must be {rule}, got {re.escape(repr(value))}$"):
+        run_campaign(CampaignConfig(**settings), out)
+    assert not out.exists()
+
+
+def test_config_accepts_numpy_integers():
+    cfg = CampaignConfig("zh", np.int64(2), np.uint32(3), n_range=(np.int32(2), 4))
+    res = run_campaign(cfg)
+    assert len(res.records) == 2
+    assert res.records[1].stream == f"{stream_key(3, 1):016x}"
+
+
 def test_run_instance_rejects_rhs_scale_off_cor45():
     payload = _payload(CampaignConfig("zh", 1, 3), 0)
     with pytest.raises(ValueError, match="^rhs_scale must be 1.0 for every theorem but cor45, got 0.5"):
@@ -169,6 +205,129 @@ def test_theorem_specific_r_clipping():
 
 
 # --- run_instance dispatch ----------------------------------------------------------
+
+
+# --- function specs: built once per campaign ------------------------------------
+
+
+def _spec_key(f):
+    """The memo key of spec ``f``: its id and the bits of its endpoints and r."""
+    return (f.id, f.domain.lo.hex(), f.domain.hi.hex(), None if f.r is None else f.r.hex())
+
+
+def test_trials_of_one_campaign_share_a_spec_per_key():
+    res = run_campaign(CampaignConfig("jensen-map", 60, seed=5))
+    by_key = {}
+    for rec in res.records:
+        by_key.setdefault(_spec_key(rec.args["f"]), []).append(rec.args["f"])
+    assert len(by_key) < len(res.records)  # square, expm1 and relu recur
+    for specs in by_key.values():
+        assert all(f is specs[0] for f in specs)
+
+
+def test_campaigns_do_not_share_specs():
+    cfg = CampaignConfig("thm1", 20, seed=6)
+    first, second = run_campaign(cfg).records, run_campaign(cfg).records
+    for a, b in zip(first, second):
+        assert _spec_key(a.args["f"]) == _spec_key(b.args["f"])
+        assert a.args["f"] is not b.args["f"]
+
+
+def test_generate_instance_outside_a_campaign_builds_a_fresh_spec():
+    cfg = CampaignConfig("jensen-vec", 4, seed=7)
+    ran = run_campaign(cfg).records[2].args["f"]
+    specs = [generate_instance(cfg, 2, make_rng(7, 2))["f"] for _ in range(2)]
+    assert {_spec_key(f) for f in specs} == {_spec_key(ran)}
+    assert specs[0] is not specs[1]
+    assert all(f is not ran for f in specs)
+
+
+def test_a_campaign_run_inside_another_leaves_the_outer_memo_in_place(monkeypatch):
+    # Each campaign's memo is set for its own run and restored after it, so
+    # the outer campaign keeps sharing its spec across the inner run.
+    import bohrcheck.harness as harness_mod
+
+    outer, inner = [], []
+
+    def bohr(cfg, rng, trial):
+        outer.append(harness_mod._function_spec("relu", (-1.0, 1.0), None))
+        if trial == 0:
+            run_campaign(CampaignConfig("vasic", 2, seed=1))
+        return {"z": 1.0, "w": 1.0, "p": 2.0}
+
+    def vasic(cfg, rng, trial):
+        inner.append(harness_mod._function_spec("relu", (-1.0, 1.0), None))
+        return {"z": np.ones(1, dtype=complex), "p": np.ones(1), "r": 2.0}
+
+    monkeypatch.setitem(harness_mod.THEOREM_TABLE, "bohr", ("check_scalar_bohr", bohr))
+    monkeypatch.setitem(harness_mod.THEOREM_TABLE, "vasic", ("check_vasic_keckic", vasic))
+    run_campaign(CampaignConfig("bohr", 3, seed=1))
+    assert outer[0] is outer[1] is outer[2]
+    assert inner[0] is inner[1] and inner[0] is not outer[0]
+
+
+def test_spec_memo_keeps_signed_zero_endpoints_apart(monkeypatch):
+    # -0.0 and 0.0 compare equal but pack, and so digest, apart: a memo
+    # keyed by float == would hand one trial the other's endpoints.
+    import bohrcheck.harness as harness_mod
+
+    built = []
+
+    def gen(cfg, rng, trial):
+        for domain in ((-0.0, 1.0), (0.0, 1.0)):
+            built.append(harness_mod._function_spec("relu", domain, None))
+        return {"z": 1.0, "w": 1.0, "p": 2.0}
+
+    monkeypatch.setitem(harness_mod.THEOREM_TABLE, "bohr", ("check_scalar_bohr", gen))
+    run_campaign(CampaignConfig("bohr", 2, seed=1))
+    neg, pos, neg_again, pos_again = built
+    assert neg is neg_again and pos is pos_again  # the memo is in use
+    assert neg is not pos
+    assert str(neg.domain.lo) == "-0.0" and str(pos.domain.lo) == "0.0"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_failed_spec_builds_are_not_kept(monkeypatch):
+    # expm1 overflows in the flag scan on [1, 1000]; every draw of it must
+    # rebuild and fail with the same message, not replay a stored failure.
+    import bohrcheck.harness as harness_mod
+
+    builds = []
+    real = harness_mod.make_function_spec
+
+    def counting(fid, domain, r=None):
+        builds.append(fid)
+        return real(fid, domain, r)
+
+    monkeypatch.setattr(harness_mod, "make_function_spec", counting)
+    res = run_campaign(CampaignConfig("jensen-vec", 40, seed=3, spectrum=(1.0, 1000.0)))
+    failures = [rec.error for rec in res.records if rec.args is None]
+    assert len(failures) >= 2
+    reason = "function evaluated to a non-finite value on its domain"
+    assert set(failures) == {f"cannot build 'expm1' on (1.0, 1000.0): {reason}"}
+    assert builds.count("expm1") == len(failures)
+
+
+def test_spec_flags_are_shared_read_only():
+    f = run_campaign(CampaignConfig("jensen-vec", 1, seed=1)).records[0].args["f"]
+    with pytest.raises(TypeError):
+        f.flags["convex_on_J"] = False
+
+
+def test_povm_blocks_are_drawn_as_n_complex_gaussian_calls():
+    # With n < m and need_pd, a POVM is the only leaf kind. Its blocks come
+    # from one standard_normal call, which must give the bits and leave the
+    # stream where n complex_gaussian((m, m)) calls do.
+    for seed, (n, m) in enumerate([(1, 2), (2, 3), (3, 8), (5, 7), (7, 8)]):
+        rng, ref = make_rng(seed), make_rng(seed)
+        spec = _random_leaf_spec(n, m, rng, need_pd=True)
+        _draw_int(ref, (0, 0))
+        g = povm_blocks_loop(n, m, ref)
+        assert isinstance(spec, DiagonalPOVM)
+        expected = DiagonalPOVM(g @ g.conj().swapaxes(-1, -2) / (n * m))
+        assert spec.effects.tobytes() == expected.effects.tobytes()
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+        assert rng.standard_normal() == ref.standard_normal()
 
 
 def test_run_instance_requires_theorem_field():
@@ -424,8 +583,8 @@ def test_eigensolver_failure_is_a_trial_error_not_an_abort(tmp_path, theorem):
 
 
 def test_functional_calculus_eigensolver_failure_is_a_trial_error(tmp_path, monkeypatch):
-    # jensen-vec reaches np.linalg.eigh only through apply_fun's
-    # eig_hermitian, whose LinAlgError must end the trial, not the campaign.
+    # jensen-vec reaches np.linalg.eigh only through its one decomposition
+    # of A, whose LinAlgError must end the trial, not the campaign.
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 

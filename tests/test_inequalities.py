@@ -661,10 +661,10 @@ def test_cor_congruence_gates_each_member_at_its_own_scale():
     assert rep.failed_hypotheses() == ("domain covers evaluation points",)
 
 
-def _edge_instance(theorem, k):
+def _edge_instance(theorem, k, seed=3):
     """An instance whose first member has one eigenvalue k tolerances of
     SPECTRUM_CLAMP_RTOL * max(1, |lambda|) below the domain's low end -2."""
-    rng = make_rng(3)
+    rng = make_rng(seed)
     u, v = random_unitary(3, rng), random_unitary(3, rng)
     low = -2.0 - k * 1e-9 * 2.0
     a1 = u @ np.diag([low, 0.5, 1.0]) @ u.conj().T
@@ -695,14 +695,38 @@ def _edge_instance(theorem, k):
     ],
 )
 def test_domain_gates_draw_apply_funs_line(theorem, failed):
-    # k = 0.5 and 2 stay clear of the edge k = 1, where the gate's eigvalsh
-    # and apply_fun's eigh may differ by roundoff.
+    # k = 0.5 and 2 stay clear of the edge k = 1; the next test covers it.
     checker, args = _edge_instance(theorem, 0.5)
     assert checker(*args).holds
     checker, args = _edge_instance(theorem, 2.0)
     rep = checker(*args)
     assert rep.not_applicable
     assert rep.failed_hypotheses() == failed
+
+
+@pytest.mark.parametrize("k", [0.999, 1.0, 1.001, 2.0])
+@pytest.mark.parametrize(
+    "theorem, failed",
+    [
+        ("jensen-vec", ("spectrum within domain",)),
+        ("jensen-map", ("spectrum within domain",)),
+        ("thm1", ("spectrum within domain",)),
+        ("cornew", ("domain covers evaluation points",)),
+        ("inc-convex", ("spectra within domain",)),
+    ],
+)
+def test_domain_gates_judge_the_spectrum_f_is_applied_to(theorem, failed, k):
+    # Each checker gates on the eigenvalues of the one decomposition it
+    # applies f from. At k = 1 a separate eigvalsh and eigh disagree by
+    # roundoff on some of these seeds (seed 1, say), and a gate that passed
+    # then met a DomainError from apply_fun.
+    for seed in range(8):
+        checker, args = _edge_instance(theorem, k, seed)
+        rep = checker(*args)
+        if k > 1.0 or (k == 1.0 and rep.not_applicable):
+            assert rep.failed_hypotheses() == failed, seed
+        else:
+            assert rep.holds, seed
 
 
 # --- family validation ------------------------------------------------------------------------------------------
