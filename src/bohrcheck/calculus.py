@@ -2,8 +2,10 @@
 
 A :class:`ConvexFunctionSpec` bundles a vectorized scalar function with the
 hypothesis flags the inequality checkers consume (convexity, monotonicity,
-submultiplicativity, behaviour at zero). Flags are established by numeric
-grid scans, never by symbolic reasoning, so a spec can only claim what its
+submultiplicativity, behaviour at zero). Each registry row holds a kernel
+f(t, r) on float arrays beside its rules for r and the domain, and
+:func:`make_function_spec` binds r once. Flags come from numeric grid
+scans, never from symbolic reasoning, so a spec can only claim what its
 own evaluations support. :func:`apply_fun` lifts a spec to Hermitian
 matrices through the spectral decomposition, and :func:`abs_power` computes
 |A|^r for arbitrary square A, or for every matrix of a stack at once.
@@ -204,46 +206,16 @@ def scan_function_flags(fn, domain, grid_size: int = DEFAULT_SCAN_GRID) -> Funct
 
 # --- registry ---------------------------------------------------------------
 
-
-def _abs_pow(r: float):
-    def fn(t: np.ndarray) -> np.ndarray:
-        return np.abs(t) ** r
-
-    return fn
-
-
-def _half_pow(r: float):
-    def fn(t: np.ndarray) -> np.ndarray:
-        # Domain is restricted to t >= 0; the clip only guards roundoff.
-        return np.clip(t, 0.0, None) ** (r / 2.0)
-
-    return fn
-
-
-def _square(_):
-    return lambda t: np.square(np.asarray(t, dtype=float))
-
-
-def _expm1(_):
-    return lambda t: np.expm1(np.asarray(t, dtype=float))
-
-
-def _relu(_):
-    return lambda t: np.maximum(np.asarray(t, dtype=float), 0.0)
-
-
-def _linear(_):
-    return lambda t: np.asarray(t, dtype=float) + 0.0
-
-
-# id -> (factory, takes r, requires nonnegative domain)
+#: id -> (kernel f(t, r) on float arrays, takes r, needs a nonnegative
+#: domain). A spec binds r once; kernels that take none ignore it.
 _REGISTRY: dict[str, tuple[Callable, bool, bool]] = {
-    "abs_pow": (_abs_pow, True, False),
-    "half_pow": (_half_pow, True, True),
-    "square": (_square, False, False),
-    "expm1": (_expm1, False, False),
-    "relu": (_relu, False, False),
-    "linear": (_linear, False, False),
+    "abs_pow": (lambda t, r: np.abs(t) ** r, True, False),
+    # t^(r/2) is defined for t >= 0 only; the clip only guards roundoff.
+    "half_pow": (lambda t, r: np.clip(t, 0.0, None) ** (r / 2.0), True, True),
+    "square": (lambda t, r: np.square(t), False, False),
+    "expm1": (lambda t, r: np.expm1(t), False, False),
+    "relu": (lambda t, r: np.maximum(t, 0.0), False, False),
+    "linear": (lambda t, r: t + 0.0, False, False),  # + 0.0 turns -0.0 into 0.0
 }
 
 
@@ -261,7 +233,7 @@ def make_function_spec(fid: str, domain, r: float | None = None) -> ConvexFuncti
     """
     if fid not in _REGISTRY:
         raise KeyError(f"unknown function id {fid!r}; known: {', '.join(function_registry())}")
-    factory, takes_r, nonneg_domain = _REGISTRY[fid]
+    kernel, takes_r, nonneg_domain = _REGISTRY[fid]
     iv = as_interval(domain)
     if takes_r:
         if r is None:
@@ -273,7 +245,7 @@ def make_function_spec(fid: str, domain, r: float | None = None) -> ConvexFuncti
         raise ValueError(f"function {fid!r} takes no parameter r")
     if nonneg_domain and iv.lo < 0:
         raise DomainError(f"function {fid!r} needs a nonnegative domain, got {iv}")
-    fn = factory(r)
+    fn = functools.partial(kernel, r=r)
     flags = types.MappingProxyType(scan_function_flags(fn, iv).flags)  # specs may be shared
     return ConvexFunctionSpec(id=fid, domain=iv, fn=fn, flags=flags, r=r)
 

@@ -62,8 +62,8 @@ class SpecError(ValueError):
 
 
 #: The one relative tolerance of this module's decisions: PSD effects and
-#: Choi matrices, Hermitian Choi matrices, unitality, and the Choi
-#: eigenvalues (as a fraction of the largest) kept as Kraus operators.
+#: Choi matrices, Hermitian Choi matrices, unitality (``_is_identity``), and
+#: the Choi eigenvalues (as a fraction of the largest) kept as Kraus operators.
 PSD_TOL = 1e-10
 
 
@@ -227,7 +227,11 @@ def applied_to_identity(spec: MapSpec) -> np.ndarray:
 
 def is_unital(spec: MapSpec) -> bool:
     """True when Phi(I) = I within PSD_TOL."""
-    t = applied_to_identity(spec)
+    return _is_identity(applied_to_identity(spec))
+
+
+def _is_identity(t: np.ndarray) -> bool:
+    """The one unital rule: ||Phi(I) - I||_F <= PSD_TOL * sqrt(n) for t = Phi(I)."""
     return frob(t - np.eye(t.shape[0])) <= PSD_TOL * math.sqrt(t.shape[0])
 
 
@@ -357,13 +361,12 @@ def normalize_unital(spec: MapSpec) -> MapSpec:
     """Unital normalization Psi(A) = Phi(I)^(-1/2) Phi(A) Phi(I)^(-1/2).
 
     Phi(I) must be positive definite (smallest eigenvalue above
-    1e-10 * largest). An already-unital spec is returned unchanged; the
-    conjugation is otherwise absorbed into the leaf blocks, so the result
-    stays within the structural kinds.
+    1e-10 * largest). A spec that :func:`is_unital` accepts is returned
+    unchanged; the conjugation is otherwise absorbed into the leaf blocks,
+    so the result stays within the structural kinds.
     """
     t = applied_to_identity(spec)
-    n_in = t.shape[0]
-    if frob(t - np.eye(n_in)) <= 1e-12 * math.sqrt(n_in):
+    if _is_identity(t):
         return spec
     w, u = np.linalg.eigh(t)
     if w[-1] <= 0 or w[0] <= 1e-10 * float(w[-1]):

@@ -109,7 +109,7 @@ class CampaignConfig:
             *((_is_int(getattr(self, n)), n, "an integer") for n in ("trials", "seed")),
             *((all(map(_is_int, getattr(self, n))), n, "a range of integers") for n in dims),
             (self.trials >= 0, "trials", ">= 0"),
-            (math.isfinite(lo) and math.isfinite(hi), "spectrum", "finite"),
+            (math.isfinite(hi - lo), "spectrum", "finite, with a finite width hi - lo"),
             *(
                 (getattr(self, n)[0] <= getattr(self, n)[1], n, "a nonempty range (lo, hi)")
                 for n in (*dims, "r_range", "spectrum")
@@ -191,7 +191,8 @@ def run_instance(payload: dict, tol: float | None = None, rhs_scale: float = 1.0
     """
     theorem, args = serialize.instance_from_json(payload)
     # Digested after the check, so malformed input gets the checker's message.
-    report = _check(theorem, args, tol, rhs_scale)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in run_campaign
+        report = _check(theorem, args, tol, rhs_scale)
     return replace(report, input_digest=serialize.digest(theorem, args))
 
 
@@ -202,10 +203,7 @@ def _check(theorem, args, tol, rhs_scale) -> CheckReport:
     mutation = {"rhs_scale": rhs_scale} if theorem == "cor45" else {}
     # Looked up by name on every call, so rebinding a checker reaches here.
     checker = getattr(inequalities, THEOREM_TABLE[theorem][0])
-    # Overflow becomes inf or NaN and then a NumericalError, which already
-    # says what happened, so numpy's own warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return checker(**args, **mutation, tol=tol)
+    return checker(**args, **mutation, tol=tol)
 
 
 # --- random building blocks --------------------------------------------------
@@ -234,16 +232,15 @@ def _sum_to_one_weights(ell: int, rng) -> np.ndarray:
 #: Functions the campaign generators draw from (inc-convex draws its own).
 _FUNCTION_IDS = ("abs_pow", "square", "expm1", "relu")
 
+#: (lo_cap, hi_cap) on the r of each function that takes one: abs_pow is
+#: capped at 3 to keep |t|^r values on the default spectrum modest, and
+#: t^(r/2) is convex increasing only from r >= 2 on.
+_R_CAPS = {"abs_pow": (-math.inf, 3.0), "half_pow": (2.0, math.inf)}
+
 
 def _draw_function(cfg: CampaignConfig, rng, domain, ids=_FUNCTION_IDS):
     fid = str(ids[_draw_int(rng, (0, len(ids) - 1))])
-    r = None
-    if fid == "abs_pow":
-        # Cap at 3 to keep |t|^r values on the default spectrum modest.
-        r = _draw_r(cfg, rng, hi_cap=3.0)
-    elif fid == "half_pow":
-        # t^(r/2) is convex increasing only from r >= 2 on.
-        r = _draw_r(cfg, rng, lo_cap=2.0)
+    r = _draw_r(cfg, rng, *_R_CAPS[fid]) if fid in _R_CAPS else None
     return _function_spec(fid, domain, r)
 
 
@@ -411,8 +408,7 @@ def _gen_cornew(cfg, rng, trial) -> dict:
     # Window wide enough to stand in for "convex on all of R" at the
     # scale of every point the checker evaluates.
     window = (-10.0 * reach, 10.0 * reach)
-    r = _draw_r(cfg, rng, hi_cap=3.0)
-    f = _function_spec("abs_pow", window, r)
+    f = _draw_function(cfg, rng, window, ids=("abs_pow",))  # takes no bits to pick
     return {"f": f, "a_list": mats, "x_list": blocks, "alpha": alphas}
 
 
@@ -468,7 +464,7 @@ def _gen_inc_convex(cfg, rng, trial) -> dict:
     ids = ("expm1", "relu", "linear", "half_pow")
     fid = ids[_draw_int(rng, (0, len(ids) - 1))]
     domain = cfg.spectrum
-    if fid == "half_pow" and cfg.r_range[1] < 2.0:
+    if fid == "half_pow" and cfg.r_range[1] < _R_CAPS[fid][0]:
         fid = "expm1"
     elif fid == "half_pow":
         domain = (0.0, max(cfg.spectrum[1], 1.0))
@@ -540,10 +536,12 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
 
     The emitted stream is one line per trial in index order plus a final
     ``{"summary": ...}`` line, and is byte-identical across runs with the
-    same config. A trial whose checker raises :class:`NumericalError` or
-    ``numpy.linalg.LinAlgError`` (an eigensolver that did not converge on
-    overflowed input) gets an error line and counts under ``errors``; any
-    other exception aborts the campaign. The payloads of violating and of
+    same config. A trial whose generator raises :class:`GenerationError`, or
+    draws a non-finite instance (which the digest refuses), gets a
+    ``generation_failed`` line; one whose checker raises
+    :class:`NumericalError` or ``numpy.linalg.LinAlgError`` (an eigensolver
+    that did not converge on overflowed input) gets an error line and counts
+    under ``errors``; any other exception aborts the campaign. The payloads of violating and of
     error trials are persisted next to the report file, as
     ``<stem>.violation-NNNNNN.json`` (``{"instance", "report"}``) and
     ``<stem>.error-NNNNNN.json`` (``{"instance", "error"}``).
@@ -562,12 +560,17 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
             stream = f"{stream_key(cfg.seed, trial):016x}"
             args = digest = report = error = None
             try:
-                args = generate_instance(cfg, trial, rng)
-                digest = serialize.digest(theorem, args)
-                report = _check(theorem, args, cfg.tol_override, cfg.rhs_scale)
+                # Overflow becomes inf or NaN and then one of the errors below,
+                # which already says what happened, so numpy's warnings would
+                # only repeat it.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    args = generate_instance(cfg, trial, rng)
+                    digest = serialize.digest(theorem, args)
+                    report = _check(theorem, args, cfg.tol_override, cfg.rhs_scale)
                 report = replace(report, input_digest=digest)
-            except GenerationError as exc:
-                error = str(exc)
+            except (GenerationError, serialize.SerializationError) as exc:
+                # The digest refuses an instance whose draw overflowed.
+                args, error = None, str(exc)
             except (NumericalError, np.linalg.LinAlgError) as exc:
                 error = f"{type(exc).__name__}: {exc}"
             record = TrialRecord(trial, stream, digest, theorem, args, report, error)

@@ -14,8 +14,8 @@ Every checker follows one discipline:
 ``partial_sums_lhs/rhs`` hold top-k partial sums for the weak-majorization
 statements and per-index values for the pointwise ones (``extras`` carries
 a ``comparison`` tag). Near-ties within 1e-10 of scale are reported in
-``extras["equality_ks"]`` but never required. A non-finite side or slack
-raises :class:`NumericalError` instead of yielding a verdict.
+``extras["equality_ks"]`` but never required. A non-finite side, slack or
+sum of valid inputs raises :class:`NumericalError` instead of a verdict.
 
 Checkers know nothing of wire formats and leave their arguments as they
 are: a report's ``input_digest`` is None here, and the harness, which
@@ -219,6 +219,13 @@ def _family(a_list, weights, x_list=None, hermitian=True):
     if blocks.shape != mats.shape:
         raise DimensionError(f"block 0 has shape {blocks.shape[1:]}, expected {mats.shape[1:]}")
     return mats, w, blocks
+
+
+def _finite(theorem_id: str, m: np.ndarray) -> np.ndarray:
+    """``m``, a sum of valid terms, unless it overflowed: NumericalError."""
+    if not np.isfinite(m).all():
+        raise NumericalError(f"{theorem_id}: the sum of the matrices is not finite")
+    return m
 
 
 def _descending(values) -> np.ndarray:
@@ -528,8 +535,7 @@ def check_norm_bohr(a_list, p, r, tol: float | None = None) -> CheckReport:
     if not all(hyps.values()):
         return _na_report("zh", hyps, tol)
 
-    total = hermitize(sum(mats))
-    left_mat = abs_power(total, r)
+    left_mat = abs_power(_finite("zh", hermitize(sum(mats))), r)
     wl = np.linalg.eigvalsh(left_mat)
     lhs = np.cumsum(_descending(wl))
     right_mat = hermitize(
@@ -567,8 +573,7 @@ def check_pointwise_bohr_r2(a_list, p, r, tol: float | None = None) -> CheckRepo
     if not all(hyps.values()):
         return _na_report("prop-r2", hyps, tol)
 
-    total = sum(mats)
-    lhs = singular_values(total) ** r
+    lhs = singular_values(_finite("prop-r2", sum(mats))) ** r
     right = hermitize(sum(w ** (1.0 - r) * power for w, power in zip(pw, abs_power(mats, r))))
     rhs = _descending(np.linalg.eigvalsh(right))
     return _graded_report(

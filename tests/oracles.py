@@ -126,6 +126,18 @@ def cp_by_lifted_positivity(spec: MapSpec, rng, probes: int = 50, tol: float = 1
     return worst >= -tol
 
 
+#: Each registry function's formula as a numpy expression of a float array
+#: t and its parameter r (None where the function takes none).
+REGISTRY_FORMULAS = {
+    "abs_pow": lambda t, r: np.abs(t) ** r,
+    "half_pow": lambda t, r: np.clip(t, 0.0, None) ** (r / 2.0),
+    "square": lambda t, r: np.square(t),
+    "expm1": lambda t, r: np.expm1(t),
+    "relu": lambda t, r: np.maximum(t, 0.0),
+    "linear": lambda t, r: t + 0.0,
+}
+
+
 def scan_function_flags(fn, lo: float, hi: float, grid_size: int) -> tuple[dict, dict]:
     """Flag scan over the full (u, v) grid: ``(flags, worst)``.
 

@@ -23,12 +23,30 @@ from bohrcheck.linalg import (
     random_hermitian,
     random_unitary,
 )
-from oracles import abs_via_svd, fun_hermitian_ref, svd_singular_values
+from oracles import REGISTRY_FORMULAS, abs_via_svd, fun_hermitian_ref, svd_singular_values
 from oracles import scan_function_flags as full_grid_scan
 
 
 def test_registry_contents():
     assert function_registry() == ("abs_pow", "expm1", "half_pow", "linear", "relu", "square")
+
+
+def test_registry_functions_are_their_formulas_bit_for_bit():
+    # Signed zeros and the domain ends are on every grid; bytes tell -0.0
+    # from 0.0, which a float comparison would not.
+    assert set(REGISTRY_FORMULAS) == set(function_registry())
+    for fid, formula in REGISTRY_FORMULAS.items():
+        domains = [(0.0, 3.0), (0.0, 1e3)] if fid == "half_pow" else [(-3.0, 3.0), (-50.0, 50.0)]
+        for r in (1.0, 1.7, 2.0, 3.0, 7.5) if fid in ("abs_pow", "half_pow") else (None,):
+            for lo, hi in domains:
+                spec = make_function_spec(fid, (lo, hi), r)
+                grid = np.concatenate([[-0.0, 0.0, lo, hi], np.linspace(lo, hi, 257)])
+                if fid == "half_pow":
+                    grid = grid[1:]  # -0.0 is below a [0, hi] domain only in sign
+                want = formula(grid, r).tobytes()
+                assert spec(grid).tobytes() == want, (fid, r, lo, hi)
+                assert spec.fn(grid).tobytes() == want, (fid, r, lo, hi)
+                assert spec(grid.tolist()).tobytes() == want, (fid, r, lo, hi)
 
 
 def test_make_function_spec_parameter_validation():

@@ -491,6 +491,19 @@ def test_normalize_unital_fast_path_returns_same_object():
     assert normalize_unital(tr) is tr
 
 
+def test_normalize_unital_keeps_what_is_unital_accepts():
+    # ||Phi(I) - I||_F is about 1e-11 * sqrt(n): unital by PSD_TOL, so the
+    # spec comes back as it is; 1e-9 * sqrt(n) is not, and is normalized.
+    n = 3
+    for delta, kept in ((1e-11, True), (1e-9, False)):
+        spec = Congruence(np.sqrt(1.0 + delta) * np.eye(n))
+        defect = frob(applied_to_identity(spec) - np.eye(n)) / np.sqrt(n)
+        assert 0.5 * delta < defect < 2.0 * delta
+        assert is_unital(spec) is kept
+        assert (normalize_unital(spec) is spec) is kept
+        assert is_unital(normalize_unital(spec))
+
+
 def test_normalize_unital_congruence():
     rng = make_rng(62)
     for _ in range(30):

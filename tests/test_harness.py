@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -66,7 +67,9 @@ def test_config_rejects_bad_values():
 
 def test_config_rejects_bad_spectrum():
     # Each of these once aborted a campaign part-way instead.
-    for spectrum in ((3.0, -3.0), (float("nan"), 3.0), (-3.0, float("inf"))):
+    # (-1.7e308, 1.7e308) has finite ends but a width rng.uniform refuses.
+    bad = ((3.0, -3.0), (float("nan"), 3.0), (-3.0, float("inf")), (-1.7e308, 1.7e308))
+    for spectrum in bad:
         with pytest.raises(ValueError, match="^spectrum must be"):
             CampaignConfig("zh", 1, 0, spectrum=spectrum)
 
@@ -518,6 +521,46 @@ def test_campaign_counts_generation_failures(tmp_path, monkeypatch):
     failed = [json.loads(l) for l in out.read_text().splitlines()[:-1] if "generation_failed" in l]
     assert len(failed) == 3
     assert all(f["error"] == "forced failure" for f in failed)
+
+
+SPECTRUM_THEOREMS = ("jensen-vec", "jensen-map", "thm1", "cornew", "cor45", "zh", "inc-convex")
+
+
+@pytest.mark.parametrize("spectrum", [(0.0, 1.5e308), (-1e308, 1e307)])
+@pytest.mark.parametrize("theorem", SPECTRUM_THEOREMS)
+def test_campaign_at_an_extreme_spectrum_writes_every_line(tmp_path, theorem, spectrum):
+    # Draws overflow here: a non-finite instance is a generation failure
+    # and an overflowed sum a trial error; neither aborts the campaign.
+    out = tmp_path / "run.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = run_campaign(CampaignConfig(theorem, 20, 7, spectrum=spectrum), out)
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(lines) == 21 and lines[-1] == {"summary": res.summary}
+    assert res.summary["violations"] == 0
+    failed = [i for i, rec in enumerate(res.records) if rec.args is None]
+    assert res.summary["generation_failures"] == len(failed)
+    for i in failed:
+        assert lines[i]["generation_failed"] and "digest" not in lines[i]
+        assert not list(tmp_path.glob(f"run.*-{i:06d}.json"))
+
+
+def test_non_finite_instance_is_a_generation_failure(tmp_path):
+    out = tmp_path / "cor45.jsonl"
+    res = run_campaign(CampaignConfig("cor45", 20, 7, spectrum=(0.0, 1.5e308)), out)
+    nonfinite = [r for r in res.records if r.error == "field 'A': entries must be finite"]
+    assert nonfinite and all(r.args is None and r.digest is None for r in nonfinite)
+    assert res.summary["generation_failures"] >= len(nonfinite)
+    assert res.summary["errors"] == len(res.error_paths)
+
+
+@pytest.mark.parametrize("theorem", ["cornew", "jensen-vec", "inc-convex"])
+def test_campaign_generation_leaks_no_numpy_warnings(theorem):
+    # Each overflow at this spectrum is recorded as a GenerationError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = run_campaign(CampaignConfig(theorem, 20, 7, spectrum=(-1e150, 1e150)))
+    assert res.summary["generation_failures"] > 0
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -513,6 +513,16 @@ def test_norm_bohr_schatten_cross_check_random():
 # --- pointwise r >= 2 ---------------------------------------------------------------------------------------
 
 
+def test_overflowed_sum_is_a_numerical_error():
+    # Each A is finite, so the input is well formed; only sum_i A_i overflows.
+    a = np.diag([1e308, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="^zh: the sum of the matrices"):
+            check_norm_bohr([a, a], [0.5, 0.5], 1.5)
+        with pytest.raises(NumericalError, match="^prop-r2: the sum of the matrices"):
+            check_pointwise_bohr_r2([a, a], [0.5, 0.5], 2.0)
+
+
 def test_pointwise_r2_hand_example():
     a1 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     a2 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
