@@ -26,6 +26,7 @@ from .linalg import (
     Interval,
     as_interval,
     eig_hermitian,
+    gram,
     hermitize,
 )
 
@@ -283,8 +284,9 @@ def abs_power(a, r: float) -> np.ndarray:
     ``a`` is one n x n matrix or a stack of shape ``(..., n, n)``, which is
     validated once and decomposed in one call; slice i of the result is
     |a[i]|^r. Computed from the spectral decomposition of A*A as
-    (A*A)^(r/2), which avoids forming |A| first; r < 1 is rejected because
-    the family used throughout is the convex one.
+    (A*A)^(r/2), which avoids forming |A| first; an A*A that overflows, for
+    any member, raises ``numpy.linalg.LinAlgError``. r < 1 is rejected
+    because the family used throughout is the convex one.
     """
     r = float(r)
     if not math.isfinite(r) or r < 1.0:
@@ -294,7 +296,6 @@ def abs_power(a, r: float) -> np.ndarray:
         raise DimensionError(f"expected square matrices of shape (..., n, n), got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    gram = hermitize(m.conj().swapaxes(-1, -2) @ m)
-    w, u = np.linalg.eigh(gram)
+    w, u = np.linalg.eigh(gram(m))
     w = np.clip(w, 0.0, None)
     return hermitize((u * (w ** (r / 2.0))[..., None, :]) @ u.conj().swapaxes(-1, -2))

@@ -8,8 +8,8 @@ positive by construction:
 - :class:`BlockExtraction`: block matrix A -> X* A_ii X for one diagonal block
 - :class:`WeightedSum`: nonnegative combination of sub-maps
 
-:class:`Transpose` (A -> A^T) is also provided as a positive-but-not-CP
-control for tests and is deliberately excluded from the JSON wire format.
+:class:`Transpose` (A -> A^T, positive but not CP) has no wire format.
+Each kind owns its ``dims``, ``_apply`` and ``_post_conjugate``.
 The Choi matrix uses the convention C = sum_ij E_ij (x) Phi(E_ij); complete
 positivity, Kraus extraction, and the Stinespring dilation all flow from
 its spectral decomposition.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Union
 
 import numpy as np
 
@@ -87,6 +86,16 @@ class Congruence:
     def __post_init__(self):
         object.__setattr__(self, "x", _frozen(as_complex_matrix, self.x))
 
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.x.shape
+
+    def _apply(self, m: np.ndarray) -> np.ndarray:
+        return self.x.conj().T @ m @ self.x
+
+    def _post_conjugate(self, s: np.ndarray) -> Congruence:
+        return Congruence(self.x @ s)
+
 
 @dataclass(frozen=True, eq=False)
 class DiagonalPOVM:
@@ -109,6 +118,20 @@ class DiagonalPOVM:
             raise SpecError(f"effect {i} has eigenvalue {w[i, 0]:.3e}, not PSD within tolerance")
         object.__setattr__(self, "effects", effs)
 
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.effects.shape[:2]
+
+    def _apply(self, m: np.ndarray) -> np.ndarray:
+        # Summed in effect order from +0, bit for bit the loop
+        # out += m[i, i] * P_i; np.add.reduce sums in another order.
+        terms = np.diagonal(m)[:, None, None] * self.effects
+        terms[0] += 0.0
+        return np.add.accumulate(terms)[-1]
+
+    def _post_conjugate(self, s: np.ndarray) -> DiagonalPOVM:
+        return DiagonalPOVM(s.conj().T @ self.effects @ s)
+
 
 @dataclass(frozen=True, eq=False)
 class BlockExtraction:
@@ -127,10 +150,19 @@ class BlockExtraction:
         if self.block_count < 1:
             raise SpecError(f"block_count must be >= 1, got {self.block_count}")
         if not 0 <= self.index < self.block_count:
-            raise SpecError(
-                f"block index {self.index} outside [0, {self.block_count})"
-            )
+            raise SpecError(f"block index {self.index} outside [0, {self.block_count})")
         object.__setattr__(self, "x", _frozen(as_complex_matrix, self.x))
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.block_count * self.x.shape[0], self.x.shape[1]
+
+    def _apply(self, m: np.ndarray) -> np.ndarray:
+        d, i = self.x.shape[0], self.index
+        return self.x.conj().T @ m[i * d : (i + 1) * d, i * d : (i + 1) * d] @ self.x
+
+    def _post_conjugate(self, s: np.ndarray) -> BlockExtraction:
+        return BlockExtraction(self.index, self.block_count, self.x @ s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,16 +175,23 @@ class WeightedSum:
         terms = tuple((float(a), spec) for a, spec in self.terms)
         if not terms:
             raise SpecError("weighted sum needs at least one term")
-        dims = None
+        dims = map_dims(terms[0][1])
         for a, spec in terms:
             if not math.isfinite(a) or a < 0:
                 raise SpecError(f"weights must be finite and nonnegative, got {a}")
-            d = map_dims(spec)
-            if dims is None:
-                dims = d
-            elif d != dims:
-                raise SpecError(f"term dimensions {d} do not match {dims}")
+            if map_dims(spec) != dims:
+                raise SpecError(f"term dimensions {map_dims(spec)} do not match {dims}")
         object.__setattr__(self, "terms", terms)
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.terms[0][1].dims
+
+    def _apply(self, m: np.ndarray) -> np.ndarray:
+        return sum(alpha * sub._apply(m) for alpha, sub in self.terms)
+
+    def _post_conjugate(self, s: np.ndarray) -> WeightedSum:
+        return WeightedSum(tuple((a, sub._post_conjugate(s)) for a, sub in self.terms))
 
 
 @dataclass(frozen=True)
@@ -169,23 +208,26 @@ class Transpose:
         if self.n < 1:
             raise SpecError(f"dimension must be >= 1, got {self.n}")
 
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.n, self.n
 
-MapSpec = Union[Congruence, DiagonalPOVM, BlockExtraction, WeightedSum, Transpose]
+    def _apply(self, m: np.ndarray) -> np.ndarray:
+        return m.T.copy()
+
+    def _post_conjugate(self, s: np.ndarray):
+        raise SpecError(f"cannot absorb a conjugation into map kind {type(self).__name__}")
+
+
+MapSpec = Congruence | DiagonalPOVM | BlockExtraction | WeightedSum | Transpose
 
 
 def map_dims(spec: MapSpec) -> tuple[int, int]:
     """(input dim, output dim) of the map."""
-    if isinstance(spec, Congruence):
-        return spec.x.shape[0], spec.x.shape[1]
-    if isinstance(spec, DiagonalPOVM):
-        return len(spec.effects), spec.effects[0].shape[0]
-    if isinstance(spec, BlockExtraction):
-        return spec.block_count * spec.x.shape[0], spec.x.shape[1]
-    if isinstance(spec, WeightedSum):
-        return map_dims(spec.terms[0][1])
-    if isinstance(spec, Transpose):
-        return spec.n, spec.n
-    raise SpecError(f"unknown map spec type {type(spec).__name__}")
+    dims = getattr(spec, "dims", None)
+    if dims is None:
+        raise SpecError(f"unknown map spec type {type(spec).__name__}")
+    return dims
 
 
 def apply_map(spec: MapSpec, a) -> np.ndarray:
@@ -194,35 +236,13 @@ def apply_map(spec: MapSpec, a) -> np.ndarray:
     n_in, _ = map_dims(spec)
     if m.shape[0] != n_in:
         raise DimensionError(f"map expects {n_in} x {n_in} input, got {m.shape}")
-    return _apply(spec, m)
-
-
-def _apply(spec: MapSpec, m: np.ndarray) -> np.ndarray:
-    """:func:`apply_map` on input already validated against ``spec``."""
-    if isinstance(spec, Congruence):
-        return spec.x.conj().T @ m @ spec.x
-    if isinstance(spec, DiagonalPOVM):
-        # Summed in effect order from +0, bit for bit the loop
-        # out += m[i, i] * P_i; np.add.reduce sums in another order.
-        terms = np.diagonal(m)[:, None, None] * spec.effects
-        terms[0] += 0.0
-        return np.add.accumulate(terms)[-1]
-    if isinstance(spec, BlockExtraction):
-        d = spec.x.shape[0]
-        i = spec.index
-        block = m[i * d : (i + 1) * d, i * d : (i + 1) * d]
-        return spec.x.conj().T @ block @ spec.x
-    if isinstance(spec, WeightedSum):
-        return sum(alpha * _apply(sub, m) for alpha, sub in spec.terms)
-    if isinstance(spec, Transpose):
-        return m.T.copy()
-    raise SpecError(f"unknown map spec type {type(spec).__name__}")
+    return spec._apply(m)
 
 
 def applied_to_identity(spec: MapSpec) -> np.ndarray:
     """Phi(I) on the input dimension."""
     n_in, _ = map_dims(spec)
-    return hermitize(_apply(spec, np.eye(n_in, dtype=complex)))
+    return hermitize(spec._apply(np.eye(n_in, dtype=complex)))
 
 
 def is_unital(spec: MapSpec) -> bool:
@@ -282,14 +302,12 @@ def kraus_from_choi(c, n: int, m: int) -> list[np.ndarray]:
     w, v, psd = _choi_eigh(cm)
     if not psd:
         raise SpecError(f"Choi matrix has eigenvalue {w[0]:.3e}; not PSD within tolerance")
-    top = max(0.0, float(w[-1]))
-    kraus = []
-    for idx in range(len(w) - 1, -1, -1):
-        lam = float(w[idx])
-        if lam <= PSD_TOL * top:
-            break
-        kraus.append(math.sqrt(lam) * np.conj(v[:, idx].reshape(n, m)))
-    return kraus
+    keep = PSD_TOL * max(0.0, float(w[-1]))
+    return [
+        math.sqrt(float(w[i])) * np.conj(v[:, i].reshape(n, m))
+        for i in range(len(w) - 1, -1, -1)
+        if w[i] > keep
+    ]
 
 
 def kraus_operators(spec: MapSpec) -> list[np.ndarray]:
@@ -348,12 +366,9 @@ def stinespring(spec: MapSpec) -> StinespringDilation:
     if worst > 1e-10:
         raise SpecError(f"dilation reconstruction residual {worst:.3e} exceeds 1e-10")
     if is_unital(spec):
-        gram = dil.isometry.conj().T @ dil.isometry
-        defect = frob(gram - np.eye(m))
+        defect = frob(dil.isometry.conj().T @ dil.isometry - np.eye(m))
         if defect > 1e-10 * math.sqrt(m):
-            raise SpecError(
-                f"unital map produced non-isometric V: ||V*V - I||_F = {defect:.3e}"
-            )
+            raise SpecError(f"unital map produced non-isometric V: ||V*V - I||_F = {defect:.3e}")
     return replace(dil, recon_residual=worst)
 
 
@@ -374,19 +389,4 @@ def normalize_unital(spec: MapSpec) -> MapSpec:
             f"Phi(I) must be positive definite; eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}]"
         )
     s = hermitize((u * w ** -0.5) @ u.conj().T)
-    return _post_conjugate(spec, s)
-
-
-def _post_conjugate(spec: MapSpec, s: np.ndarray) -> MapSpec:
-    """Spec computing S* Phi(A) S, with Hermitian S pushed into the leaves."""
-    if isinstance(spec, Congruence):
-        return Congruence(spec.x @ s)
-    if isinstance(spec, DiagonalPOVM):
-        return DiagonalPOVM(s.conj().T @ spec.effects @ s)
-    if isinstance(spec, BlockExtraction):
-        return BlockExtraction(spec.index, spec.block_count, spec.x @ s)
-    if isinstance(spec, WeightedSum):
-        return WeightedSum(tuple((a, _post_conjugate(sub, s)) for a, sub in spec.terms))
-    raise SpecError(
-        f"cannot absorb a conjugation into map kind {type(spec).__name__}"
-    )
+    return spec._post_conjugate(s)

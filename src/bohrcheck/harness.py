@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextvars
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -86,7 +87,8 @@ class CampaignConfig:
     trials alternate between subunital and unital. ``rhs_scale`` rescales
     the right-hand constant of the cor45 checker, for mutation experiments
     only; every other theorem requires 1.0. Every setting is checked here,
-    so a bad one fails before a campaign writes anything.
+    its type first, so a bad one raises ValueError naming it before a
+    campaign writes anything.
     """
 
     theorem: str
@@ -102,27 +104,46 @@ class CampaignConfig:
     rhs_scale: float = 1.0
 
     def __post_init__(self):
-        theorem = canonical_theorem(self.theorem)
-        (lo, hi), tol = self.spectrum, self.tol_override
-        dims = ("n_range", "m_range", "ell_range")
-        for ok, name, rule in (
-            *((_is_int(getattr(self, n)), n, "an integer") for n in ("trials", "seed")),
-            *((all(map(_is_int, getattr(self, n))), n, "a range of integers") for n in dims),
-            (self.trials >= 0, "trials", ">= 0"),
-            (math.isfinite(hi - lo), "spectrum", "finite, with a finite width hi - lo"),
-            *(
-                (getattr(self, n)[0] <= getattr(self, n)[1], n, "a nonempty range (lo, hi)")
-                for n in (*dims, "r_range", "spectrum")
-            ),
-            *((getattr(self, n)[0] >= 1, n, "a range from 1 up") for n in dims),
-            (self.r_range[0] > 1.0 and math.isfinite(self.r_range[1]), "r_range", "finite, > 1"),
-            (self.variant in (None, "subunital", "unital"), "variant", "None, subunital or unital"),
-            (tol is None or math.isfinite(tol) and tol >= 0, "tol_override", "None or finite >= 0"),
-            (math.isfinite(self.rhs_scale) and self.rhs_scale > 0, "rhs_scale", "finite > 0"),
-            (self.rhs_scale == 1.0 or theorem == "cor45", "rhs_scale", _RHS_SCALE_RULE),
-        ):
+        for ok, name, rule in _config_rules(self, canonical_theorem(self.theorem)):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
+
+def _config_rules(cfg: CampaignConfig, theorem: str):
+    """(holds, setting, rule) for each rule, in order. The rules are lazy
+    and types and pair shapes come first, so a later rule may compare and
+    index what an earlier one passed."""
+    dims = ("n_range", "m_range", "ell_range")
+    for n in ("trials", "seed"):
+        yield _is_int(getattr(cfg, n)), n, "an integer"
+    for n in dims:
+        yield _is_pair(getattr(cfg, n), _is_int), n, "a range of integers"
+    for n in ("r_range", "spectrum"):
+        yield _is_pair(getattr(cfg, n), _is_real), n, "a pair of real numbers"
+    tol = cfg.tol_override
+    yield tol is None or _is_real(tol), "tol_override", "None or a real number"
+    yield _is_real(cfg.rhs_scale), "rhs_scale", "a real number"
+    (lo, hi), (r_lo, r_hi) = cfg.spectrum, cfg.r_range
+    yield cfg.trials >= 0, "trials", ">= 0"
+    yield math.isfinite(float(hi) - float(lo)), "spectrum", "finite, with a finite width hi - lo"
+    for n in (*dims, "r_range", "spectrum"):
+        yield getattr(cfg, n)[0] <= getattr(cfg, n)[1], n, "a nonempty range (lo, hi)"
+    for n in dims:
+        yield getattr(cfg, n)[0] >= 1, n, "a range from 1 up"
+    yield r_lo > 1.0 and math.isfinite(r_hi), "r_range", "finite, > 1"
+    yield cfg.variant in (None, "subunital", "unital"), "variant", "None, subunital or unital"
+    yield tol is None or math.isfinite(tol) and tol >= 0, "tol_override", "None or finite >= 0"
+    yield math.isfinite(cfg.rhs_scale) and cfg.rhs_scale > 0, "rhs_scale", "finite > 0"
+    yield cfg.rhs_scale == 1.0 or theorem == "cor45", "rhs_scale", _RHS_SCALE_RULE
+
+
+def _is_pair(v, member) -> bool:
+    return isinstance(v, (tuple, list)) and len(v) == 2 and all(map(member, v))
+
+
+def _is_real(v) -> bool:
+    """A float, or an int that converts to one, so the rules may test it."""
+    return isinstance(v, (float, np.floating)) or _is_int(v) and abs(v) <= sys.float_info.max
 
 
 def _is_int(v) -> bool:
@@ -537,7 +558,8 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
     The emitted stream is one line per trial in index order plus a final
     ``{"summary": ...}`` line, and is byte-identical across runs with the
     same config. A trial whose generator raises :class:`GenerationError`, or
-    draws a non-finite instance (which the digest refuses), gets a
+    draws a non-finite instance (which the digest refuses with
+    :class:`~bohrcheck.serialize.NonFiniteError`), gets a
     ``generation_failed`` line; one whose checker raises
     :class:`NumericalError` or ``numpy.linalg.LinAlgError`` (an eigensolver
     that did not converge on overflowed input) gets an error line and counts
@@ -568,7 +590,7 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
                     digest = serialize.digest(theorem, args)
                     report = _check(theorem, args, cfg.tol_override, cfg.rhs_scale)
                 report = replace(report, input_digest=digest)
-            except (GenerationError, serialize.SerializationError) as exc:
+            except (GenerationError, serialize.NonFiniteError) as exc:
                 # The digest refuses an instance whose draw overflowed.
                 args, error = None, str(exc)
             except (NumericalError, np.linalg.LinAlgError) as exc:

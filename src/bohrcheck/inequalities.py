@@ -31,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .calculus import ConvexFunctionSpec, _apply_eig, abs_power
-from .cpmaps import MapSpec, _apply, map_dims, apply_map, applied_to_identity, is_unital
+from .cpmaps import MapSpec, map_dims, apply_map, applied_to_identity, is_unital
 from .linalg import DimensionError, _eig_descending, as_complex_matrix, frob, hermitize
 from .linalg import require_hermitian, require_square
 from .majorization import schatten_of_values, singular_values
@@ -372,7 +372,7 @@ def check_jensen_map(
     if not all(hyps.values()):
         return _na_report("jensen-map", hyps, tol, {"variant": variant})
     lhs = float(f(f.domain.clamp(t)))
-    rhs = float(np.real(xv.conj() @ _apply(spec, _apply_eig(f, w, u)) @ xv))
+    rhs = float(np.real(xv.conj() @ spec._apply(_apply_eig(f, w, u)) @ xv))
     extras = {"variant": variant, "evaluation_point": t}
     return _graded_report("jensen-map", [lhs], [rhs], hyps, tol, extras)
 
@@ -414,7 +414,7 @@ def check_thm_weak_major(
         "spectrum within domain": f.covers(w),
     }
     # A's dimension is checked once, by apply_map; map_dims matched the rest.
-    images = [apply_map(pairs[0][1], am)] + [_apply(spec, am) for _, spec in pairs[1:]]
+    images = [apply_map(pairs[0][1], am)] + [spec._apply(am) for _, spec in pairs[1:]]
     mixed = hermitize(sum(alpha * image for (alpha, _), image in zip(pairs, images)))
     mu = np.linalg.eigvalsh(mixed)
     hyps["mixed spectrum within domain"] = f.covers(mu)
@@ -423,7 +423,7 @@ def check_thm_weak_major(
 
     lhs = np.cumsum(_descending(f(f.domain.clamp(mu))))
     fa = _apply_eig(f, w, u)
-    right = hermitize(sum(alpha * _apply(spec, fa) for alpha, spec in pairs))
+    right = hermitize(sum(alpha * spec._apply(fa) for alpha, spec in pairs))
     rhs = np.cumsum(_descending(np.linalg.eigvalsh(right)))
     return _graded_report("thm1", lhs, rhs, hyps, tol)
 

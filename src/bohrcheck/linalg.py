@@ -29,6 +29,7 @@ __all__ = [
     "require_square",
     "require_hermitian",
     "hermitize",
+    "gram",
     "frob",
     "EigenDecomposition",
     "eig_hermitian",
@@ -155,6 +156,16 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A*)/2 of a matrix or of each matrix in a
     ``(..., n, n)`` stack; projects out roundoff asymmetry."""
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def gram(m: np.ndarray) -> np.ndarray:
+    """Hermitian A*A of a finite matrix or of each matrix of a stack. An
+    entry that overflows raises ``numpy.linalg.LinAlgError``, since an
+    eigensolver would return zeros for it."""
+    g = hermitize(m.conj().swapaxes(-1, -2) @ m)
+    if not np.isfinite(g).all():
+        raise np.linalg.LinAlgError("A*A overflows: its Gram matrix has a non-finite entry")
+    return g
 
 
 def require_hermitian(a, rtol: float = HERMITIAN_RTOL, *, stack: str | None = None) -> np.ndarray:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .linalg import complex_gaussian, eig_hermitian, hermitize, require_square
+from .linalg import complex_gaussian, eig_hermitian, gram, require_square
 
 __all__ = [
     "SINGULAR_CLAMP",
@@ -33,10 +33,11 @@ def singular_values(a) -> np.ndarray:
     """Singular values of a square matrix, descending.
 
     Derived from the spectrum of A*A; eigenvalue noise down to
-    -SINGULAR_CLAMP is clamped to zero, anything lower is an error.
+    -SINGULAR_CLAMP is clamped to zero, anything lower is an error. An
+    A*A that overflows raises ``numpy.linalg.LinAlgError``.
     """
     m = require_square(a)
-    w = np.linalg.eigvalsh(hermitize(m.conj().T @ m))
+    w = np.linalg.eigvalsh(gram(m))
     floor = SINGULAR_CLAMP * max(1.0, float(w[-1]) if w[-1] > 0 else 1.0)
     if w[0] < -floor:
         raise ValueError(f"Gram matrix eigenvalue {w[0]:.3e} below noise floor {-floor:.3e}")

@@ -49,6 +49,7 @@ from .linalg import as_complex_matrix
 
 __all__ = [
     "SerializationError",
+    "NonFiniteError",
     "INSTANCE_SCHEMA",
     "THEOREMS",
     "THEOREM_ALIASES",
@@ -73,6 +74,10 @@ __all__ = [
 
 class SerializationError(ValueError):
     """Malformed wire-format object."""
+
+
+class NonFiniteError(SerializationError):
+    """A value to digest has a non-finite entry."""
 
 
 # --- primitive codecs -------------------------------------------------------
@@ -195,7 +200,7 @@ def _pack_text(h, text) -> None:
 def _pack_array(dtype, h, a) -> None:
     a = np.asarray(a, dtype=dtype, order="C")
     if not np.isfinite(a).all():
-        raise SerializationError("entries must be finite")
+        raise NonFiniteError("entries must be finite")
     h.update(struct.pack(f"<cB{a.ndim}q", dtype.char.encode(), a.ndim, *a.shape))
     h.update(a)
 
@@ -385,13 +390,16 @@ DIGEST_ALG = "blake2b-64-pack"
 
 def digest(theorem: str, args: dict) -> str:
     """16-hex-digit BLAKE2b-64 digest of a canonical ``theorem``'s checker
-    arguments: the theorem id, then each field's payload key and packed value."""
+    arguments: the theorem id, then each field's payload key and packed value.
+    A non-finite entry raises :class:`NonFiniteError`, naming the field."""
     h = hashlib.blake2b(digest_size=8)
     _pack_text(h, theorem)
     for key, arg, (_, _, pack) in INSTANCE_SCHEMA[theorem]:
         _pack_text(h, key)
         try:
             pack(h, args[arg])
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"field {key!r}: {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise SerializationError(f"field {key!r}: {exc}") from exc
     return h.hexdigest()

@@ -8,8 +8,10 @@ triangle, complete positivity is decided by applying the lifted map
 to explicit positive inputs, partial sums are accumulated in plain
 Python, random families are drawn and factored one member at a time
 instead of as one stack, POVMs are applied and their blocks drawn one
-effect at a time instead of in one broadcast or one draw, and reports are
-graded on numpy arrays instead of Python floats.
+effect at a time instead of in one broadcast or one draw, reports are
+graded on numpy arrays instead of Python floats, and map specs are
+dispatched by isinstance chains on their kind instead of by the members
+each kind owns.
 """
 
 from __future__ import annotations
@@ -19,9 +21,20 @@ import math
 import numpy as np
 
 from bohrcheck.calculus import SCAN_TOL
-from bohrcheck.cpmaps import MapSpec, apply_map, map_dims
+from bohrcheck.cpmaps import (
+    PSD_TOL,
+    BlockExtraction,
+    Congruence,
+    DiagonalPOVM,
+    MapSpec,
+    SpecError,
+    Transpose,
+    WeightedSum,
+    apply_map,
+    map_dims,
+)
 from bohrcheck.inequalities import DEFAULT_RTOL, EQUALITY_RTOL, CheckReport
-from bohrcheck.linalg import complex_gaussian, hermitize
+from bohrcheck.linalg import complex_gaussian, frob, hermitize
 
 MASK64 = (1 << 64) - 1
 
@@ -246,3 +259,74 @@ def povm_apply_loop(effects, a) -> np.ndarray:
 def povm_blocks_loop(n: int, m: int, rng) -> np.ndarray:
     """n Gaussian m x m blocks, one complex_gaussian call each."""
     return np.stack([complex_gaussian((m, m), rng) for _ in range(n)])
+
+
+# --- map kinds by isinstance dispatch -----------------------------------------
+# The three chains the map classes' dims, _apply and _post_conjugate members
+# replaced, kept as they were written, with normalize_unital and Phi(I) on
+# top of them.
+
+
+def map_dims_chain(spec: MapSpec) -> tuple[int, int]:
+    if isinstance(spec, Congruence):
+        return spec.x.shape[0], spec.x.shape[1]
+    if isinstance(spec, DiagonalPOVM):
+        return len(spec.effects), spec.effects[0].shape[0]
+    if isinstance(spec, BlockExtraction):
+        return spec.block_count * spec.x.shape[0], spec.x.shape[1]
+    if isinstance(spec, WeightedSum):
+        return map_dims_chain(spec.terms[0][1])
+    if isinstance(spec, Transpose):
+        return spec.n, spec.n
+    raise SpecError(f"unknown map spec type {type(spec).__name__}")
+
+
+def apply_chain(spec: MapSpec, m: np.ndarray) -> np.ndarray:
+    if isinstance(spec, Congruence):
+        return spec.x.conj().T @ m @ spec.x
+    if isinstance(spec, DiagonalPOVM):
+        terms = np.diagonal(m)[:, None, None] * spec.effects
+        terms[0] += 0.0
+        return np.add.accumulate(terms)[-1]
+    if isinstance(spec, BlockExtraction):
+        d = spec.x.shape[0]
+        i = spec.index
+        block = m[i * d : (i + 1) * d, i * d : (i + 1) * d]
+        return spec.x.conj().T @ block @ spec.x
+    if isinstance(spec, WeightedSum):
+        return sum(alpha * apply_chain(sub, m) for alpha, sub in spec.terms)
+    if isinstance(spec, Transpose):
+        return m.T.copy()
+    raise SpecError(f"unknown map spec type {type(spec).__name__}")
+
+
+def post_conjugate_chain(spec: MapSpec, s: np.ndarray) -> MapSpec:
+    if isinstance(spec, Congruence):
+        return Congruence(spec.x @ s)
+    if isinstance(spec, DiagonalPOVM):
+        return DiagonalPOVM(s.conj().T @ spec.effects @ s)
+    if isinstance(spec, BlockExtraction):
+        return BlockExtraction(spec.index, spec.block_count, spec.x @ s)
+    if isinstance(spec, WeightedSum):
+        return WeightedSum(tuple((a, post_conjugate_chain(sub, s)) for a, sub in spec.terms))
+    raise SpecError(
+        f"cannot absorb a conjugation into map kind {type(spec).__name__}"
+    )
+
+
+def applied_to_identity_chain(spec: MapSpec) -> np.ndarray:
+    n_in, _ = map_dims_chain(spec)
+    return hermitize(apply_chain(spec, np.eye(n_in, dtype=complex)))
+
+
+def normalize_unital_chain(spec: MapSpec) -> MapSpec:
+    t = applied_to_identity_chain(spec)
+    if frob(t - np.eye(t.shape[0])) <= PSD_TOL * math.sqrt(t.shape[0]):
+        return spec
+    w, u = np.linalg.eigh(t)
+    if w[-1] <= 0 or w[0] <= 1e-10 * float(w[-1]):
+        raise SpecError(
+            f"Phi(I) must be positive definite; eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}]"
+        )
+    s = hermitize((u * w ** -0.5) @ u.conj().T)
+    return post_conjugate_chain(spec, s)

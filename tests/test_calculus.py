@@ -409,6 +409,17 @@ def test_abs_power_stack_slices_equal_single_calls():
             assert np.array_equal(spectra[i], np.linalg.eigvalsh(herm[i]))
 
 
+def test_abs_power_refuses_a_gram_matrix_that_overflows():
+    # The finite diag(1e200, 1) once gave an all-NaN |A|: A*A overflowed.
+    big = np.diag([1e200, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in (big, np.stack([np.eye(2), big, 2.0 * np.eye(2)])):
+            with pytest.raises(np.linalg.LinAlgError, match=r"^A\*A overflows"):
+                abs_power(a, 1.0)
+    fine = abs_power(np.stack([np.eye(2), np.diag([1e150, 1.0])]), 1.0)
+    assert np.allclose(fine[1], np.diag([1e150, 1.0]), rtol=1e-12, atol=0.0)
+
+
 def test_abs_power_rejects_malformed_stacks():
     good = np.stack([np.eye(3), 2.0 * np.eye(3)])
     assert abs_power(good, 2.0).shape == (2, 3, 3)

@@ -1,5 +1,9 @@
 """Positive and completely positive maps: Choi, Kraus, Stinespring, normalization."""
 
+import dataclasses
+import re
+import typing
+
 import numpy as np
 import pytest
 
@@ -7,10 +11,10 @@ from bohrcheck.cpmaps import (
     BlockExtraction,
     Congruence,
     DiagonalPOVM,
+    MapSpec,
     SpecError,
     Transpose,
     WeightedSum,
-    _apply,
     applied_to_identity,
     apply_map,
     choi_matrix,
@@ -32,10 +36,14 @@ from bohrcheck.linalg import (
     random_unitary,
 )
 from oracles import (
+    applied_to_identity_chain,
+    apply_chain,
     choi_via_kron,
     cp_by_lifted_positivity,
     entangled_projector,
     lifted_apply,
+    map_dims_chain,
+    normalize_unital_chain,
     povm_apply_loop,
 )
 
@@ -162,7 +170,7 @@ def test_povm_apply_is_the_per_effect_loop_bit_for_bit():
     reduce_differs = 0
     for spec, a in _povm_cases(600):
         expected = povm_apply_loop(spec.effects, a)
-        assert _apply(spec, a).tobytes() == expected.tobytes()
+        assert spec._apply(a).tobytes() == expected.tobytes()
         assert apply_map(spec, a).tobytes() == expected.tobytes()
         terms = np.diagonal(a)[:, None, None] * spec.effects
         reduce_differs += np.add.reduce(terms, axis=0).tobytes() != expected.tobytes()
@@ -230,6 +238,79 @@ def test_apply_map_preserves_positivity():
 def test_transpose_application():
     a = np.array([[1.0, 2.0j], [0.0, 3.0]], dtype=complex)
     assert np.allclose(apply_map(Transpose(2), a), a.T)
+
+
+# --- each kind's members against the isinstance chains they replaced -------------
+
+
+def test_every_map_kind_owns_its_dims_application_and_conjugation():
+    kinds = typing.get_args(MapSpec)
+    assert len(kinds) == 5
+    for cls in kinds:
+        assert isinstance(cls.dims, property), cls
+        assert callable(cls._apply) and callable(cls._post_conjugate), cls
+    with pytest.raises(SpecError, match="^unknown map spec type ndarray$"):
+        map_dims(np.eye(2))
+    with pytest.raises(SpecError, match="^unknown map spec type ndarray$"):
+        WeightedSum(((1.0, np.eye(2)),))
+    with pytest.raises(SpecError, match="^cannot absorb a conjugation into map kind Transpose$"):
+        Transpose(2)._post_conjugate(np.eye(2))
+
+
+def _spec_bytes(spec) -> list:
+    """A spec's kind and the bytes of its fields, its terms' recursively."""
+    out = [type(spec).__name__]
+    for f in dataclasses.fields(spec):
+        v = getattr(spec, f.name)
+        if f.name == "terms":
+            out += [item for a, sub in v for item in (repr(a), *_spec_bytes(sub))]
+        else:
+            out.append(v.tobytes() if isinstance(v, np.ndarray) else repr(v))
+    return out
+
+
+def _specs_of_every_kind(rng):
+    """Seeded leaves of each structural kind, transposes, and weighted sums
+    nested two deep, on random dimensions; three terms make the summation
+    order show in the bits."""
+    specs = [Transpose(3), WeightedSum(((0.5, Transpose(3)), (2.0, Transpose(3))))]
+    for _ in range(40):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        leaves = [random_leaf(rng, n, m) for _ in range(3)]
+        inner = WeightedSum(((0.5, leaves[0]), (2.0, leaves[1])))
+        outer = WeightedSum(((0.25, inner), (1.5, leaves[2]), (0.75, leaves[0])))
+        specs += [*leaves, inner, outer]
+    return specs
+
+
+def test_map_members_match_the_isinstance_chains_bit_for_bit():
+    rng = make_rng(64)
+    specs = _specs_of_every_kind(rng)
+    assert {type(spec) for spec in specs} == set(typing.get_args(MapSpec))
+    normalized, refused = [], 0
+    for spec in specs:
+        try:
+            psi = normalize_unital(spec)
+        except SpecError as exc:
+            with pytest.raises(SpecError, match=f"^{re.escape(str(exc))}$"):
+                normalize_unital_chain(spec)
+            refused += 1
+            continue
+        want = normalize_unital_chain(spec)
+        assert (psi is spec) == (want is spec)
+        assert _spec_bytes(psi) == _spec_bytes(want)
+        if psi is not spec:
+            normalized.append(psi)
+    assert refused > 0 and len(normalized) > 100
+    for spec in specs + normalized:
+        n, m = map_dims(spec)
+        assert (n, m) == map_dims_chain(spec)
+        assert applied_to_identity(spec).tobytes() == applied_to_identity_chain(spec).tobytes()
+        signed = np.diag(rng.choice([-1.5, -0.0, 0.0, 2.0], size=n)).astype(complex)
+        for a in (random_hermitian(n, (-2.0, 2.0), rng), complex_gaussian((n, n), rng), signed):
+            out = apply_map(spec, a)
+            assert out.shape == (m, m)
+            assert out.tobytes() == apply_chain(spec, a).tobytes()
 
 
 # --- unitality ------------------------------------------------------------------

@@ -11,6 +11,7 @@ from bohrcheck import serialize
 from bohrcheck.cpmaps import DiagonalPOVM
 from bohrcheck.inequalities import NumericalError
 from bohrcheck.harness import (
+    THEOREM_TABLE,
     CampaignConfig,
     GenerationError,
     HarnessError,
@@ -25,7 +26,7 @@ from bohrcheck.harness import (
     run_instance,
 )
 from bohrcheck.linalg import make_rng, stream_key
-from bohrcheck.serialize import SerializationError
+from bohrcheck.serialize import NonFiniteError, SerializationError
 from oracles import povm_blocks_loop
 
 ALL_THEOREMS = (
@@ -108,6 +109,29 @@ def test_config_rejects_bad_rhs_scale():
                 CampaignConfig(theorem, 1, 0, rhs_scale=scale)
         assert CampaignConfig(theorem, 1, 0, rhs_scale=1.0).rhs_scale == 1.0
     assert CampaignConfig("cor4.5", 1, 0, rhs_scale=0.5).rhs_scale == 0.5
+
+
+@pytest.mark.parametrize(
+    "field, value, rule",
+    [
+        ("trials", "5", "an integer"),
+        ("n_range", ("2", 8), "a range of integers"),
+        ("n_range", (2,), "a range of integers"),
+        ("r_range", (1.1, "4"), "a pair of real numbers"),
+        ("spectrum", (0, "3"), "a pair of real numbers"),
+        ("spectrum", (0, 10**400), "a pair of real numbers"),
+        ("rhs_scale", "1", "a real number"),
+        ("tol_override", "1e-3", "None or a real number"),
+    ],
+)
+def test_config_reports_a_wrong_type_as_a_value_error(tmp_path, field, value, rule):
+    # Each of these once escaped as a bare TypeError, IndexError or
+    # OverflowError from a later rule that compared or indexed the value.
+    settings = {"theorem": "cor45", "trials": 3, "seed": 3, field: value}
+    out = tmp_path / "report.jsonl"
+    with pytest.raises(ValueError, match=f"^{field} must be {rule}, got {re.escape(repr(value))}$"):
+        run_campaign(CampaignConfig(**settings), out)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -552,6 +576,25 @@ def test_non_finite_instance_is_a_generation_failure(tmp_path):
     assert nonfinite and all(r.args is None and r.digest is None for r in nonfinite)
     assert res.summary["generation_failures"] >= len(nonfinite)
     assert res.summary["errors"] == len(res.error_paths)
+
+
+def test_only_a_non_finite_digest_is_a_generation_failure(tmp_path, monkeypatch):
+    checker = THEOREM_TABLE["bohr"][0]
+
+    def draw(z):
+        return checker, lambda cfg, rng, trial: {"p": 2.0, "z": z, "w": 1.0}
+
+    monkeypatch.setitem(THEOREM_TABLE, "bohr", draw(complex(np.inf, 0.0)))
+    res = run_campaign(CampaignConfig("bohr", 3, 0), tmp_path / "inf.jsonl")
+    assert [r.error for r in res.records] == ["field 'z': entries must be finite"] * 3
+    assert res.summary["generation_failures"] == 3
+    # A generator that returns a wrong type is a bug, not a failed draw.
+    monkeypatch.setitem(THEOREM_TABLE, "bohr", draw("not a number"))
+    out = tmp_path / "text.jsonl"
+    with pytest.raises(SerializationError, match="^field 'z': ") as info:
+        run_campaign(CampaignConfig("bohr", 3, 0), out)
+    assert not isinstance(info.value, NonFiniteError)
+    assert out.read_text() == ""
 
 
 @pytest.mark.parametrize("theorem", ["cornew", "jensen-vec", "inc-convex"])

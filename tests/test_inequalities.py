@@ -523,6 +523,15 @@ def test_overflowed_sum_is_a_numerical_error():
             check_pointwise_bohr_r2([a, a], [0.5, 0.5], 2.0)
 
 
+def test_overflowed_gram_matrix_is_a_linalg_error():
+    # Each A_i and their sum are finite; only A*A overflows. The left side
+    # once read [0.0, 0.0].
+    b = np.diag([1e200, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError, match=r"^A\*A overflows"):
+            check_pointwise_bohr_r2([b, b / 2], [0.5, 0.5], 2.0)
+
+
 def test_pointwise_r2_hand_example():
     a1 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     a2 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
