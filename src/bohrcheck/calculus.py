@@ -21,14 +21,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .linalg import (
-    DimensionError,
-    Interval,
-    as_interval,
-    eig_hermitian,
-    gram,
-    hermitize,
-)
+from .linalg import EigenDecomposition, Interval, as_interval, gram, require_square, synthesize
 
 __all__ = [
     "DomainError",
@@ -105,13 +98,14 @@ class ConvexFunctionSpec:
 
 def _escape(iv: Interval, values) -> str | None:
     """The one domain rule for spectra: a spectrum (a 1-d set, or each row
-    of a 2-d array) is inside ``iv`` when it lies within
+    of a 2-d array) is inside ``iv`` when it is finite and lies within
     SPECTRUM_CLAMP_RTOL * max(1, its own largest |value|) of it. Returns
     the DomainError text of the first spectrum outside, or None."""
     w = np.atleast_2d(np.asarray(values, dtype=float))
     for bottom, top in zip(w.min(axis=-1).tolist(), w.max(axis=-1).tolist()):
         tol = SPECTRUM_CLAMP_RTOL * max(1.0, abs(top), abs(bottom))
-        if not (bottom >= iv.lo - tol and top <= iv.hi + tol):
+        # An infinite end makes tol infinite, which would let it pass.
+        if not (bottom >= iv.lo - tol and top <= iv.hi + tol and math.isfinite(tol)):
             return (
                 f"spectrum [{bottom:.6g}, {top:.6g}] escapes domain "
                 f"[{iv.lo:g}, {iv.hi:g}] beyond tolerance {tol:.3g}"
@@ -254,34 +248,29 @@ def make_function_spec(fid: str, domain, r: float | None = None) -> ConvexFuncti
 # --- functional calculus ----------------------------------------------------
 
 
-def apply_fun(spec: ConvexFunctionSpec, a) -> np.ndarray:
-    """f(A) = U diag(f(lambda)) U* for Hermitian A with spectrum in f's domain.
+def apply_fun(spec: ConvexFunctionSpec, eig: EigenDecomposition) -> np.ndarray:
+    """f(A) = U diag(f(lambda)) U* from A's descending decomposition (w, u).
 
-    ``a`` is one n x n matrix or a ``(k, n, n)`` family, which is validated
-    once and decomposed in one call; slice i of the result is f(a[i]), bit
-    for bit. Eigenvalues within SPECTRUM_CLAMP_RTOL * max(1, spectral
-    radius) outside the domain are clamped to the nearest endpoint;
-    anything further out raises :class:`DomainError`, naming the first
-    member's spectrum that escapes.
+    ``eig`` is what :func:`linalg.eig_hermitian` returns for one n x n
+    matrix or a ``(k, n, n)`` family (any pair (w, u) will do), so a caller
+    that gated on ``spec.covers(w)`` applies f to the spectrum it gated
+    on; slice i of the result is f(A_i), bit for bit. Eigenvalues within
+    SPECTRUM_CLAMP_RTOL * max(1, spectral radius) outside the domain are
+    clamped to the nearest endpoint; anything further out, or non-finite,
+    raises :class:`DomainError`, naming the first member's spectrum that
+    escapes.
     """
-    return _apply_eig(spec, *eig_hermitian(a, stack="matrix" if np.ndim(a) == 3 else None))
-
-
-def _apply_eig(spec: ConvexFunctionSpec, w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """:func:`apply_fun` from a validated matrix's or stack's decomposition
-    (w, u), so a caller that gated on ``spec.covers(w)`` applies f to it."""
-    iv = spec.domain
-    escape = _escape(iv, w)
+    w, u = eig
+    escape = _escape(spec.domain, w)
     if escape is not None:
         raise DomainError(escape)
-    fw = _eval(spec.fn, iv.clamp(w))
-    return hermitize((u * fw[..., None, :]) @ u.conj().swapaxes(-1, -2))
+    return synthesize(u, _eval(spec.fn, spec.domain.clamp(w)))
 
 
 def abs_power(a, r: float) -> np.ndarray:
     """|A|^r for any square A and real exponent r >= 1; r = 1 gives |A|.
 
-    ``a`` is one n x n matrix or a stack of shape ``(..., n, n)``, which is
+    ``a`` is one n x n matrix or a ``(k, n, n)`` stack, which is
     validated once and decomposed in one call; slice i of the result is
     |a[i]|^r. Computed from the spectral decomposition of A*A as
     (A*A)^(r/2), which avoids forming |A| first; an A*A that overflows, for
@@ -291,11 +280,6 @@ def abs_power(a, r: float) -> np.ndarray:
     r = float(r)
     if not math.isfinite(r) or r < 1.0:
         raise DomainError(f"exponent must satisfy r >= 1, got {r}")
-    m = np.asarray(a, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] < 1 or m.shape[-1] != m.shape[-2]:
-        raise DimensionError(f"expected square matrices of shape (..., n, n), got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
+    m = require_square(a, stack="matrix" if np.ndim(a) == 3 else None)
     w, u = np.linalg.eigh(gram(m))
-    w = np.clip(w, 0.0, None)
-    return hermitize((u * (w ** (r / 2.0))[..., None, :]) @ u.conj().swapaxes(-1, -2))
+    return synthesize(u, np.clip(w, 0.0, None) ** (r / 2.0))

@@ -31,6 +31,7 @@ from .linalg import (
     random_hermitian,
     require_hermitian,
     require_square,
+    synthesize,
 )
 
 __all__ = [
@@ -388,5 +389,4 @@ def normalize_unital(spec: MapSpec) -> MapSpec:
         raise SpecError(
             f"Phi(I) must be positive definite; eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}]"
         )
-    s = hermitize((u * w ** -0.5) @ u.conj().T)
-    return spec._post_conjugate(s)
+    return spec._post_conjugate(synthesize(u, w ** -0.5))

@@ -626,7 +626,8 @@ def replay(source: str | Path | dict, tol: float | None = None) -> CheckReport:
     tolerance and rhs_scale are reused unless ``tol`` is given, so a saved
     artifact reproduces under the arithmetic that produced it. A stored
     report must match the fresh one in verdict, and in min_slack within
-    1e-12 of its grading scale; otherwise :class:`HarnessError` is raised.
+    1e-12 of its grading scale; otherwise :class:`HarnessError` is raised,
+    as it is for a stored report or ``extras`` that is not a JSON object.
     """
     obj = serialize.read_json(source) if isinstance(source, (str, Path)) else source
     stored = None
@@ -634,8 +635,12 @@ def replay(source: str | Path | dict, tol: float | None = None) -> CheckReport:
         stored = obj.get("report")
         obj = obj["instance"]
     rhs_scale = 1.0
-    if isinstance(stored, dict):
-        extras = stored.get("extras") or {}
+    if stored is not None:
+        if not isinstance(stored, dict):
+            raise HarnessError(f"stored 'report' is a {type(stored).__name__}, not a JSON object")
+        extras = {} if stored.get("extras") is None else stored["extras"]
+        if not isinstance(extras, dict):
+            raise HarnessError(f"stored 'extras' is a {type(extras).__name__}, not a JSON object")
         rhs_scale = float(extras.get("rhs_scale", 1.0))
         if tol is None and stored.get("tol_used") is not None:
             tol = float(stored["tol_used"])

@@ -30,9 +30,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .calculus import ConvexFunctionSpec, _apply_eig, abs_power
+from .calculus import ConvexFunctionSpec, abs_power, apply_fun
 from .cpmaps import MapSpec, map_dims, apply_map, applied_to_identity, is_unital
-from .linalg import DimensionError, _eig_descending, as_complex_matrix, frob, hermitize
+from .linalg import DimensionError, as_complex_matrix, eig_descending, frob, hermitize
 from .linalg import require_hermitian, require_square
 from .majorization import schatten_of_values, singular_values
 
@@ -232,6 +232,21 @@ def _descending(values) -> np.ndarray:
     return np.sort(np.asarray(values, dtype=float))[::-1]
 
 
+def _mix(weights, mats) -> np.ndarray:
+    """Hermitian sum_i w_i M_i, summed in order from 0 as Python's sum does."""
+    return hermitize(sum(w * m for w, m in zip(weights, mats)))
+
+
+def _top_sums(m: np.ndarray) -> np.ndarray:
+    """Top-k eigenvalue sums of a Hermitian matrix, k = 1..n."""
+    return np.cumsum(_descending(np.linalg.eigvalsh(m)))
+
+
+def _bohr_right(pw: np.ndarray, mats: np.ndarray, r: float) -> np.ndarray:
+    """sum_i p_i^(1-r) |A_i|^r, each weight a scalar power of its own."""
+    return _mix([w ** (1.0 - r) for w in pw], abs_power(mats, r))
+
+
 def _sum_weight_hyps(w: np.ndarray) -> dict[str, bool]:
     return {
         "weights in (0, 1]": bool(np.all(w > 0) and np.all(w <= 1.0 + _NORM_TOL)),
@@ -309,20 +324,20 @@ def check_jensen_vector(f: ConvexFunctionSpec, a, x, tol: float | None = None) -
     """
     am = require_hermitian(a)
     xv = _vector(x, am.shape[0])
-    w, u = _eig_descending(am)
+    eig = eig_descending(am)
     norm = float(np.linalg.norm(xv))
     hyps = {
         "f convex on domain": f.flag("convex_on_J"),
         "0 in domain": f.flag("zero_in_J"),
         "f(0) <= 0": f.flag("f0_nonpositive"),
         "||x|| <= 1": norm <= 1.0 + _NORM_TOL,
-        "spectrum within domain": f.covers(w),
+        "spectrum within domain": f.covers(eig.eigenvalues),
     }
     if not all(hyps.values()):
         return _na_report("jensen-vec", hyps, tol)
     t = float(np.real(xv.conj() @ am @ xv))
     lhs = float(f(f.domain.clamp(t)))
-    rhs = float(np.real(xv.conj() @ _apply_eig(f, w, u) @ xv))
+    rhs = float(np.real(xv.conj() @ apply_fun(f, eig) @ xv))
     return _graded_report(
         "jensen-vec", [lhs], [rhs], hyps, tol, {"evaluation_point": t}
     )
@@ -348,12 +363,12 @@ def check_jensen_map(
         raise ValueError(f"variant must be 'subunital' or 'unital', got {variant!r}")
     am = require_hermitian(a)
     xv = _vector(x, map_dims(spec)[1])
-    w, u = _eig_descending(am)
+    eig = eig_descending(am)
 
     norm = float(np.linalg.norm(xv))
     hyps = {
         "f convex on domain": f.flag("convex_on_J"),
-        "spectrum within domain": f.covers(w),
+        "spectrum within domain": f.covers(eig.eigenvalues),
     }
     if variant == "subunital":
         wi = np.linalg.eigvalsh(applied_to_identity(spec))
@@ -372,7 +387,7 @@ def check_jensen_map(
     if not all(hyps.values()):
         return _na_report("jensen-map", hyps, tol, {"variant": variant})
     lhs = float(f(f.domain.clamp(t)))
-    rhs = float(np.real(xv.conj() @ spec._apply(_apply_eig(f, w, u)) @ xv))
+    rhs = float(np.real(xv.conj() @ spec._apply(apply_fun(f, eig)) @ xv))
     extras = {"variant": variant, "evaluation_point": t}
     return _graded_report("jensen-map", [lhs], [rhs], hyps, tol, extras)
 
@@ -400,31 +415,29 @@ def check_thm_weak_major(
     if not all(math.isfinite(alpha) for alpha, _ in pairs):
         raise ValueError("combination weights must be finite")
 
-    w, u = _eig_descending(am)
-    t_id = hermitize(sum(alpha * applied_to_identity(spec) for alpha, spec in pairs))
-    wi = np.linalg.eigvalsh(t_id)
+    eig = eig_descending(am)
+    alphas = [alpha for alpha, _ in pairs]
+    wi = np.linalg.eigvalsh(_mix(alphas, (applied_to_identity(spec) for _, spec in pairs)))
     hyps = {
-        "weights nonnegative": all(alpha >= 0 for alpha, _ in pairs),
+        "weights nonnegative": all(alpha >= 0 for alpha in alphas),
         "combined map subunital": bool(
             wi[0] >= -OPERATOR_HYP_TOL and wi[-1] <= 1.0 + OPERATOR_HYP_TOL
         ),
         "f convex on domain": f.flag("convex_on_J"),
         "0 in domain": f.flag("zero_in_J"),
         "f(0) <= 0": f.flag("f0_nonpositive"),
-        "spectrum within domain": f.covers(w),
+        "spectrum within domain": f.covers(eig.eigenvalues),
     }
     # A's dimension is checked once, by apply_map; map_dims matched the rest.
     images = [apply_map(pairs[0][1], am)] + [spec._apply(am) for _, spec in pairs[1:]]
-    mixed = hermitize(sum(alpha * image for (alpha, _), image in zip(pairs, images)))
-    mu = np.linalg.eigvalsh(mixed)
+    mu = np.linalg.eigvalsh(_mix(alphas, images))
     hyps["mixed spectrum within domain"] = f.covers(mu)
     if not all(hyps.values()):
         return _na_report("thm1", hyps, tol)
 
     lhs = np.cumsum(_descending(f(f.domain.clamp(mu))))
-    fa = _apply_eig(f, w, u)
-    right = hermitize(sum(alpha * spec._apply(fa) for alpha, spec in pairs))
-    rhs = np.cumsum(_descending(np.linalg.eigvalsh(right)))
+    fa = apply_fun(f, eig)
+    rhs = _top_sums(_mix(alphas, (spec._apply(fa) for _, spec in pairs)))
     return _graded_report("thm1", lhs, rhs, hyps, tol)
 
 
@@ -442,11 +455,9 @@ def check_cor_congruence(
     mats, aw, blocks = _family(a_list, alpha, x_list)
 
     xh = blocks.conj().swapaxes(-1, -2)
-    gram = hermitize(sum(g * w for w, g in zip(aw, xh @ blocks)))
-    wg = np.linalg.eigvalsh(gram)
-    mixed = hermitize(sum(xh @ mats @ blocks))
-    mu = np.linalg.eigvalsh(mixed)
-    w, u = _eig_descending(mats)
+    wg = np.linalg.eigvalsh(_mix(aw, xh @ blocks))
+    mu = np.linalg.eigvalsh(hermitize(sum(xh @ mats @ blocks)))
+    eig = eig_descending(mats)
     hyps = {
         "weights positive": bool(np.all(aw > 0)),
         "sum a_i X_i*X_i <= I": bool(wg[-1] <= 1.0 + OPERATOR_HYP_TOL),
@@ -455,15 +466,14 @@ def check_cor_congruence(
         "f submultiplicative": f.flag("submultiplicative"),
     }
     hyps["domain covers evaluation points"] = hyps["weights positive"] and (
-        f.covers(w) and f.covers(mu) and f.covers(1.0 / aw)
+        f.covers(eig.eigenvalues) and f.covers(mu) and f.covers(1.0 / aw)
     )
     if not all(hyps.values()):
         return _na_report("cornew", hyps, tol)
 
     lhs = np.cumsum(_descending(f(f.domain.clamp(mu))))
-    images = xh @ _apply_eig(f, w, u) @ blocks
-    right = sum(a_i * float(f(f.domain.clamp(1.0 / a_i))) * image for a_i, image in zip(aw, images))
-    rhs = np.cumsum(_descending(np.linalg.eigvalsh(hermitize(right))))
+    weights = [a_i * float(f(f.domain.clamp(1.0 / a_i))) for a_i in aw]
+    rhs = _top_sums(_mix(weights, xh @ apply_fun(f, eig) @ blocks))
     return _graded_report("cornew", lhs, rhs, hyps, tol)
 
 
@@ -497,8 +507,7 @@ def check_eigen_bohr(
     if all(hyps.values()):
         conj = pw ** (1.0 / (1.0 - r))
         total = np.sum(conj)
-        gram = hermitize(sum(c * g for c, g in zip(conj, xh @ blocks)))
-        wg = np.linalg.eigvalsh(gram)
+        wg = np.linalg.eigvalsh(_mix(conj, xh @ blocks))
         hyps["sum p_i^(1/(1-r)) X_i*X_i <= (sum p_i^(1/(1-r))) I"] = bool(
             wg[-1] <= total * (1.0 + OPERATOR_HYP_TOL)
         )
@@ -510,9 +519,7 @@ def check_eigen_bohr(
     mixed = hermitize(sum(xh @ mats @ blocks))
     lhs = np.cumsum(_descending(np.abs(np.linalg.eigvalsh(mixed)) ** r))
     const = float(total ** (r - 1.0)) * rhs_scale
-    images = xh @ abs_power(mats, r) @ blocks
-    right = hermitize(sum(w * image for w, image in zip(pw, images)))
-    rhs = const * np.cumsum(_descending(np.linalg.eigvalsh(right)))
+    rhs = const * _top_sums(_mix(pw, xh @ abs_power(mats, r) @ blocks))
     extras = {"constant": const}
     if rhs_scale != 1.0:
         extras["rhs_scale"] = rhs_scale
@@ -535,13 +542,9 @@ def check_norm_bohr(a_list, p, r, tol: float | None = None) -> CheckReport:
     if not all(hyps.values()):
         return _na_report("zh", hyps, tol)
 
-    left_mat = abs_power(_finite("zh", hermitize(sum(mats))), r)
-    wl = np.linalg.eigvalsh(left_mat)
+    wl = np.linalg.eigvalsh(abs_power(_finite("zh", hermitize(sum(mats))), r))
     lhs = np.cumsum(_descending(wl))
-    right_mat = hermitize(
-        sum(w ** (1.0 - r) * power for w, power in zip(pw, abs_power(mats, r)))
-    )
-    wr = np.linalg.eigvalsh(right_mat)
+    wr = np.linalg.eigvalsh(_bohr_right(pw, mats, r))
     rhs = np.cumsum(_descending(wr))
 
     # Both matrices are PSD: clip roundoff; the Schatten sums run in
@@ -574,8 +577,7 @@ def check_pointwise_bohr_r2(a_list, p, r, tol: float | None = None) -> CheckRepo
         return _na_report("prop-r2", hyps, tol)
 
     lhs = singular_values(_finite("prop-r2", sum(mats))) ** r
-    right = hermitize(sum(w ** (1.0 - r) * power for w, power in zip(pw, abs_power(mats, r))))
-    rhs = _descending(np.linalg.eigvalsh(right))
+    rhs = _descending(np.linalg.eigvalsh(_bohr_right(pw, mats, r)))
     return _graded_report(
         "prop-r2", lhs, rhs, hyps, tol, comparison="pointwise"
     )
@@ -636,24 +638,22 @@ def check_increasing_convex_eigen(
     weak-majorization statement to a pointwise one.
     """
     mats, pw, _ = _family(a_list, p)
-    w, u = _eig_descending(mats)
+    eig = eig_descending(mats)
     hyps = {
         "f convex on domain": f.flag("convex_on_J"),
         "f increasing on domain": f.flag("increasing"),
-        "spectra within domain": f.covers(w),
+        "spectra within domain": f.covers(eig.eigenvalues),
     }
     hyps.update(_sum_weight_hyps(pw))
     if not all(hyps.values()):
         return _na_report("inc-convex", hyps, tol)
 
-    mixture = hermitize(sum(w * m for w, m in zip(pw, mats)))
-    mu = np.linalg.eigvalsh(mixture)
+    mu = np.linalg.eigvalsh(_mix(pw, mats))
     hyps["mixture spectrum within domain"] = f.covers(mu)
     if not all(hyps.values()):
         return _na_report("inc-convex", hyps, tol)
     lhs = _descending(f(f.domain.clamp(mu)))
-    right = hermitize(sum(p_i * fm for p_i, fm in zip(pw, _apply_eig(f, w, u))))
-    rhs = _descending(np.linalg.eigvalsh(right))
+    rhs = _descending(np.linalg.eigvalsh(_mix(pw, apply_fun(f, eig))))
     return _graded_report(
         "inc-convex", lhs, rhs, hyps, tol, comparison="pointwise"
     )

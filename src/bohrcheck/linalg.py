@@ -33,6 +33,8 @@ __all__ = [
     "frob",
     "EigenDecomposition",
     "eig_hermitian",
+    "eig_descending",
+    "synthesize",
     "complex_gaussian",
     "random_unitary",
     "random_hermitian",
@@ -210,12 +212,12 @@ def eig_hermitian(a, *, stack: str | None = None) -> EigenDecomposition:
     for bit as alone. A backend that fails to converge raises
     ``numpy.linalg.LinAlgError``, which a campaign records as an error line.
     """
-    return _eig_descending(require_hermitian(a, stack=stack))
+    return eig_descending(require_hermitian(a, stack=stack))
 
 
-def _eig_descending(m: np.ndarray) -> EigenDecomposition:
-    """:func:`eig_hermitian` of a matrix or ``(k, n, n)`` stack already
-    validated Hermitian, for callers that validated it themselves."""
+def eig_descending(m: np.ndarray) -> EigenDecomposition:
+    """:func:`eig_hermitian` for input already validated Hermitian: a
+    matrix or ``(k, n, n)`` stack that passed :func:`require_hermitian`."""
     w, u = np.linalg.eigh(hermitize(m))
     order = np.argsort(-w, axis=-1, kind="stable")
     if m.ndim == 2:  # plain indexing beats take_along_axis on one matrix
@@ -223,6 +225,14 @@ def _eig_descending(m: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(
         np.take_along_axis(w, order, -1), np.take_along_axis(u, order[:, None, :], -1)
     )
+
+
+def synthesize(u: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """U diag(v) U* from unitary columns ``u`` and real ``values``, for one
+    matrix or each of a ``(k, n, n)`` stack; column j of U pairs with
+    ``values[..., j]``. The one synthesis step of f(A), |A|^r and the
+    random Hermitian draws."""
+    return hermitize((u * values[..., None, :]) @ u.conj().swapaxes(-1, -2))
 
 
 # --- random structured inputs ----------------------------------------------
@@ -267,8 +277,7 @@ def random_hermitian(
     k = 1 if count is None else count
     draws = [(rng.uniform(iv.lo, iv.hi, size=n), complex_gaussian((n, n), rng)) for _ in range(k)]
     lam, z = draws[0] if count is None else map(np.stack, zip(*draws))
-    u = _haar(z)
-    return hermitize((u * lam[..., None, :]) @ u.conj().swapaxes(-1, -2))
+    return synthesize(_haar(z), lam)
 
 
 def random_map_family(

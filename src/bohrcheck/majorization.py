@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .linalg import complex_gaussian, eig_hermitian, gram, require_square
+from .linalg import complex_gaussian, eig_descending, gram, require_hermitian, require_square
 
 __all__ = [
     "SINGULAR_CLAMP",
@@ -80,11 +80,11 @@ def ky_fan_max_estimate(a, k: int, trials: int, rng: np.random.Generator) -> flo
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    m = require_square(a)
+    m = require_hermitian(a)
     n = m.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    _, u = eig_hermitian(m)
+    _, u = eig_descending(m)
     frame = u[:, :k]
     best = float(np.real(np.trace(frame.conj().T @ m @ frame)))
     for _ in range(trials):

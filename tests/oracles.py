@@ -9,9 +9,10 @@ to explicit positive inputs, partial sums are accumulated in plain
 Python, random families are drawn and factored one member at a time
 instead of as one stack, POVMs are applied and their blocks drawn one
 effect at a time instead of in one broadcast or one draw, reports are
-graded on numpy arrays instead of Python floats, and map specs are
+graded on numpy arrays instead of Python floats, map specs are
 dispatched by isinstance chains on their kind instead of by the members
-each kind owns.
+each kind owns, and f(A), |A|^r and U diag(v) U* are written out inline
+instead of through the one synthesis kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from bohrcheck.calculus import SCAN_TOL
+from bohrcheck.calculus import SCAN_TOL, ConvexFunctionSpec, DomainError
 from bohrcheck.cpmaps import (
     PSD_TOL,
     BlockExtraction,
@@ -34,7 +35,7 @@ from bohrcheck.cpmaps import (
     map_dims,
 )
 from bohrcheck.inequalities import DEFAULT_RTOL, EQUALITY_RTOL, CheckReport
-from bohrcheck.linalg import complex_gaussian, frob, hermitize
+from bohrcheck.linalg import DimensionError, complex_gaussian, eig_hermitian, frob, gram, hermitize
 
 MASK64 = (1 << 64) - 1
 
@@ -330,3 +331,48 @@ def normalize_unital_chain(spec: MapSpec) -> MapSpec:
         )
     s = hermitize((u * w ** -0.5) @ u.conj().T)
     return post_conjugate_chain(spec, s)
+
+
+# --- spectral steps written inline ---------------------------------------------
+# U diag(v) U*, f(A) and |A|^r as each was written before linalg.synthesize
+# and apply_fun(spec, eig) replaced them; the domain test reads covers().
+
+
+def synthesis_inline(u: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """U diag(v) U* of a matrix or stack, as random_hermitian wrote it."""
+    return hermitize((u * values[..., None, :]) @ u.conj().swapaxes(-1, -2))
+
+
+def synthesis_inline_2d(u: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """U diag(v) U* of one matrix, as normalize_unital wrote it."""
+    return hermitize((u * values) @ u.conj().T)
+
+
+def apply_eig_inline(spec: ConvexFunctionSpec, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    iv = spec.domain
+    if not spec.covers(w):
+        raise DomainError(f"spectrum escapes domain [{iv.lo:g}, {iv.hi:g}]")
+    fw = np.asarray(spec.fn(np.asarray(iv.clamp(w), dtype=float)), dtype=float)
+    if not np.all(np.isfinite(fw)):
+        raise ValueError("function evaluated to a non-finite value on its domain")
+    return hermitize((u * fw[..., None, :]) @ u.conj().swapaxes(-1, -2))
+
+
+def apply_fun_inline(spec: ConvexFunctionSpec, a) -> np.ndarray:
+    """f(A) of one matrix or a (k, n, n) family, validated and decomposed."""
+    return apply_eig_inline(spec, *eig_hermitian(a, stack="matrix" if np.ndim(a) == 3 else None))
+
+
+def abs_power_inline(a, r: float) -> np.ndarray:
+    """|A|^r of a matrix or (..., n, n) stack, with its own validation."""
+    r = float(r)
+    if not math.isfinite(r) or r < 1.0:
+        raise DomainError(f"exponent must satisfy r >= 1, got {r}")
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] < 1 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"expected square matrices of shape (..., n, n), got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    w, u = np.linalg.eigh(gram(m))
+    w = np.clip(w, 0.0, None)
+    return hermitize((u * (w ** (r / 2.0))[..., None, :]) @ u.conj().swapaxes(-1, -2))

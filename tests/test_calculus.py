@@ -24,6 +24,7 @@ from bohrcheck.linalg import (
     random_unitary,
 )
 from oracles import REGISTRY_FORMULAS, abs_via_svd, fun_hermitian_ref, svd_singular_values
+from oracles import abs_power_inline, apply_fun_inline
 from oracles import scan_function_flags as full_grid_scan
 
 
@@ -206,18 +207,18 @@ def test_triangle_scan_matches_full_grid_oracle(grid_size):
 
 def test_apply_fun_square_diagonal():
     f = make_function_spec("square", (-3, 3))
-    out = apply_fun(f, np.diag([1.0, -2.0]))
+    out = apply_fun(f, eig_hermitian(np.diag([1.0, -2.0])))
     assert np.allclose(out, np.diag([1.0, 4.0]), atol=1e-12)
 
 
 def test_apply_fun_expm1_at_zero():
     f = make_function_spec("expm1", (-1, 1))
-    assert np.allclose(apply_fun(f, np.zeros((3, 3))), np.zeros((3, 3)), atol=1e-13)
+    assert np.allclose(apply_fun(f, eig_hermitian(np.zeros((3, 3)))), np.zeros((3, 3)), atol=1e-13)
 
 
 def test_apply_fun_abs_pow_on_symmetric_flip():
     f = make_function_spec("abs_pow", (-2, 2), r=1.5)
-    out = apply_fun(f, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    out = apply_fun(f, eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]])))
     assert np.allclose(out, np.eye(2), atol=1e-12)
 
 
@@ -226,7 +227,7 @@ def test_apply_fun_identity_function_is_identity():
     rng = make_rng(21)
     for _ in range(20):
         a = random_hermitian(int(rng.integers(1, 7)), (-3.5, 3.5), rng)
-        assert frob(apply_fun(f, a) - a) <= 1e-11 * max(1.0, frob(a))
+        assert frob(apply_fun(f, eig_hermitian(a)) - a) <= 1e-11 * max(1.0, frob(a))
 
 
 def test_apply_fun_matches_reference_calculus():
@@ -234,7 +235,7 @@ def test_apply_fun_matches_reference_calculus():
     f = make_function_spec("expm1", (-3, 3))
     for _ in range(50):
         a = random_hermitian(int(rng.integers(2, 7)), (-2.9, 2.9), rng)
-        assert frob(apply_fun(f, a) - fun_hermitian_ref(np.expm1, a)) <= 1e-9
+        assert frob(apply_fun(f, eig_hermitian(a)) - fun_hermitian_ref(np.expm1, a)) <= 1e-9
 
 
 def test_apply_fun_spectral_mapping_and_commutation():
@@ -242,7 +243,7 @@ def test_apply_fun_spectral_mapping_and_commutation():
     f = make_function_spec("abs_pow", (-3, 3), r=2.5)
     for _ in range(50):
         a = random_hermitian(int(rng.integers(2, 7)), (-3.0, 3.0), rng)
-        fa = apply_fun(f, a)
+        fa = apply_fun(f, eig_hermitian(a))
         expect = np.sort(np.abs(eig_hermitian(a).eigenvalues) ** 2.5)[::-1]
         assert np.allclose(eig_hermitian(fa).eigenvalues, expect, atol=1e-9)
         assert frob(fa @ a - a @ fa) <= 1e-9 * max(1.0, frob(a) * frob(fa))
@@ -255,8 +256,8 @@ def test_apply_fun_unitary_equivariance():
         n = int(rng.integers(2, 6))
         a = random_hermitian(n, (-2.5, 2.5), rng)
         u = random_unitary(n, rng)
-        lhs = apply_fun(f, u @ a @ u.conj().T)
-        rhs = u @ apply_fun(f, a) @ u.conj().T
+        lhs = apply_fun(f, eig_hermitian(u @ a @ u.conj().T))
+        rhs = u @ apply_fun(f, eig_hermitian(a)) @ u.conj().T
         assert frob(lhs - rhs) <= 1e-10 * max(1.0, frob(a))
 
 
@@ -264,9 +265,9 @@ def test_apply_fun_clamps_roundoff_but_rejects_real_excursions():
     f = make_function_spec("square", (-1.0, 1.0))
     # 1e-12 past the endpoint is eigensolver noise; clamp and proceed.
     near = np.diag([1.0 + 1e-12, 0.0])
-    assert np.allclose(apply_fun(f, near), np.diag([1.0, 0.0]), atol=1e-9)
+    assert np.allclose(apply_fun(f, eig_hermitian(near)), np.diag([1.0, 0.0]), atol=1e-9)
     with pytest.raises(DomainError):
-        apply_fun(f, np.diag([1.5, 0.0]))
+        apply_fun(f, eig_hermitian(np.diag([1.5, 0.0])))
 
 
 def test_apply_fun_on_a_stack_is_each_member_alone():
@@ -276,10 +277,10 @@ def test_apply_fun_on_a_stack_is_each_member_alone():
         for n in range(1, 9):
             # A scalar member has repeated eigenvalues, whose order is a tie.
             mats = np.stack([random_hermitian(n, domain, rng) for _ in range(3)] + [np.eye(n)])
-            out = apply_fun(f, mats)
+            out = apply_fun(f, eig_hermitian(mats, stack="matrix"))
             assert out.shape == mats.shape
             for got, m in zip(out, mats):
-                want = apply_fun(f, m)
+                want = apply_fun(f, eig_hermitian(m))
                 assert got.tobytes() == want.tobytes()
 
 
@@ -297,16 +298,17 @@ def test_covers_is_false_exactly_when_apply_fun_raises():
         w[:, 0] = edge * (1.0 + rng.uniform(-3e-9, 3e-9, size=k))
         u = np.stack([random_unitary(n, rng) for _ in range(k)])
         mats = hermitize((u * w[:, None, :]) @ u.conj().swapaxes(-1, -2))
-        spectra = eig_hermitian(mats, stack="matrix").eigenvalues
+        eig = eig_hermitian(mats, stack="matrix")
+        spectra = eig.eigenvalues
         try:
-            apply_fun(f, mats)
+            apply_fun(f, eig)
             raised = False
         except DomainError:
             raised = True
         assert f.covers(spectra) is not raised
         for m, spectrum in zip(mats, spectra):
             try:
-                apply_fun(f, m)
+                apply_fun(f, eig_hermitian(m))
                 assert f.covers(spectrum)
             except DomainError:
                 assert not f.covers(spectrum)
@@ -325,16 +327,76 @@ def test_covers_reads_each_row_as_its_own_spectrum():
     assert not f.covers(float("nan"))
 
 
+def _signed_zero_diagonals(mats: np.ndarray, rng) -> np.ndarray:
+    """``mats`` with one diagonal entry of each member set to +0.0 or -0.0."""
+    mats = np.array(mats, dtype=complex)
+    i = int(rng.integers(mats.shape[-1]))
+    mats[:, i, i] = rng.choice([0.0, -0.0], size=len(mats))
+    return mats
+
+
+def test_apply_fun_is_the_inline_calculus_bit_for_bit():
+    # Every registry function on seeded single matrices and stacks, with
+    # signed-zero diagonals: the same bytes, or the same DomainError.
+    rng = make_rng(29)
+    specs = [make_function_spec(fid, (-2.0, 2.0)) for fid in ("expm1", "linear", "relu", "square")]
+    specs += [make_function_spec("abs_pow", (-2.0, 2.0), 2.5)]
+    specs += [make_function_spec("half_pow", (0.0, 2.0), 3.0)]
+    outcomes = set()
+    for _ in range(60):
+        n, k = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        lo = float(rng.choice([-2.0, 0.0]))
+        mats = np.stack([random_hermitian(n, (lo, 2.0), rng) for _ in range(k)])
+        for family in (mats, _signed_zero_diagonals(mats, rng)):
+            for a, stack in ((family, "matrix"), (family[0], None)):
+                eig = eig_hermitian(a, stack=stack)
+                for f in specs:
+                    try:
+                        want = apply_fun_inline(f, a)
+                    except DomainError:
+                        with pytest.raises(DomainError):
+                            apply_fun(f, eig)
+                        outcomes.add("escapes")
+                        continue
+                    assert apply_fun(f, eig).tobytes() == want.tobytes()
+                    outcomes.add("applied")
+    assert outcomes == {"applied", "escapes"}
+
+
+def test_abs_power_is_the_inline_kernel_bit_for_bit():
+    rng = make_rng(30)
+    for _ in range(100):
+        n, k = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        r = float(rng.choice([1.0, 2.0, float(rng.uniform(1.0, 4.0))]))
+        mats = complex_gaussian((k, n, n), rng)
+        for family in (mats, _signed_zero_diagonals(mats, rng), np.real(mats)):
+            for a in (family, family[0]):
+                assert abs_power(a, r).tobytes() == abs_power_inline(a, r).tobytes()
+    diag = np.diag([0.0, -0.0, 2.0])
+    assert abs_power(diag, 3.0).tobytes() == abs_power_inline(diag, 3.0).tobytes()
+
+
+def test_a_non_finite_spectrum_escapes_every_domain():
+    # An infinite end once made the tolerance 1e-9 * |end| infinite, so
+    # covers() passed it and apply_fun clamped inf to the domain's end.
+    f = make_function_spec("square", (-3.0, 3.0))
+    for spectrum in ([0.0, np.inf], [-np.inf, 0.0], [[0.0, 1.0], [0.0, np.inf]], [np.nan, 0.0]):
+        assert not f.covers(spectrum)
+    message = r"^spectrum \[0, inf\] escapes domain \[-3, 3\] beyond tolerance inf$"
+    with pytest.raises(DomainError, match=message):
+        apply_fun(f, (np.array([np.inf, 0.0]), np.eye(2)))
+
+
 def test_apply_fun_on_a_stack_reports_the_escaping_member():
     f = make_function_spec("square", (-1.0, 1.0))
     mats = np.stack([np.diag([0.5, 0.0]), np.diag([1.5, -0.25]), np.diag([2.0, 0.0])])
     message = r"^spectrum \[-0\.25, 1\.5\] escapes domain \[-1, 1\] beyond tolerance 1\.5e-09$"
     with pytest.raises(DomainError, match=message):
-        apply_fun(f, mats)
+        apply_fun(f, eig_hermitian(mats, stack="matrix"))
     with pytest.raises(DomainError, match=message):
-        apply_fun(f, mats[1])
+        apply_fun(f, eig_hermitian(mats[1]))
     with pytest.raises(ValueError, match="^matrix 1 is not Hermitian"):
-        apply_fun(f, np.stack([np.eye(2), np.triu(np.ones((2, 2)))]))
+        apply_fun(f, eig_hermitian(np.stack([np.eye(2), np.triu(np.ones((2, 2)))]), stack="matrix"))
 
 
 def test_apply_fun_rejects_nonfinite_values():
@@ -344,7 +406,7 @@ def test_apply_fun_rejects_nonfinite_values():
         flags=dict(f.flags), r=None,
     )
     with pytest.raises(ValueError):
-        apply_fun(bad, np.eye(2))
+        apply_fun(bad, eig_hermitian(np.eye(2)))
 
 
 # --- abs_power -------------------------------------------------------------------
@@ -421,18 +483,27 @@ def test_abs_power_refuses_a_gram_matrix_that_overflows():
 
 
 def test_abs_power_rejects_malformed_stacks():
+    # Each case is refused as the inline kernel refused it, and the good
+    # stack gives the inline kernel's bytes.
     good = np.stack([np.eye(3), 2.0 * np.eye(3)])
     assert abs_power(good, 2.0).shape == (2, 3, 3)
-    with pytest.raises(DimensionError):
-        abs_power(np.zeros((2, 3, 4)), 2.0)
-    with pytest.raises(DimensionError):
-        abs_power(np.zeros(3), 2.0)
-    bad = good.astype(complex)
-    bad[1, 2, 0] = complex(0.0, np.inf)
-    with pytest.raises(ValueError, match="finite"):
-        abs_power(bad, 2.0)
-    bad[1, 2, 0] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        abs_power(bad, 2.0)
-    with pytest.raises(DomainError):
-        abs_power(good, 0.5)
+    assert abs_power(good, 2.0).tobytes() == abs_power_inline(good, 2.0).tobytes()
+    inf_entry, nan_entry = good.astype(complex), good.astype(complex)
+    inf_entry[1, 2, 0] = complex(0.0, np.inf)
+    nan_entry[1, 2, 0] = np.nan
+    cases = [
+        (np.zeros((2, 3, 4)), 2.0, DimensionError, None),
+        (np.zeros(3), 2.0, DimensionError, None),
+        (inf_entry, 2.0, ValueError, "finite"),
+        (nan_entry, 2.0, ValueError, "finite"),
+        (good, 0.5, DomainError, None),
+    ]
+    for a, r, error, words in cases:
+        for kernel in (abs_power, abs_power_inline):
+            with pytest.raises(error, match=words):
+                kernel(a, r)
+    # Stacks are (k, n, n): deeper or empty ones, which the inline kernel
+    # took, are refused.
+    for a in (np.zeros((2, 2, 3, 3)), np.zeros((0, 3, 3))):
+        with pytest.raises(DimensionError):
+            abs_power(a, 2.0)

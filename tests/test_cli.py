@@ -77,6 +77,21 @@ def test_check_missing_and_malformed_files(tmp_path, capsys):
     assert f"bohrcheck: error: {bad}: invalid JSON at line 1, column 2: " in err
 
 
+@pytest.mark.parametrize("field", ["report", "extras"])
+def test_check_malformed_stored_report_exits_one_naming_it(tmp_path, capsys, field):
+    payload = cor45_diag_payload()
+    report = run_instance(payload).to_json()
+    body = {"instance": payload, "report": [report]}
+    if field == "extras":
+        body["report"] = dict(report, extras=[1.0])
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(body))
+    assert main(["check", "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"bohrcheck: error: stored '{field}' is a list, not a JSON object" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("key, value", [("p", [float("inf")]), ("r", float("inf"))])
 def test_check_nonfinite_float_field_exits_one_naming_it(tmp_path, capsys, key, value):
     # JSON's Infinity decodes to a float, which decoding must refuse.

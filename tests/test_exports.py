@@ -1,5 +1,5 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
-and every module imports only the layers below it."""
+and every module imports only public names of the layers below it."""
 
 import ast
 import importlib
@@ -52,6 +52,18 @@ def test_modules_import_only_lower_layers():
     assert sorted(LAYERS) == MODULES
     for i, name in enumerate(LAYERS):
         assert _relative_imports(name) <= set(LAYERS[:i]), name
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # "from .x import _y" reaches past a layer's interface; a spec's own
+    # _apply method is called on the object, which imports nothing.
+    private = []
+    for name in MODULES:
+        path = pathlib.Path(bohrcheck.__file__).with_name(f"{name}.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private += [f"{name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []
 
 
 def test_checkers_take_no_digest():

@@ -788,6 +788,23 @@ def test_replay_forgives_a_few_ulps_of_slack_scale():
                 replay(moved)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("report", ["held"]), ("report", "held"), ("report", 0), ("extras", [1.0]), ("extras", "x")],
+)
+def test_replay_refuses_a_stored_report_that_is_not_an_object(field, value):
+    # Such a report or extras once met a .get call and raised AttributeError.
+    payload = _bohr_payload()
+    wrapped = {"instance": payload, "report": run_instance(payload).to_json()}
+    if field == "report":
+        wrapped["report"] = value
+    else:
+        wrapped["report"]["extras"] = value
+    kind = type(value).__name__
+    with pytest.raises(HarnessError, match=f"^stored '{field}' is a {kind}, not a JSON object$"):
+        replay(wrapped)
+
+
 def test_replay_reuses_stored_tolerance(tmp_path):
     payload = _bohr_payload()
     loose = run_instance(payload, tol=1e6)

@@ -680,6 +680,16 @@ def test_cor_congruence_gates_each_member_at_its_own_scale():
     assert rep.failed_hypotheses() == ("domain covers evaluation points",)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_an_infinite_eigenvalue_fails_the_domain_gate():
+    # eigh of this finite matrix returns [inf, 7.3e290, -3.6e292]; the gate
+    # once passed it and graded f at the evaluation point 8e307.
+    f = make_function_spec("square", (-3, 3))
+    rep = check_jensen_vector(f, 8e307 * np.ones((3, 3)), [1, 0, 0])
+    assert rep.not_applicable
+    assert rep.failed_hypotheses() == ("spectrum within domain",)
+
+
 def _edge_instance(theorem, k, seed=3):
     """An instance whose first member has one eigenvalue k tolerances of
     SPECTRUM_CLAMP_RTOL * max(1, |lambda|) below the domain's low end -2."""

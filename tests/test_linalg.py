@@ -24,9 +24,11 @@ from bohrcheck.linalg import (
     require_hermitian,
     require_square,
     stream_key,
+    synthesize,
 )
 from bohrcheck.calculus import abs_power
 from oracles import random_hermitian_ref, random_map_family_ref, splitmix64_ref
+from oracles import synthesis_inline, synthesis_inline_2d
 
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -160,6 +162,22 @@ def test_eig_hermitian_of_a_stack_is_each_member_alone():
         for i, m in enumerate(mats):
             wi, ui = eig_hermitian(m)
             assert _same_bits(w[i], wi) and _same_bits(u[i], ui)
+
+
+def test_synthesize_is_the_inline_product_bit_for_bit():
+    # Seeded unitaries and spectra, stacked and alone, with a signed zero
+    # in every spectrum: synthesize is each inline U diag(v) U* it replaced.
+    rng = make_rng(17)
+    for _ in range(200):
+        n, k = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+        u = np.stack([random_unitary(n, rng) for _ in range(k)])
+        v = rng.uniform(-3.0, 3.0, size=(k, n))
+        v[:, int(rng.integers(n))] = rng.choice([0.0, -0.0], size=k)
+        assert _same_bits(synthesize(u, v), synthesis_inline(u, v))
+        for ui, vi in zip(u, v):
+            got = synthesize(ui, vi)
+            assert _same_bits(got, synthesis_inline(ui, vi))
+            assert _same_bits(got, synthesis_inline_2d(ui, vi))
 
 
 def test_validators_take_a_stack_only_when_asked():
