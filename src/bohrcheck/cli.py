@@ -173,7 +173,7 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     # Every input error (SerializationError, SpecError, DimensionError) is a ValueError.
-    except (HarnessError, GenerationError, FileNotFoundError, ValueError) as exc:
+    except (HarnessError, GenerationError, OSError, ValueError) as exc:
         print(f"bohrcheck: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -210,21 +210,21 @@ def run_instance(payload: dict, tol: float | None = None, rhs_scale: float = 1.0
     ``rhs_scale`` reaches the cor45 checker only (any other theorem needs
     1.0) and is not part of the payload, so mutated runs keep the digest.
     """
-    theorem, args = serialize.instance_from_json(payload)
-    # Digested after the check, so malformed input gets the checker's message.
-    with np.errstate(over="ignore", invalid="ignore"):  # as in run_campaign
-        report = _check(theorem, args, tol, rhs_scale)
-    return replace(report, input_digest=serialize.digest(theorem, args))
+    return _check(*serialize.instance_from_json(payload), tol, rhs_scale)
 
 
-def _check(theorem, args, tol, rhs_scale) -> CheckReport:
-    """Run ``theorem``'s checker on ``args``, which it leaves as they are."""
+def _check(theorem, args, tol, rhs_scale, digest=None) -> CheckReport:
+    """Run ``theorem``'s checker on ``args``, which it leaves as they are,
+    and stamp ``digest`` (by default the digest of ``args``) on the report."""
     if rhs_scale != 1.0 and theorem != "cor45":
         raise ValueError(f"rhs_scale must be {_RHS_SCALE_RULE}, got {rhs_scale!r}")
     mutation = {"rhs_scale": rhs_scale} if theorem == "cor45" else {}
     # Looked up by name on every call, so rebinding a checker reaches here.
     checker = getattr(inequalities, THEOREM_TABLE[theorem][0])
-    return checker(**args, **mutation, tol=tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in generate_instance
+        report = checker(**args, **mutation, tol=tol)
+    # Digested after the check, so malformed input gets the checker's message.
+    return replace(report, input_digest=digest or serialize.digest(theorem, args))
 
 
 # --- random building blocks --------------------------------------------------
@@ -438,9 +438,8 @@ def _gen_cor45(cfg, rng, trial) -> dict:
     ell = _draw_int(rng, cfg.ell_range)
     r = _draw_r(cfg, rng)
     p = rng.uniform(0.3, 3.0, size=ell)
-    with np.errstate(over="ignore", invalid="ignore"):
-        conj = p ** (1.0 / (1.0 - r))
-        weights = conj / conj.sum()
+    conj = p ** (1.0 / (1.0 - r))
+    weights = conj / conj.sum()
     if not np.all(np.isfinite(weights)):
         raise GenerationError(f"conjugate powers p^(1/(1-r)) overflow at r={r!r}")
     blocks = random_map_family(ell, n, n, weights, rng)
@@ -517,7 +516,9 @@ def generate_instance(cfg: CampaignConfig, trial: int, rng) -> dict:
     """Checker arguments of a constraint-aware random instance for the
     configured theorem. Checking them gives the report that
     :func:`run_instance` gives for their payload."""
-    return THEOREM_TABLE[canonical_theorem(cfg.theorem)][1](cfg, rng, trial)
+    # Overflow ends in an error that says so; numpy's warnings would repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return THEOREM_TABLE[canonical_theorem(cfg.theorem)][1](cfg, rng, trial)
 
 
 # --- campaign loop ------------------------------------------------------------
@@ -552,6 +553,23 @@ def _summary(theorem: str, records: list[TrialRecord]) -> dict:
     }
 
 
+def _trial(cfg: CampaignConfig, theorem: str, trial: int) -> TrialRecord:
+    """Trial ``trial`` of the campaign ``cfg`` of canonical ``theorem``: a
+    pure function of the two, since the trial draws from its own stream."""
+    stream = f"{stream_key(cfg.seed, trial):016x}"
+    args = digest = report = error = None
+    try:
+        args = generate_instance(cfg, trial, make_rng(cfg.seed, trial))
+        digest = serialize.digest(theorem, args)
+        report = _check(theorem, args, cfg.tol_override, cfg.rhs_scale, digest)
+    except (GenerationError, serialize.NonFiniteError) as exc:
+        # The digest refuses an instance whose draw overflowed.
+        args, error = None, str(exc)
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    return TrialRecord(trial, stream, digest, theorem, args, report, error)
+
+
 def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> CampaignResult:
     """Run a campaign; optionally stream JSONL records to out_path.
 
@@ -578,33 +596,16 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
     token = _campaign_specs.set({})
     try:
         for trial in range(cfg.trials):
-            rng = make_rng(cfg.seed, trial)
-            stream = f"{stream_key(cfg.seed, trial):016x}"
-            args = digest = report = error = None
-            try:
-                # Overflow becomes inf or NaN and then one of the errors below,
-                # which already says what happened, so numpy's warnings would
-                # only repeat it.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    args = generate_instance(cfg, trial, rng)
-                    digest = serialize.digest(theorem, args)
-                    report = _check(theorem, args, cfg.tol_override, cfg.rhs_scale)
-                report = replace(report, input_digest=digest)
-            except (GenerationError, serialize.NonFiniteError) as exc:
-                # The digest refuses an instance whose draw overflowed.
-                args, error = None, str(exc)
-            except (NumericalError, np.linalg.LinAlgError) as exc:
-                error = f"{type(exc).__name__}: {exc}"
-            record = TrialRecord(trial, stream, digest, theorem, args, report, error)
+            record = _trial(cfg, theorem, trial)
             records.append(record)
             if sink is None:
                 continue
             sink.write(record.to_json_line() + "\n")
-            if report is not None and report.violated:
-                body = {"instance": record.payload, "report": report.to_json()}
+            if record.report is not None and record.report.violated:
+                body = {"instance": record.payload, "report": record.report.to_json()}
                 violation_paths.append(_write_artifact(out, "violation", trial, body))
-            elif report is None and args is not None:
-                body = {"instance": record.payload, "error": error}
+            elif record.report is None and record.args is not None:
+                body = {"instance": record.payload, "error": record.error}
                 error_paths.append(_write_artifact(out, "error", trial, body))
         summary = _summary(theorem, records)
         if sink is not None:
@@ -627,37 +628,49 @@ def replay(source: str | Path | dict, tol: float | None = None) -> CheckReport:
     artifact reproduces under the arithmetic that produced it. A stored
     report must match the fresh one in verdict, and in min_slack within
     1e-12 of its grading scale; otherwise :class:`HarnessError` is raised,
-    as it is for a stored report or ``extras`` that is not a JSON object.
+    as it is for a stored report or ``extras`` that is not a JSON object, or
+    a stored ``tol_used``, ``min_slack`` or ``rhs_scale`` that is not a
+    finite JSON number.
     """
     obj = serialize.read_json(source) if isinstance(source, (str, Path)) else source
     stored = None
     if isinstance(obj, dict) and "instance" in obj:
         stored = obj.get("report")
         obj = obj["instance"]
-    rhs_scale = 1.0
+    rhs_scale, old = 1.0, None
     if stored is not None:
         if not isinstance(stored, dict):
             raise HarnessError(f"stored 'report' is a {type(stored).__name__}, not a JSON object")
         extras = {} if stored.get("extras") is None else stored["extras"]
         if not isinstance(extras, dict):
             raise HarnessError(f"stored 'extras' is a {type(extras).__name__}, not a JSON object")
-        rhs_scale = float(extras.get("rhs_scale", 1.0))
-        if tol is None and stored.get("tol_used") is not None:
-            tol = float(stored["tol_used"])
+        rhs_scale = _stored_number(extras, "rhs_scale", 1.0)
+        tol = _stored_number(stored, "tol_used", None) if tol is None else tol
+        old = _stored_number(stored, "min_slack", None)
     report = run_instance(obj, tol, rhs_scale)
     if stored is not None:
         if stored.get("verdict") != report.verdict:
             raise HarnessError(
                 f"replay verdict {report.verdict!r} does not match stored {stored.get('verdict')!r}"
             )
-        old = stored.get("min_slack")
         new = report.min_slack
         scale = max(map(abs, (1.0, *report.partial_sums_lhs, *report.partial_sums_rhs)))
         if (old is None) != (new is None) or (
-            old is not None and abs(float(old) - new) > 1e-12 * scale
+            old is not None and abs(old - new) > 1e-12 * scale
         ):
             raise HarnessError(f"replay min_slack {new!r} does not match stored {old!r}")
     return report
+
+
+def _stored_number(obj: dict, key: str, default):
+    """``obj[key]`` as a float, ``default`` if it is absent or null; a value
+    that is not a finite JSON number (a boolean is not one) is refused."""
+    value = obj.get(key)
+    if value is None:
+        return default
+    if not (_is_real(value) and math.isfinite(value)):
+        raise HarnessError(f"stored {key!r} is {value!r}, not a finite JSON number")
+    return float(value)
 
 
 # --- demo ----------------------------------------------------------------------

@@ -154,6 +154,14 @@ def _exponent(r) -> float:
     return r
 
 
+def _tol(tol) -> float:
+    """A tolerance the caller gave, refused unless finite and >= 0, so that
+    it cannot decide a verdict (a NaN one would call every slack violated)."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be None or finite >= 0, got {tol!r}")
+    return float(tol)
+
+
 def _na_report(theorem_id, hyps, tol, extras=None) -> CheckReport:
     return CheckReport(
         theorem_id=theorem_id,
@@ -161,7 +169,7 @@ def _na_report(theorem_id, hyps, tol, extras=None) -> CheckReport:
         partial_sums_lhs=(),
         partial_sums_rhs=(),
         min_slack=None,
-        tol_used=float(tol) if tol is not None else 0.0,
+        tol_used=0.0 if tol is None else _tol(tol),
         hypothesis_report=dict(hyps),
         extras=dict(extras or {}),
     )
@@ -180,7 +188,7 @@ def _graded_report(
     if slack is None or not all(map(math.isfinite, slack)):
         raise NumericalError(f"{theorem_id}: non-finite comparison, lhs {lhs}, rhs {rhs}")
     scale = max([1.0, *map(abs, lhs), *map(abs, rhs)])
-    tol_used = float(tol) if tol is not None else DEFAULT_RTOL * scale
+    tol_used = DEFAULT_RTOL * scale if tol is None else _tol(tol)
     min_slack = min(slack)
     equality_ks = [k for k, s in enumerate(slack, 1) if abs(s) <= EQUALITY_RTOL * scale]
     merged = {"comparison": comparison, "equality_ks": equality_ks}

@@ -174,19 +174,33 @@ def require_hermitian(a, rtol: float = HERMITIAN_RTOL, *, stack: str | None = No
     """Square matrix (or ``stack``, see :func:`as_complex_matrix`) with
     ||A - A*||_F <= rtol * max(1, ||A||_F) for each matrix."""
     m = require_square(a, stack=stack)
-    if stack is None:  # frob's dot products beat a per-slice norm on one matrix
-        defect, size, name = frob(m - m.conj().T), frob(m), "matrix"
+    defects, sizes = _hermitian_norms(m)
+    if not math.isfinite(sizes if stack is None else sizes.max()):
+        # ||A||_F overflowed: compare again in units u = 2^k >= 1 near each
+        # matrix's largest real or imaginary part, where no norm can. The
+        # division is exact and ||A||_F >= 1 in them if u > 1: the same rule.
+        big = np.maximum(abs(m.real), abs(m.imag)).max(axis=(-2, -1))
+        k = np.maximum(np.frexp(big)[1] - 1, 0)
+        defects, sizes = _hermitian_norms(m / np.ldexp(1.0, k)[..., None, None])
+    if stack is None:
+        defect, size, name = defects, sizes, "matrix"
     else:
-        defects = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1))
-        sizes = np.linalg.norm(m, axis=(-2, -1))
         i = int(np.argmax(defects > rtol * np.maximum(1.0, sizes)))
         defect, size, name = float(defects[i]), float(sizes[i]), f"{stack} {i}"
     if defect > rtol * max(1.0, size):
         raise ValueError(
-            f"{name} is not Hermitian: ||A - A*||_F = {defect:.3e} exceeds "
-            f"{rtol:g} * max(1, ||A||_F)"
+            f"{name} is not Hermitian: ||A - A*||_F / max(1, ||A||_F) = "
+            f"{defect / max(1.0, size):.3e} exceeds {rtol:g}"
         )
     return m
+
+
+def _hermitian_norms(m: np.ndarray):
+    """(||A - A*||_F, ||A||_F) of a matrix, or arrays of both for a stack."""
+    if m.ndim == 2:  # frob's dot products beat a per-slice norm on one matrix
+        return frob(m - m.conj().T), frob(m)
+    star = m.conj().swapaxes(-1, -2)
+    return np.linalg.norm(m - star, axis=(-2, -1)), np.linalg.norm(m, axis=(-2, -1))
 
 
 # --- eigendecomposition ----------------------------------------------------

@@ -46,6 +46,16 @@ def test_check_held_instance(tmp_path, capsys):
     assert "min slack" in out and "at tolerance" in out
 
 
+def test_check_inapplicable_instance_names_its_failed_hypotheses(tmp_path, capsys):
+    path = tmp_path / "na.json"
+    path.write_text(json.dumps(dict(write_bohr_instance(path), p=0.5)))
+    assert main(["check", "--in", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "verdict:  not_applicable" in out
+    assert "failed hypotheses: p > 1" in out
+    assert "min slack" not in out
+
+
 def test_check_violated_instance_exits_two(tmp_path, capsys):
     payload = cor45_diag_payload()
     mutated = run_instance(payload, rhs_scale=0.25)
@@ -77,19 +87,60 @@ def test_check_missing_and_malformed_files(tmp_path, capsys):
     assert f"bohrcheck: error: {bad}: invalid JSON at line 1, column 2: " in err
 
 
-@pytest.mark.parametrize("field", ["report", "extras"])
+@pytest.mark.parametrize("field", ["report", "extras", "tol_used", "min_slack", "rhs_scale"])
 def test_check_malformed_stored_report_exits_one_naming_it(tmp_path, capsys, field):
     payload = cor45_diag_payload()
     report = run_instance(payload).to_json()
     body = {"instance": payload, "report": [report]}
+    message = f"stored '{field}' is a list, not a JSON object"
     if field == "extras":
         body["report"] = dict(report, extras=[1.0])
+    elif field == "rhs_scale":
+        body["report"] = dict(report, extras={"rhs_scale": [1]})
+    elif field != "report":
+        body["report"] = dict(report, **{field: [1]})
+    if field not in ("report", "extras"):
+        message = f"stored '{field}' is [1], not a finite JSON number"
     path = tmp_path / "artifact.json"
     path.write_text(json.dumps(body))
     assert main(["check", "--in", str(path)]) == 1
     err = capsys.readouterr().err
-    assert f"bohrcheck: error: stored '{field}' is a list, not a JSON object" in err
+    assert f"bohrcheck: error: {message}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [(["--tol", "nan"], None), (["--tol=-1.5"], None), ([], "nan")],
+    ids=["tol-nan", "tol-negative", "env-nan"],
+)
+def test_check_refuses_a_tolerance_not_finite_and_nonnegative(
+    tmp_path, capsys, monkeypatch, argv, env
+):
+    # lhs 1, rhs 2: a NaN or negative tolerance once graded this `violated`.
+    path = tmp_path / "b.json"
+    zero = {"re": 0.0, "im": 0.0}
+    payload = {"theorem": "bohr", "p": 2.0, "z": dict(zero, re=1.0), "w": zero}
+    path.write_text(json.dumps(payload))
+    if env is not None:
+        monkeypatch.setenv("BOHR_TOL", env)
+    assert main(["check", "--in", str(path), *argv]) == 1
+    captured = capsys.readouterr()
+    assert "bohrcheck: error: tol must be None or finite >= 0, got " in captured.err
+    assert "verdict" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["check", "fuzz", "dilate"])
+def test_a_directory_where_a_file_belongs_exits_one(tmp_path, capsys, command):
+    # IsADirectoryError is an OSError but not a FileNotFoundError.
+    argv = {
+        "check": ["check", "--in", str(tmp_path)],
+        "fuzz": ["fuzz", "--theorem", "bohr", "--trials", "1", "--seed", "0", "--out", str(tmp_path)],
+        "dilate": ["dilate", "--map", str(tmp_path), "--out", str(tmp_path / "o.json")],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bohrcheck: error: ") and "Is a directory" in err
 
 
 @pytest.mark.parametrize("key, value", [("p", [float("inf")]), ("r", float("inf"))])

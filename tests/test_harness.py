@@ -18,6 +18,7 @@ from bohrcheck.harness import (
     TrialRecord,
     _draw_int,
     _random_leaf_spec,
+    _trial,
     demo,
     demo_table,
     generate_instance,
@@ -629,6 +630,52 @@ def test_generation_overflow_is_a_generation_failure(tmp_path, theorem, override
     assert res.summary["generation_failures"] >= 1
 
 
+@pytest.mark.parametrize(
+    "cfg, kind",
+    [pytest.param(CampaignConfig(t, 6, 11), "report", id=t) for t in ALL_THEOREMS]
+    + [
+        pytest.param(
+            CampaignConfig("cor45", 20, 7, spectrum=(0.0, 1.5e308)), "generation_failed",
+            id="cor45-generation-failures",
+        ),
+        pytest.param(
+            CampaignConfig("vasic", 10, 3, r_range=(800.0, 900.0)), "error", id="vasic-errors"
+        ),
+    ],
+)
+def test_a_trial_alone_and_out_of_order_is_the_campaign_trial(cfg, kind):
+    # Each trial draws from its own stream and a spec is a pure build, so
+    # trial k needs neither trials 0..k-1 nor the campaign's spec memo.
+    theorem = serialize.canonical_theorem(cfg.theorem)
+    records = run_campaign(cfg).records
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        alone = {k: _trial(cfg, theorem, k) for k in reversed(range(cfg.trials))}
+    for k, rec in enumerate(records):
+        assert alone[k].to_json_line() == rec.to_json_line()
+        assert alone[k].payload == rec.payload
+    assert any(f'"{kind}":' in rec.to_json_line() for rec in records)
+
+
+@pytest.mark.parametrize(
+    "theorem, overrides",
+    [("cor45", {"r_range": (1.0000001, 1.0000002)}), ("jensen-vec", {"spectrum": (-800.0, 800.0)})],
+)
+def test_a_generator_called_alone_stays_quiet(theorem, overrides):
+    # generate_instance silences numpy for every generator: the overflow
+    # surfaces as a GenerationError, not as a RuntimeWarning before it.
+    cfg = CampaignConfig(theorem, 40, 3, **overrides)
+    failures = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for trial in range(cfg.trials):
+            try:
+                generate_instance(cfg, trial, make_rng(cfg.seed, trial))
+            except GenerationError:
+                failures += 1
+    assert failures >= 1
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_numerical_error_is_a_trial_error_not_an_abort(tmp_path):
@@ -790,18 +837,27 @@ def test_replay_forgives_a_few_ulps_of_slack_scale():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("report", ["held"]), ("report", "held"), ("report", 0), ("extras", [1.0]), ("extras", "x")],
+    [("report", ["held"]), ("report", "held"), ("report", 0), ("extras", [1.0]), ("extras", "x")]
+    + [(field, [1]) for field in ("tol_used", "min_slack", "rhs_scale")]
+    + [("tol_used", True), ("min_slack", float("nan")), ("rhs_scale", "1")]
+    + [pytest.param("tol_used", 10**400, id="tol_used-beyond-float")],
 )
 def test_replay_refuses_a_stored_report_that_is_not_an_object(field, value):
-    # Such a report or extras once met a .get call and raised AttributeError.
+    # Such a report or extras once met a .get call and raised AttributeError,
+    # and such a number met float() and raised TypeError.
     payload = _bohr_payload()
     wrapped = {"instance": payload, "report": run_instance(payload).to_json()}
     if field == "report":
         wrapped["report"] = value
+    elif field in ("extras", "rhs_scale"):
+        wrapped["report"]["extras"] = value if field == "extras" else {"rhs_scale": value}
     else:
-        wrapped["report"]["extras"] = value
-    kind = type(value).__name__
-    with pytest.raises(HarnessError, match=f"^stored '{field}' is a {kind}, not a JSON object$"):
+        wrapped["report"][field] = value
+    if field in ("report", "extras"):
+        message = f"stored '{field}' is a {type(value).__name__}, not a JSON object"
+    else:
+        message = f"stored '{field}' is {value!r}, not a finite JSON number"
+    with pytest.raises(HarnessError, match=f"^{re.escape(message)}$"):
         replay(wrapped)
 
 

@@ -986,3 +986,22 @@ def test_tolerance_override_is_respected():
     )
     assert rep.tol_used == 123.0
     assert rep.holds  # a huge tolerance absorbs the mutated constant
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_a_tolerance_not_finite_and_nonnegative_is_refused(tol):
+    # A NaN tolerance once graded every slack violated (s >= -nan is false),
+    # so both report builders refuse it, the graded and the inapplicable one.
+    message = f"^tol must be None or finite >= 0, got {re.escape(repr(tol))}$"
+    for p in (2.0, 0.5):
+        with pytest.raises(ValueError, match=message):
+            check_scalar_bohr(1.0, 0.0, p, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        check_eigen_bohr([DIAG1, DIAG2], [EYE2, EYE2], [0.5, 0.5], 2.0, tol=tol)
+
+
+def test_a_zero_tolerance_still_grades():
+    rep = check_scalar_bohr(1.0, 0.0, 2.0, tol=0.0)
+    assert rep.holds and rep.min_slack == 1.0 and rep.tol_used == 0.0
+    rep = check_scalar_bohr(1.0, 0.0, 0.5, tol=0.0)
+    assert rep.not_applicable and rep.tol_used == 0.0

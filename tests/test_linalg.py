@@ -97,6 +97,24 @@ def test_require_hermitian_tolerates_roundoff_asymmetry():
     assert frob(out - out.conj().T) <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [[[1.0, 1e200], [0.0, 1.0]], [[0.0, 1e308], [-1e308, 0.0]]])
+def test_require_hermitian_refuses_a_matrix_whose_norms_overflow(bad):
+    # ||A - A*||_F and ||A||_F both overflowed to inf, and inf > 1e-12 * inf
+    # is false, so both once passed; eig_hermitian of the second gave [0, 0].
+    bad = np.array(bad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^matrix is not Hermitian: "):
+            require_hermitian(bad)
+        with pytest.raises(ValueError, match="^matrix is not Hermitian: "):
+            eig_hermitian(bad)
+        with pytest.raises(ValueError, match="^matrix 1 is not Hermitian: "):
+            require_hermitian([np.eye(2), bad, np.eye(2)], stack="matrix")
+        # Hermitian matrices of the same size still pass.
+        big = np.array([[1e308, 1e308 - 1e308j], [1e308 + 1e308j, -1e308]])
+        assert require_hermitian(big) is not None
+        assert require_hermitian([np.eye(2), big], stack="matrix").shape == (2, 2, 2)
+
+
 def test_hermitize_halves_the_defect():
     a = np.array([[1.0, 1.0], [0.0, 1.0]])
     h = hermitize(a)
