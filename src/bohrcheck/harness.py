@@ -79,7 +79,7 @@ class HarnessError(RuntimeError):
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Configuration for one fuzzing campaign.
+    """Configuration for one fuzzing campaign; ``theorem`` is stored canonical.
 
     ``r_range`` is sampled log-uniformly and clipped per theorem to its
     hypothesis range (zh needs r <= 2, prop-r2 needs r >= 2, half_pow
@@ -104,12 +104,13 @@ class CampaignConfig:
     rhs_scale: float = 1.0
 
     def __post_init__(self):
-        for ok, name, rule in _config_rules(self, canonical_theorem(self.theorem)):
+        object.__setattr__(self, "theorem", canonical_theorem(self.theorem))
+        for ok, name, rule in _config_rules(self):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
-def _config_rules(cfg: CampaignConfig, theorem: str):
+def _config_rules(cfg: CampaignConfig):
     """(holds, setting, rule) for each rule, in order. The rules are lazy
     and types and pair shapes come first, so a later rule may compare and
     index what an earlier one passed."""
@@ -134,7 +135,7 @@ def _config_rules(cfg: CampaignConfig, theorem: str):
     yield cfg.variant in (None, "subunital", "unital"), "variant", "None, subunital or unital"
     yield tol is None or math.isfinite(tol) and tol >= 0, "tol_override", "None or finite >= 0"
     yield math.isfinite(cfg.rhs_scale) and cfg.rhs_scale > 0, "rhs_scale", "finite > 0"
-    yield cfg.rhs_scale == 1.0 or theorem == "cor45", "rhs_scale", _RHS_SCALE_RULE
+    yield cfg.rhs_scale == 1.0 or cfg.theorem == "cor45", "rhs_scale", _RHS_SCALE_RULE
 
 
 def _is_pair(v, member) -> bool:
@@ -512,13 +513,13 @@ THEOREM_TABLE = {
 }
 
 
-def generate_instance(cfg: CampaignConfig, trial: int, rng) -> dict:
-    """Checker arguments of a constraint-aware random instance for the
-    configured theorem. Checking them gives the report that
-    :func:`run_instance` gives for their payload."""
+def generate_instance(cfg: CampaignConfig, trial: int) -> dict:
+    """Checker arguments of trial ``trial``'s constraint-aware random
+    instance, drawn from ``make_rng(cfg.seed, trial)``; checking them gives
+    the report that :func:`run_instance` gives for their payload."""
     # Overflow ends in an error that says so; numpy's warnings would repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        return THEOREM_TABLE[canonical_theorem(cfg.theorem)][1](cfg, rng, trial)
+        return THEOREM_TABLE[cfg.theorem][1](cfg, make_rng(cfg.seed, trial), trial)
 
 
 # --- campaign loop ------------------------------------------------------------
@@ -553,13 +554,13 @@ def _summary(theorem: str, records: list[TrialRecord]) -> dict:
     }
 
 
-def _trial(cfg: CampaignConfig, theorem: str, trial: int) -> TrialRecord:
-    """Trial ``trial`` of the campaign ``cfg`` of canonical ``theorem``: a
-    pure function of the two, since the trial draws from its own stream."""
-    stream = f"{stream_key(cfg.seed, trial):016x}"
+def _trial(cfg: CampaignConfig, trial: int) -> TrialRecord:
+    """Trial ``trial`` of the campaign ``cfg``: a pure function of the two,
+    since the trial draws from its own stream."""
+    theorem, stream = cfg.theorem, f"{stream_key(cfg.seed, trial):016x}"
     args = digest = report = error = None
     try:
-        args = generate_instance(cfg, trial, make_rng(cfg.seed, trial))
+        args = generate_instance(cfg, trial)
         digest = serialize.digest(theorem, args)
         report = _check(theorem, args, cfg.tol_override, cfg.rhs_scale, digest)
     except (GenerationError, serialize.NonFiniteError) as exc:
@@ -586,7 +587,6 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
     ``<stem>.violation-NNNNNN.json`` (``{"instance", "report"}``) and
     ``<stem>.error-NNNNNN.json`` (``{"instance", "error"}``).
     """
-    theorem = canonical_theorem(cfg.theorem)
     records: list[TrialRecord] = []
     violation_paths: list[str] = []
     error_paths: list[str] = []
@@ -596,7 +596,7 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
     token = _campaign_specs.set({})
     try:
         for trial in range(cfg.trials):
-            record = _trial(cfg, theorem, trial)
+            record = _trial(cfg, trial)
             records.append(record)
             if sink is None:
                 continue
@@ -607,7 +607,7 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
             elif record.report is None and record.args is not None:
                 body = {"instance": record.payload, "error": record.error}
                 error_paths.append(_write_artifact(out, "error", trial, body))
-        summary = _summary(theorem, records)
+        summary = _summary(cfg.theorem, records)
         if sink is not None:
             sink.write(json.dumps({"summary": summary}, separators=(",", ":")) + "\n")
     finally:

@@ -280,14 +280,14 @@ def check_scalar_bohr(z, w, p, tol: float | None = None) -> CheckReport:
     if not all(hyps.values()):
         return _na_report("bohr", hyps, tol)
     q = p / (p - 1.0)
-    lhs = abs(z + w) ** 2
-    rhs = p * abs(z) ** 2 + q * abs(w) ** 2
-    scale = max(1.0, abs(z), abs(w))
-    extras = {
-        "q": q,
-        "equality_case": bool(abs(w - (p - 1.0) * z) <= 1e-12 * scale),
-    }
-    return _graded_report("bohr", [lhs], [rhs], hyps, tol, extras)
+    try:  # a float's ** and a complex's abs raise on overflow, not give inf
+        lhs = abs(z + w) ** 2
+        rhs = p * abs(z) ** 2 + q * abs(w) ** 2
+        scale = max(1.0, abs(z), abs(w))
+        equality = bool(abs(w - (p - 1.0) * z) <= 1e-12 * scale)
+    except OverflowError as exc:
+        raise NumericalError("bohr: non-finite comparison, a side overflows") from exc
+    return _graded_report("bohr", [lhs], [rhs], hyps, tol, {"q": q, "equality_case": equality})
 
 
 def check_vasic_keckic(z, p, r, tol: float | None = None) -> CheckReport:

@@ -164,7 +164,8 @@ def gram(m: np.ndarray) -> np.ndarray:
     """Hermitian A*A of a finite matrix or of each matrix of a stack. An
     entry that overflows raises ``numpy.linalg.LinAlgError``, since an
     eigensolver would return zeros for it."""
-    g = hermitize(m.conj().swapaxes(-1, -2) @ m)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below says so
+        g = hermitize(m.conj().swapaxes(-1, -2) @ m)
     if not np.isfinite(g).all():
         raise np.linalg.LinAlgError("A*A overflows: its Gram matrix has a non-finite entry")
     return g
@@ -196,11 +197,12 @@ def require_hermitian(a, rtol: float = HERMITIAN_RTOL, *, stack: str | None = No
 
 
 def _hermitian_norms(m: np.ndarray):
-    """(||A - A*||_F, ||A||_F) of a matrix, or arrays of both for a stack."""
-    if m.ndim == 2:  # frob's dot products beat a per-slice norm on one matrix
-        return frob(m - m.conj().T), frob(m)
-    star = m.conj().swapaxes(-1, -2)
-    return np.linalg.norm(m - star, axis=(-2, -1)), np.linalg.norm(m, axis=(-2, -1))
+    """(||A - A*||_F, ||A||_F) of a matrix, or arrays of both for a stack; inf on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m.ndim == 2:  # frob's dot products beat a per-slice norm on one matrix
+            return frob(m - m.conj().T), frob(m)
+        star = m.conj().swapaxes(-1, -2)
+        return np.linalg.norm(m - star, axis=(-2, -1)), np.linalg.norm(m, axis=(-2, -1))
 
 
 # --- eigendecomposition ----------------------------------------------------

@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -84,8 +86,11 @@ class NonFiniteError(SerializationError):
 
 
 def _finite(x) -> float:
-    """``float(x)``, refusing the ``Infinity`` and ``NaN`` that JSON lets through."""
-    v = float(x)
+    """A JSON number (an int or float, not a bool) as a float, refusing the
+    ``Infinity`` and ``NaN`` that JSON lets through and ints beyond range."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise SerializationError(f"expected a JSON number, got {x!r}")
+    v = float(x) if isinstance(x, float) or abs(x) <= sys.float_info.max else math.inf
     if not math.isfinite(v):
         raise SerializationError(f"expected a finite number, got {v!r}")
     return v
@@ -116,10 +121,15 @@ def _re_im_from_json(obj, ndim: int, what: str) -> np.ndarray:
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SerializationError(f"malformed {what} object: {exc}") from exc
     if re.ndim != ndim or re.shape != im.shape:
         raise SerializationError(f"{what} shape mismatch: re {re.shape}, im {im.shape}")
+    # numpy reads true and "2" as numbers; JSON does not.
+    parts = (obj["re"], obj["im"]) if ndim == 1 else (*obj["re"], *obj["im"])
+    for t in set(map(type, itertools.chain(*parts))):
+        if t is bool or not issubclass(t, (int, float)):
+            raise SerializationError(f"{what} has a {t.__name__} entry, not a JSON number")
     # Not re + 1j * im, which turns a real part of -0.0 into 0.0.
     v = re.astype(complex)
     v.imag = im
@@ -135,8 +145,9 @@ def matrix_to_json(a) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     m = _re_im_from_json(obj, 2, "matrix")
-    if m.shape[0] != obj.get("n") or m.shape[1] < 1:
-        raise SerializationError(f"matrix shape mismatch: n={obj.get('n')!r}, re and im {m.shape}")
+    n = _decoded(_count, obj, "n") if "n" in obj else None
+    if m.shape[0] != n or m.shape[1] < 1:
+        raise SerializationError(f"matrix shape mismatch: n={n!r}, re and im {m.shape}")
     return m
 
 
@@ -173,12 +184,12 @@ def function_to_json(spec: ConvexFunctionSpec) -> dict:
 def function_from_json(obj) -> ConvexFunctionSpec:
     try:
         fid = str(obj["id"])
-        lo, hi = obj["J"]
-        r = obj.get("r")
+        lo, hi = _decoded(_each(_finite), obj, "J")
+        r = None if obj.get("r") is None else _decoded(_finite, obj, "r")
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed function object: {exc}") from exc
     try:
-        return make_function_spec(fid, (float(lo), float(hi)), None if r is None else float(r))
+        return make_function_spec(fid, (lo, hi), r)
     except (KeyError, ValueError) as exc:
         raise SerializationError(f"cannot build function spec: {exc}") from exc
 

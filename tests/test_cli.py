@@ -9,8 +9,13 @@ import pytest
 
 import bohrcheck.cli as cli
 from bohrcheck.cli import main
-from bohrcheck.harness import CampaignConfig, CampaignResult, generate_instance, run_instance
-from bohrcheck.linalg import make_rng
+from bohrcheck.harness import (
+    CampaignConfig,
+    CampaignResult,
+    generate_instance,
+    run_campaign,
+    run_instance,
+)
 from bohrcheck.serialize import instance_to_json
 
 
@@ -147,7 +152,7 @@ def test_a_directory_where_a_file_belongs_exits_one(tmp_path, capsys, command):
 def test_check_nonfinite_float_field_exits_one_naming_it(tmp_path, capsys, key, value):
     # JSON's Infinity decodes to a float, which decoding must refuse.
     cfg = CampaignConfig("zh", 1, 3)
-    payload = instance_to_json("zh", **generate_instance(cfg, 0, make_rng(3, 0)))
+    payload = instance_to_json("zh", **generate_instance(cfg, 0))
     payload[key] = value
     path = tmp_path / "zh.json"
     path.write_text(json.dumps(payload))
@@ -156,13 +161,55 @@ def test_check_nonfinite_float_field_exits_one_naming_it(tmp_path, capsys, key, 
     assert f"bohrcheck: error: field '{key}': expected a finite number, got inf" in err
 
 
+BOHR = {"theorem": "bohr", "p": 2.0, "z": {"re": 1.0, "im": 0.0}, "w": {"re": 1.0, "im": 0.0}}
+JENSEN_VEC = {
+    "theorem": "jensen-vec",
+    "f": {"id": "abs_pow", "J": [-3.0, 3.0], "r": 2.0},
+    "A": {"n": 1, "re": [[0.5]], "im": [[0.0]]},
+    "x": {"re": [0.5], "im": [0.0]},
+}
+
+
+@pytest.mark.parametrize(
+    "base, field, value",
+    [
+        (BOHR, "p", "2"),
+        (BOHR, "p", 10**400),
+        (BOHR, "z", {"re": True, "im": "0"}),
+        (BOHR, "w", {"re": "1e0", "im": False}),
+        (JENSEN_VEC, "f", {"id": "abs_pow", "J": [-3.0, 3.0], "r": "2"}),
+        (JENSEN_VEC, "f", {"id": "abs_pow", "J": ["-3", True], "r": 2.0}),
+        (JENSEN_VEC, "A", {"n": True, "re": [[0.5]], "im": [[0.0]]}),
+        (JENSEN_VEC, "A", {"n": 1, "re": [["0.5"]], "im": [[False]]}),
+    ],
+)
+def test_check_a_number_that_is_not_a_json_number_exits_one(tmp_path, capsys, base, field, value):
+    # float(), np.asarray(dtype=float) and == read each of these as a number,
+    # so the payload replayed as held.
+    assert run_instance(base).holds
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(base, **{field: value})))
+    assert main(["check", "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bohrcheck: error: field '{field}': ") and "Traceback" not in err
+
+
+def test_check_bohr_overflow_exits_one(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    big = {"re": 1e200, "im": 0.0}
+    path.write_text(json.dumps({"theorem": "bohr", "p": 2.0, "z": big, "w": big}))
+    assert main(["check", "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bohrcheck: error: bohr: non-finite comparison") and "Traceback" not in err
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_check_eigensolver_failure_exits_one(tmp_path, capsys):
     # |A_i|^r overflows at r in [800, 900], and the eigensolver does not
     # converge on the non-finite sum: an input error, not a verdict.
     cfg = CampaignConfig("cor45", 1, 3, r_range=(800.0, 900.0))
-    payload = instance_to_json("cor45", **generate_instance(cfg, 0, make_rng(3, 0)))
+    payload = instance_to_json("cor45", **generate_instance(cfg, 0))
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(payload))
     assert main(["check", "--in", str(path)]) == 1
@@ -226,6 +273,17 @@ def test_fuzz_accepts_theorem_alias(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(capsys.readouterr().out)["theorem"] == "cor45"
+
+
+@pytest.mark.parametrize("theorem", ["jensen-map", "cor45"])
+def test_fuzz_defaults_are_the_config_defaults(tmp_path, capsys, theorem):
+    # fuzz restates n, m, ell and r defaults; jensen-map draws n, m and r,
+    # cor45 n, ell and r, so either would show a default that drifted.
+    out, ref = tmp_path / "cli.jsonl", tmp_path / "lib.jsonl"
+    argv = ["fuzz", "--theorem", theorem, "--trials", "20", "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    run_campaign(CampaignConfig(theorem, 20, 3), ref)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_fuzz_violations_exit_two_and_persist(tmp_path, capsys):

@@ -47,8 +47,7 @@ ALL_THEOREMS = (
 
 def _payload(cfg, trial):
     """Payload of the instance a campaign with ``cfg`` generates at ``trial``."""
-    args = generate_instance(cfg, trial, make_rng(cfg.seed, trial))
-    return serialize.instance_to_json(serialize.canonical_theorem(cfg.theorem), **args)
+    return serialize.instance_to_json(cfg.theorem, **generate_instance(cfg, trial))
 
 
 # --- configuration -----------------------------------------------------------------
@@ -173,9 +172,19 @@ def test_run_instance_rejects_rhs_scale_off_cor45():
     assert run_instance(payload, rhs_scale=1.0).holds
 
 
-def test_config_accepts_theorem_alias():
-    cfg = CampaignConfig("cor4.5", 1, 0)
-    assert cfg.theorem == "cor4.5"  # stored as given, canonicalized on use
+def test_config_accepts_theorem_alias(tmp_path):
+    # The config stores the canonical id, so an alias campaign is the
+    # canonical one, byte for byte, violation artifacts included.
+    cfg = CampaignConfig("cor4.5", 40, 5, rhs_scale=0.4)
+    assert cfg.theorem == "cor45"
+    written = {}
+    for theorem in ("cor4.5", "cor45"):
+        (tmp_path / theorem).mkdir()
+        out = tmp_path / theorem / "run.jsonl"
+        res = run_campaign(CampaignConfig(theorem, 40, 5, rhs_scale=0.4), out)
+        assert res.violation_paths
+        written[theorem] = {p.name: p.read_bytes() for p in out.parent.iterdir()}
+    assert written["cor4.5"] == written["cor45"]
 
 
 # --- generators --------------------------------------------------------------------
@@ -195,8 +204,8 @@ def test_generated_instances_satisfy_hypotheses(theorem):
 def test_generated_payloads_are_deterministic(theorem):
     cfg = CampaignConfig(theorem, 0, seed=2718)
     for trial in (0, 3, 7):
-        first = generate_instance(cfg, trial, make_rng(cfg.seed, trial))
-        second = generate_instance(cfg, trial, make_rng(cfg.seed, trial))
+        first = generate_instance(cfg, trial)
+        second = generate_instance(cfg, trial)
         assert serialize.digest(theorem, first) == serialize.digest(theorem, second)
 
 
@@ -205,7 +214,7 @@ def test_generated_payloads_round_trip_canonical_json():
     # the same bytes as the generated ones.
     for theorem in ALL_THEOREMS:
         cfg = CampaignConfig(theorem, 0, seed=1)
-        args = generate_instance(cfg, 0, make_rng(1, 0))
+        args = generate_instance(cfg, 0)
         text = json.dumps(serialize.instance_to_json(theorem, **args))
         decoded = serialize.instance_from_json(json.loads(text))
         assert serialize.digest(*decoded) == serialize.digest(theorem, args)
@@ -215,12 +224,10 @@ def test_jensen_map_variant_forcing():
     for variant in ("subunital", "unital"):
         cfg = CampaignConfig("jensen-map", 0, seed=9, variant=variant)
         for trial in range(6):
-            assert generate_instance(cfg, trial, make_rng(9, trial))["variant"] == variant
+            assert generate_instance(cfg, trial)["variant"] == variant
     # Default alternates, so both profiles appear across trials.
     cfg = CampaignConfig("jensen-map", 0, seed=9)
-    seen = {
-        generate_instance(cfg, t, make_rng(9, t))["variant"] for t in range(6)
-    }
+    seen = {generate_instance(cfg, t)["variant"] for t in range(6)}
     assert seen == {"subunital", "unital"}
 
 
@@ -228,8 +235,8 @@ def test_theorem_specific_r_clipping():
     zh_cfg = CampaignConfig("zh", 0, seed=3, r_range=(1.1, 4.0))
     prop_cfg = CampaignConfig("prop-r2", 0, seed=3, r_range=(1.1, 4.0))
     for trial in range(25):
-        assert generate_instance(zh_cfg, trial, make_rng(3, trial))["r"] <= 2.0
-        assert generate_instance(prop_cfg, trial, make_rng(3, trial))["r"] >= 2.0
+        assert generate_instance(zh_cfg, trial)["r"] <= 2.0
+        assert generate_instance(prop_cfg, trial)["r"] >= 2.0
 
 
 # --- run_instance dispatch ----------------------------------------------------------
@@ -264,7 +271,7 @@ def test_campaigns_do_not_share_specs():
 def test_generate_instance_outside_a_campaign_builds_a_fresh_spec():
     cfg = CampaignConfig("jensen-vec", 4, seed=7)
     ran = run_campaign(cfg).records[2].args["f"]
-    specs = [generate_instance(cfg, 2, make_rng(7, 2))["f"] for _ in range(2)]
+    specs = [generate_instance(cfg, 2)["f"] for _ in range(2)]
     assert {_spec_key(f) for f in specs} == {_spec_key(ran)}
     assert specs[0] is not specs[1]
     assert all(f is not ran for f in specs)
@@ -477,7 +484,7 @@ def test_checkers_leave_their_arguments_unchanged(theorem):
     cfg = CampaignConfig(theorem, 4, seed=13, rhs_scale=0.5 if theorem == "cor45" else 1.0)
     res = run_campaign(cfg)
     for rec in res.records:
-        fresh = generate_instance(cfg, rec.trial_index, make_rng(cfg.seed, rec.trial_index))
+        fresh = generate_instance(cfg, rec.trial_index)
         assert rec.report is not None and list(rec.args) == list(fresh)
         assert json.dumps(rec.payload) == json.dumps(serialize.instance_to_json(theorem, **fresh))
 
@@ -531,10 +538,10 @@ def test_campaign_counts_generation_failures(tmp_path, monkeypatch):
 
     real = harness_mod.generate_instance
 
-    def flaky(cfg, trial, rng):
+    def flaky(cfg, trial):
         if trial % 2 == 1:
             raise GenerationError("forced failure")
-        return real(cfg, trial, rng)
+        return real(cfg, trial)
 
     monkeypatch.setattr(harness_mod, "generate_instance", flaky)
     out = tmp_path / "flaky.jsonl"
@@ -646,11 +653,10 @@ def test_generation_overflow_is_a_generation_failure(tmp_path, theorem, override
 def test_a_trial_alone_and_out_of_order_is_the_campaign_trial(cfg, kind):
     # Each trial draws from its own stream and a spec is a pure build, so
     # trial k needs neither trials 0..k-1 nor the campaign's spec memo.
-    theorem = serialize.canonical_theorem(cfg.theorem)
     records = run_campaign(cfg).records
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        alone = {k: _trial(cfg, theorem, k) for k in reversed(range(cfg.trials))}
+        alone = {k: _trial(cfg, k) for k in reversed(range(cfg.trials))}
     for k, rec in enumerate(records):
         assert alone[k].to_json_line() == rec.to_json_line()
         assert alone[k].payload == rec.payload
@@ -670,7 +676,7 @@ def test_a_generator_called_alone_stays_quiet(theorem, overrides):
         warnings.simplefilter("error", RuntimeWarning)
         for trial in range(cfg.trials):
             try:
-                generate_instance(cfg, trial, make_rng(cfg.seed, trial))
+                generate_instance(cfg, trial)
             except GenerationError:
                 failures += 1
     assert failures >= 1

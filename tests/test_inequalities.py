@@ -94,6 +94,14 @@ def test_scalar_bohr_gates_on_p():
         check_scalar_bohr(float("nan"), 1.0, 2.0)
 
 
+@pytest.mark.parametrize("z, w", [(1e155, 0.0), (1e200, 1e200), (1e308 + 1e308j, 0.0)])
+def test_scalar_bohr_overflow_is_a_numerical_error(z, w):
+    # |z + w|^2 and |z|^2 are Python float powers, and abs of a huge complex
+    # overflows too: both raise OverflowError rather than give inf.
+    with pytest.raises(NumericalError, match="^bohr: non-finite comparison"):
+        check_scalar_bohr(z, w, 2.0)
+
+
 # --- Vasic-Keckic -----------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Core linear algebra: intervals, seeded streams, eigensolver, samplers."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from bohrcheck.linalg import (
     synthesize,
 )
 from bohrcheck.calculus import abs_power
+from bohrcheck.majorization import singular_values
 from oracles import random_hermitian_ref, random_map_family_ref, splitmix64_ref
 from oracles import synthesis_inline, synthesis_inline_2d
 
@@ -102,17 +104,30 @@ def test_require_hermitian_refuses_a_matrix_whose_norms_overflow(bad):
     # ||A - A*||_F and ||A||_F both overflowed to inf, and inf > 1e-12 * inf
     # is false, so both once passed; eig_hermitian of the second gave [0, 0].
     bad = np.array(bad)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="^matrix is not Hermitian: "):
-            require_hermitian(bad)
-        with pytest.raises(ValueError, match="^matrix is not Hermitian: "):
-            eig_hermitian(bad)
-        with pytest.raises(ValueError, match="^matrix 1 is not Hermitian: "):
-            require_hermitian([np.eye(2), bad, np.eye(2)], stack="matrix")
-        # Hermitian matrices of the same size still pass.
-        big = np.array([[1e308, 1e308 - 1e308j], [1e308 + 1e308j, -1e308]])
+    with pytest.raises(ValueError, match="^matrix is not Hermitian: "):
+        require_hermitian(bad)
+    with pytest.raises(ValueError, match="^matrix is not Hermitian: "):
+        eig_hermitian(bad)
+    with pytest.raises(ValueError, match="^matrix 1 is not Hermitian: "):
+        require_hermitian([np.eye(2), bad, np.eye(2)], stack="matrix")
+    # Hermitian matrices of the same size still pass.
+    big = np.array([[1e308, 1e308 - 1e308j], [1e308 + 1e308j, -1e308]])
+    assert require_hermitian(big) is not None
+    assert require_hermitian([np.eye(2), big], stack="matrix").shape == (2, 2, 2)
+
+
+def test_overflows_that_linalg_handles_do_not_warn():
+    # np.linalg.norm and matmul overflow inside; the decision is made on the
+    # inf they give, so a warning would only repeat it (numpy warns from its
+    # own module, which the bohrcheck warning filter does not reach).
+    big = np.array([[1e200, 1.0], [1.0, 2e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert require_hermitian(big) is not None
         assert require_hermitian([np.eye(2), big], stack="matrix").shape == (2, 2, 2)
+        for power in (singular_values, lambda a: abs_power(a, 2.0)):
+            with pytest.raises(np.linalg.LinAlgError, match=r"^A\*A overflows"):
+                power(np.diag([1e200, 1.0]))
 
 
 def test_hermitize_halves_the_defect():

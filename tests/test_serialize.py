@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import struct
 import typing
 
@@ -106,6 +107,8 @@ def test_matrix_from_json_validation():
         matrix_from_json({"n": 1, "re": [[float("nan")]], "im": [[0.0]]})
     with pytest.raises(SerializationError, match="matrix shape mismatch"):
         matrix_from_json({"n": 1, "re": [[]], "im": [[]]})
+    with pytest.raises(SerializationError, match="^matrix shape mismatch: n=None"):
+        matrix_from_json({"re": [[1.0]], "im": [[0.0]]})
 
 
 def test_vector_and_scalar_round_trips():
@@ -134,6 +137,36 @@ def test_function_round_trip():
         function_from_json({"id": "abs_pow", "J": [-1, 1]})  # r missing
     with pytest.raises(SerializationError):
         function_from_json({"id": "nosuch", "J": [-1, 1]})
+
+
+@pytest.mark.parametrize(
+    "decode, obj, message",
+    [
+        (scalar_from_json, {"re": True, "im": 0.0}, "expected a JSON number, got True"),
+        (scalar_from_json, {"re": 1.0, "im": "0"}, "expected a JSON number, got '0'"),
+        (scalar_from_json, {"re": 10**400, "im": 0.0}, "expected a finite number, got inf"),
+        (function_from_json, {"id": "abs_pow", "J": [-3.0, 3.0], "r": "2"},
+         "field 'r': expected a JSON number, got '2'"),
+        (function_from_json, {"id": "square", "J": [-3.0, True]},
+         "field 'J': expected a JSON number, got True"),
+        (matrix_from_json, {"n": True, "re": [[0.5]], "im": [[0.0]]},
+         "field 'n': expected an integer, got True"),
+        (matrix_from_json, {"n": 1.0, "re": [[0.5]], "im": [[0.0]]},
+         "field 'n': expected an integer, got 1.0"),
+        (matrix_from_json, {"n": 1, "re": [["0.5"]], "im": [[0.0]]},
+         "matrix has a str entry, not a JSON number"),
+        (matrix_from_json, {"n": 1, "re": [[0.5]], "im": [[False]]},
+         "matrix has a bool entry, not a JSON number"),
+        (vector_from_json, {"re": [True, 1.5], "im": [0.0, 0.0]},
+         "vector has a bool entry, not a JSON number"),
+        (vector_from_json, {"re": [10**400], "im": [0.0]}, "malformed vector object"),
+    ],
+)
+def test_decoders_take_only_json_numbers(decode, obj, message):
+    # float() reads "2" and true, np.asarray(dtype=float) reads "0.5" and
+    # false, and true == 1 passed the matrix's n.
+    with pytest.raises(SerializationError, match=re.escape(message)):
+        decode(obj)
 
 
 def test_map_round_trip_all_kinds():
@@ -357,7 +390,7 @@ def test_jensen_payloads_embed_function_and_variant():
 
 def _generated(theorem, trial=0):
     cfg = CampaignConfig(theorem, 0, seed=11)
-    return instance_to_json(theorem, **generate_instance(cfg, trial, make_rng(cfg.seed, trial)))
+    return instance_to_json(theorem, **generate_instance(cfg, trial))
 
 
 def test_theorem_table_and_aliases_match_the_schema():
