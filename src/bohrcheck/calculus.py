@@ -119,9 +119,9 @@ class FunctionFlagReport:
 
     ``flags`` holds the scanned verdicts; ``worst`` holds the largest
     signed violation seen per scanned property (negative or zero means the
-    scan passed with margin). The submultiplicativity entry is NaN when no
-    grid pair had its product inside the domain, in which case the flag is
-    reported False for lack of evidence.
+    scan passed with margin). A test whose arithmetic overflows leaves inf
+    or NaN and its flag False; NaN also marks a submultiplicativity scan
+    with no subgrid product inside the domain (no evidence, flag False).
     """
 
     flags: dict[str, bool]
@@ -148,49 +148,49 @@ def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
 def scan_function_flags(fn, domain, grid_size: int = DEFAULT_SCAN_GRID) -> FunctionFlagReport:
     """Numeric hypothesis scans for a scalar function on an interval.
 
-    Convexity is the pairwise midpoint test f((u+v)/2) <= (f(u)+f(v))/2,
-    monotonicity checks consecutive grid differences, and
-    submultiplicativity checks f(u*v) <= f(u)f(v) over a coarser subgrid
-    restricted to pairs whose product stays in the domain. Each test gets
-    :data:`SCAN_TOL` of slack relative to the local value magnitude, so
-    exact-equality cases (|t|^r is multiplicative) survive roundoff on
-    wide domains; reported worst violations are in those relative units.
+    f is evaluated once. Convexity tests each point y_k of the half-step
+    grid y (the grid and its neighbours' midpoints) against the mean of f
+    at its neighbours, and at the widest grid pair centred on it, which
+    bounds the slack that the local tests add up; monotonicity checks
+    consecutive grid differences; submultiplicativity checks f(u*v) <=
+    f(u)f(v) on a coarser subgrid, for pairs whose product stays in the
+    domain. Each test gets :data:`SCAN_TOL` of slack relative to the local
+    value magnitude, so exact-equality cases (|t|^r is multiplicative)
+    survive roundoff on wide domains; worst violations are in those units.
     """
     if grid_size < 3:
         raise ValueError(f"grid_size must be >= 3, got {grid_size}")
     iv = as_interval(domain)
-    grid = np.linspace(iv.lo, iv.hi, grid_size)
-    vals = _eval(fn, grid)
-    val_scale = max(1.0, float(np.max(np.abs(vals))))
-
+    # Even points are the grid bit for bit (half its step), odd ones midpoints.
+    fine = np.linspace(iv.lo, iv.hi, 2 * grid_size - 1)
+    sub = np.linspace(iv.lo, iv.hi, min(_PRODUCT_GRID, grid_size))
+    iu, ju = _upper_pairs(sub.size)  # the product table is symmetric bit for bit
     zero_in = iv.lo <= 0.0 <= iv.hi
-    f0_worst = float(_eval(fn, [0.0])[0]) if zero_in else math.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = sub[iu] * sub[ju]
+        inside = (prod >= iv.lo) & (prod <= iv.hi)  # an overflowed product is outside
+        iu, ju = iu[inside], ju[inside]
+        y = _eval(fn, np.concatenate((fine, sub, prod[inside], [0.0] if zero_in else [])))
+        n, s = fine.size, fine.size + sub.size
+        fvals, subvals, fprod = y[:n], y[n:s], y[s : s + iu.size]
 
-    # Both pair tables are symmetric in (u, v) bit for bit (float + and *
-    # commute), so the pairs i <= j give the same flags and worst values.
-    iu, ju = _upper_pairs(grid_size)
-    midvals = _eval(fn, (grid[iu] + grid[ju]) / 2.0)
-    means = 0.5 * (vals[iu] + vals[ju])
-    conv_worst = float(np.max((midvals - means) / np.maximum(1.0, np.abs(means))))
+        # Widest pairs: (y_0, y_2k) up to the centre, then (y_{2k-2g+2}, y_{2g-2}).
+        # Halves are added, so no mean overflows where f is finite.
+        vals = fvals[::2]
+        wide = np.concatenate((0.5 * vals[0] + 0.5 * vals[1:], 0.5 * vals[1:-1] + 0.5 * vals[-1]))
+        means = np.stack((0.5 * fvals[:-2] + 0.5 * fvals[2:], wide))
+        conv_worst = float(np.max((fvals[1:-1] - means) / np.maximum(1.0, np.abs(means))))
 
-    diffs = vals[1:] - vals[:-1]
-    mono_worst = float(np.max(-diffs)) / val_scale if diffs.size else 0.0
+        mono_worst = float(np.max(vals[:-1] - vals[1:])) / max(1.0, float(np.max(np.abs(vals))))
 
-    sub_size = min(_PRODUCT_GRID, grid_size)
-    sub = np.linspace(iv.lo, iv.hi, sub_size)
-    subvals = _eval(fn, sub)
-    iu, ju = _upper_pairs(sub_size)
-    prod = sub[iu] * sub[ju]
-    mask = (prod >= iv.lo) & (prod <= iv.hi)
-    sub_worst = math.nan
-    if np.any(mask):
-        fprod = _eval(fn, prod[mask])
-        fpair = (subvals[iu] * subvals[ju])[mask]
-        sub_worst = float(np.max((fprod - fpair) / np.maximum(1.0, np.abs(fpair))))
+        sub_worst = math.nan
+        if iu.size:
+            fpair = subvals[iu] * subvals[ju]
+            sub_worst = float(np.max((fprod - fpair) / np.maximum(1.0, np.abs(fpair))))
 
     worst = {
         "convex_on_J": conv_worst,
-        "f0_nonpositive": f0_worst,
+        "f0_nonpositive": float(y[-1]) if zero_in else math.nan,
         "increasing": mono_worst,
         "submultiplicative": sub_worst,
     }

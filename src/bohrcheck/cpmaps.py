@@ -112,11 +112,15 @@ class DiagonalPOVM:
 
     def __post_init__(self):
         effs = _frozen(require_hermitian, self.effects, rtol=PSD_TOL, stack="effect")
-        w = np.linalg.eigvalsh(hermitize(effs))
-        low = w[:, 0] < -PSD_TOL * np.maximum(1.0, w[:, -1])
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            w = np.linalg.eigvalsh(hermitize(effs))
+            # An overflowed entry gives NaN or inf eigenvalues: no PSD decision.
+            low = ~np.isfinite(w).all(axis=-1) | (w[:, 0] < -PSD_TOL * np.maximum(1.0, w[:, -1]))
         if low.any():
             i = int(np.argmax(low))
-            raise SpecError(f"effect {i} has eigenvalue {w[i, 0]:.3e}, not PSD within tolerance")
+            if np.isfinite(w[i]).all():
+                raise SpecError(f"effect {i} has eigenvalue {w[i, 0]:.3e}, not PSD within tolerance")
+            raise SpecError(f"effect {i} has eigenvalues that overflow; it cannot be shown PSD")
         object.__setattr__(self, "effects", effs)
 
     @property

@@ -61,6 +61,8 @@ class Interval(NamedTuple):
     def validate(self) -> "Interval":
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError(f"interval endpoints must be finite, got {self!r}")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"interval width hi - lo = {self.hi - self.lo} overflows: {self!r}")
         if self.hi < self.lo:
             raise ValueError(f"interval is empty: {self!r}")
         return self

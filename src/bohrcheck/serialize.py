@@ -103,10 +103,22 @@ def _count(v) -> int:
     return v
 
 
+class _EntryError(SerializationError):
+    """A list entry that is not an object, or lacks a key, at ``path`` below
+    its field (``[0].alpha``); each enclosing :func:`_decoded` prefixes its key."""
+
+    def __init__(self, path: str, problem: str):
+        super().__init__(f"field {path!r} {problem}")
+        self.path, self.problem = path, problem
+
+
 def _decoded(decode, obj, key):
-    """``decode(obj[key])``; a malformed value raises naming ``key``."""
+    """``decode(obj[key])``; a malformed value raises naming ``key``, a
+    malformed entry of it naming its path (``maps[0].alpha``)."""
     try:
         return decode(obj[key])
+    except _EntryError as exc:
+        raise _EntryError(key + ("" if exc.path[0] == "[" else ".") + exc.path, exc.problem) from exc
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"field {key!r}: {exc}") from exc
 
@@ -249,6 +261,8 @@ def map_from_json(obj) -> MapSpec:
     cls, fields = _MAP_KINDS[kind]
     try:
         return cls(**{attr: _decoded(decode, obj, key) for key, attr, (_, decode, _) in fields})
+    except _EntryError:
+        raise
     except (KeyError, TypeError, ValueError, SpecError) as exc:
         raise SerializationError(f"cannot build {kind!r} map: {exc}") from exc
 
@@ -270,7 +284,17 @@ def _weighted_maps_to_json(weighted_maps) -> list[dict]:
 
 
 def _weighted_maps_from_json(terms) -> list[tuple[float, MapSpec]]:
-    return [(_finite(t["alpha"]), map_from_json(t["map"])) for t in terms]
+    out = []
+    for i, t in enumerate(terms):
+        if not isinstance(t, dict):
+            raise _EntryError(f"[{i}]", "is not a JSON object")
+        try:
+            out.append((_finite(t["alpha"]), map_from_json(t["map"])))
+        except KeyError as exc:  # map_from_json lets none through
+            raise _EntryError(f"[{i}].{exc.args[0]}", "is missing") from exc
+        except _EntryError as exc:
+            raise _EntryError(f"[{i}].map.{exc.path}", exc.problem) from exc
+    return out
 
 
 def _pack_terms(h, terms) -> None:

@@ -4,7 +4,8 @@ Everything here deliberately takes a different route from the library:
 singular values come from np.linalg.svd instead of the Gram
 eigendecomposition, Choi matrices are assembled with np.kron instead of
 block writes, flag scans evaluate the full pair grid instead of its upper
-triangle, complete positivity is decided by applying the lifted map
+triangle and test local convexity in plain Python floats instead of one
+array expression, complete positivity is decided by applying the lifted map
 to explicit positive inputs, partial sums are accumulated in plain
 Python, random families are drawn and factored one member at a time
 instead of as one stack, POVMs are applied and their blocks drawn one
@@ -201,6 +202,28 @@ def scan_function_flags(fn, lo: float, hi: float, grid_size: int) -> tuple[dict,
         "increasing": mono_worst,
         "submultiplicative": sub_worst,
     }
+    return flags, worst
+
+
+def local_scan_flags(fn, lo: float, hi: float, grid_size: int) -> tuple[dict, dict]:
+    """The library's flag scan, ``(flags, worst)``, over the full grids.
+
+    As :func:`scan_function_flags`, except that convexity compares each
+    inner point y_k of the (2 grid_size - 1)-point grid y with the mean of
+    f at y_{k-s} and y_{k+s}, for s = 1 and for the widest s, min(k, N - k)
+    with N = 2 grid_size - 2, each mean halved before it is added; f is
+    evaluated on y on its own and each test is graded one at a time.
+    """
+    flags, worst = scan_function_flags(fn, lo, hi, grid_size)
+    y = [float(v) for v in fn(np.linspace(lo, hi, 2 * grid_size - 1))]
+    n = len(y) - 1
+    conv_worst = -math.inf
+    for k in range(1, n):
+        for s in (1, min(k, n - k)):
+            mean = 0.5 * y[k - s] + 0.5 * y[k + s]
+            conv_worst = max(conv_worst, (y[k] - mean) / max(1.0, abs(mean)))
+    flags["convex_on_J"] = conv_worst <= SCAN_TOL
+    worst["convex_on_J"] = conv_worst
     return flags, worst
 
 

@@ -1,11 +1,17 @@
 """Function registry, hypothesis-flag scans, and Hermitian functional calculus."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bohrcheck.calculus as calculus
 from bohrcheck.calculus import (
+    DEFAULT_SCAN_GRID,
+    FLAG_NAMES,
+    SCAN_TOL,
     DomainError,
     abs_power,
     apply_fun,
@@ -13,6 +19,8 @@ from bohrcheck.calculus import (
     make_function_spec,
     scan_function_flags,
 )
+from bohrcheck.cpmaps import Congruence
+from bohrcheck.inequalities import check_jensen_map
 from bohrcheck.linalg import (
     DimensionError,
     complex_gaussian,
@@ -25,7 +33,8 @@ from bohrcheck.linalg import (
 )
 from oracles import REGISTRY_FORMULAS, abs_via_svd, fun_hermitian_ref, svd_singular_values
 from oracles import abs_power_inline, apply_fun_inline
-from oracles import scan_function_flags as full_grid_scan
+from oracles import local_scan_flags
+from oracles import scan_function_flags as pairwise_scan
 
 
 def test_registry_contents():
@@ -181,8 +190,10 @@ ORACLE_DOMAINS = (
 
 @pytest.mark.parametrize("grid_size", [3, 33, 129, 1000])
 def test_triangle_scan_matches_full_grid_oracle(grid_size):
-    # The library scans pairs i <= j only; the oracle evaluates every
-    # ordered pair. Flags and worst values must agree exactly, NaN included.
+    # The library scans product pairs i <= j only and evaluates f once; the
+    # oracle evaluates every ordered product pair and grades the local
+    # convexity test point by point. Flags and worst values must agree
+    # exactly, NaN included.
     compared = 0
     for fid in function_registry():
         for lo, hi in ORACLE_DOMAINS:
@@ -191,7 +202,7 @@ def test_triangle_scan_matches_full_grid_oracle(grid_size):
             for r in (1.0, 1.7, 2.0, 3.0) if fid in ("abs_pow", "half_pow") else (None,):
                 fn = make_function_spec(fid, (lo, hi), r).fn
                 report = scan_function_flags(fn, (lo, hi), grid_size)
-                flags, worst = full_grid_scan(fn, lo, hi, grid_size)
+                flags, worst = local_scan_flags(fn, lo, hi, grid_size)
                 assert report.flags == flags, (fid, lo, hi, r)
                 for name, value in worst.items():
                     got = report.worst[name]
@@ -200,6 +211,158 @@ def test_triangle_scan_matches_full_grid_oracle(grid_size):
                     )
                 compared += 1
     assert compared >= 6 * len(ORACLE_DOMAINS)
+
+
+def _random_domains(count, seed=2022):
+    """Seeded domains: wide and narrow, one-sided, symmetric and tiny."""
+    rng = np.random.default_rng(seed)
+    domains = []
+    for k in range(count):
+        if k % 4 == 0:
+            lo, hi = sorted(rng.uniform(-50.0, 50.0, 2))
+        elif k % 4 == 1:
+            lo, hi = sorted(rng.uniform(0.0, 10.0, 2))
+        elif k % 4 == 2:
+            s = 10.0 ** rng.uniform(-8.0, 3.0)
+            lo, hi = -s * rng.uniform(), s
+        else:
+            lo, hi = sorted(rng.uniform(-5.0, 5.0, 2))
+        domains.append((float(lo), float(hi)))
+    return domains
+
+
+def _registry_specs(domains, rng):
+    """Every registry function on every domain it accepts, r in {1, 1.7, 2,
+    3, one drawn from [1, 4]}; builds that overflow are skipped."""
+    for fid in function_registry():
+        for lo, hi in domains:
+            if fid == "half_pow" and lo < 0:
+                continue
+            takes_r = fid in ("abs_pow", "half_pow")
+            for r in (1.0, 1.7, 2.0, 3.0, float(rng.uniform(1.0, 4.0))) if takes_r else (None,):
+                try:
+                    yield make_function_spec(fid, (lo, hi), r)
+                except ValueError:  # expm1 overflows on the widest domains
+                    continue
+
+
+@pytest.mark.parametrize(
+    "domains, grid_sizes",
+    [(ORACLE_DOMAINS, (3, 33, 129, 1000)), (_random_domains(300), (3, 33, 129))],
+    ids=["oracle-domains", "random-domains"],
+)
+def test_scan_flags_match_the_pairwise_scan(domains, grid_sizes):
+    # The pairwise midpoint scan is the reference: on the registry
+    # functions every flag equals its flag.
+    compared = 0
+    for spec in _registry_specs(domains, np.random.default_rng(7)):
+        lo, hi = spec.domain
+        for grid_size in grid_sizes:
+            with np.errstate(over="ignore"):  # the oracle's f(u)f(v) on expm1's widest domains
+                flags, _ = pairwise_scan(spec.fn, lo, hi, grid_size)
+            assert scan_function_flags(spec.fn, spec.domain, grid_size).flags == flags, (
+                spec.id, lo, hi, spec.r, grid_size,
+            )
+            compared += 1
+    assert compared >= 4 * len(domains) * len(grid_sizes)
+
+
+def test_fingerprint_campaign_specs_keep_their_pairwise_flags(monkeypatch, tmp_path):
+    # Every spec that the fingerprint campaigns build at 100 trials.
+    path = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
+    loader = importlib.util.spec_from_file_location("fingerprint_tool", path)
+    tool = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(tool)
+
+    scans = []
+    real = calculus.scan_function_flags
+
+    def recording(fn, domain, grid_size=DEFAULT_SCAN_GRID):
+        report = real(fn, domain, grid_size)
+        scans.append((fn, domain, grid_size, report.flags))
+        return report
+
+    monkeypatch.setattr(calculus, "scan_function_flags", recording)
+    tool.fingerprint_lines(100, tmp_path)
+    assert len(scans) >= 100
+    for fn, (lo, hi), grid_size, got in scans:
+        assert got == pairwise_scan(fn, lo, hi, grid_size)[0], (fn, lo, hi)
+
+
+#: Non-convex or non-monotone functions outside the registry.
+FOREIGN_FUNCTIONS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "-t^2": lambda t: -np.square(t),
+    "|t|^0.5": lambda t: np.abs(t) ** 0.5,
+    "t^3": lambda t: t**3,
+    "t^4 - t^2": lambda t: t**4 - t**2,
+}
+
+
+@pytest.mark.parametrize("name", FOREIGN_FUNCTIONS)
+def test_foreign_functions_keep_their_pairwise_flags(name):
+    fn = FOREIGN_FUNCTIONS[name]
+    for lo, hi in ORACLE_DOMAINS[:4]:
+        flags, _ = pairwise_scan(fn, lo, hi, DEFAULT_SCAN_GRID)
+        assert scan_function_flags(fn, (lo, hi)).flags == flags, (lo, hi)
+
+
+def test_a_dip_between_grid_points_fails_the_local_test():
+    # The dip sits between grid points 0 and 1 of the 129-point grid on
+    # [0, 3], where no pairwise midpoint lands: the pairwise test passes it
+    # and the half-step grid sees it. This is the direction the local test
+    # is stricter in.
+    def dipped(t):
+        return np.square(t) - 1e-3 * np.exp(-(((t - 0.0117) / 0.003) ** 2))
+
+    assert pairwise_scan(dipped, 0.0, 3.0, DEFAULT_SCAN_GRID)[0]["convex_on_J"]
+    report = scan_function_flags(dipped, (0.0, 3.0))
+    assert not report.flags["convex_on_J"]
+    assert report.worst["convex_on_J"] > 1e-6
+
+
+def test_concavity_below_each_local_slack_is_caught_by_the_widest_pair():
+    # Each local test grants SCAN_TOL, and over s half steps that adds up
+    # to about SCAN_TOL * s^2: t^(1 - 5e-7) on [1, 1.5] passes every local
+    # test, though the pairwise scan finds it concave by 1e-8 of its scale.
+    # The widest pair centred on each point catches it, and the unital
+    # Jensen map inequality does not apply, where it would be violated.
+    spec = make_function_spec("half_pow", (1.0, 1.5), r=2.0 - 1e-6)
+    flags, worst = pairwise_scan(spec.fn, 1.0, 1.5, DEFAULT_SCAN_GRID)
+    assert not flags["convex_on_J"] and worst["convex_on_J"] > 1e-8
+    y = spec(np.linspace(1.0, 1.5, 2 * DEFAULT_SCAN_GRID - 1))
+    assert np.max(y[1:-1] - (0.5 * y[:-2] + 0.5 * y[2:])) <= SCAN_TOL
+    assert not spec.flag("convex_on_J")
+    x = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    report = check_jensen_map(spec, np.diag([1.0, 1.5]), Congruence(np.eye(2)), x, "unital")
+    assert report.verdict == "not_applicable"
+
+
+def test_a_scan_evaluates_f_once():
+    calls = []
+
+    def counting(t):
+        calls.append(t.size)
+        return np.square(t)
+
+    scan_function_flags(counting, (-3.0, 3.0))
+    assert len(calls) == 1 and calls[0] > 257 + 33 + 1  # grid, subgrid, products, 0
+    scan_function_flags(counting, (2.0, 3.0))
+    assert calls[1:] == [257 + 33]  # no product and not 0 inside
+
+
+@pytest.mark.filterwarnings("error")
+def test_scans_at_the_top_of_the_float_range_do_not_warn():
+    # Products overflow on (-3, 1e300), and grid sums on (0, 1.7e308); f is
+    # finite on both, so both build with the flags the scan supports.
+    assert dict(make_function_spec("linear", (-3.0, 1e300)).flags) == dict.fromkeys(FLAG_NAMES, True)
+    assert make_function_spec("linear", (0.0, 1.7e308)).flag("increasing")
+    with pytest.raises(ValueError, match="interval width hi - lo = inf"):
+        make_function_spec("linear", (-1e308, 1e308))
+    # A test whose own arithmetic overflows is no evidence either way.
+    report = scan_function_flags(lambda t: np.where(t < 0, -1.7e308, 1.7e308), (-1.0, 1.0))
+    assert not report.flags["submultiplicative"]
 
 
 # --- functional calculus ----------------------------------------------------------

@@ -16,7 +16,7 @@ from bohrcheck.harness import (
     run_campaign,
     run_instance,
 )
-from bohrcheck.serialize import instance_to_json
+from bohrcheck.serialize import SerializationError, instance_to_json
 
 
 def write_bohr_instance(path):
@@ -192,6 +192,43 @@ def test_check_a_number_that_is_not_a_json_number_exits_one(tmp_path, capsys, ba
     assert main(["check", "--in", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"bohrcheck: error: field '{field}': ") and "Traceback" not in err
+
+
+#: A thm1 payload whose one map is a "POVM" with effects diag(1e308, -1e308)
+#: and diag(-1e308, 1e308): not positive, so Theorem 1 does not apply.
+OVERFLOWING_POVM = {
+    "theorem": "thm1",
+    "f": {"id": "relu", "J": [-1e300, 1e300]},
+    "A": {"n": 2, "re": [[1.0, 0.0], [0.0, 1.0 + 2.0**-52]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+    "maps": [{"alpha": 1.0, "map": {"kind": "povm", "P": [
+        {"n": 2, "re": [[s * 1e308, 0.0], [0.0, -s * 1e308]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        for s in (1.0, -1.0)
+    ]}}],
+}
+
+
+@pytest.mark.filterwarnings("error")
+def test_check_a_povm_that_overflows_exits_one(tmp_path, capsys):
+    # It used to decode, warn from hermitize and report a violated Theorem 1.
+    with pytest.raises(SerializationError, match="effect 0 has eigenvalues that overflow"):
+        run_instance(OVERFLOWING_POVM)
+    path = tmp_path / "povm.json"
+    path.write_text(json.dumps(OVERFLOWING_POVM))
+    assert main(["check", "--in", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("bohrcheck: error: field 'maps': cannot build 'povm' map: effect 0 ")
+    assert "violated" not in out + err
+
+
+@pytest.mark.filterwarnings("error")
+def test_check_a_domain_at_the_top_of_the_float_range(tmp_path, capsys):
+    # The flag scan's products overflow on this domain; they lie outside it.
+    payload = dict(JENSEN_VEC, f={"id": "linear", "J": [-3.0, 1e300]})
+    assert run_instance(payload).verdict == "held"
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(payload))
+    assert main(["check", "--in", str(path)]) == 0
+    assert "verdict:  held" in capsys.readouterr().out
 
 
 def test_check_bohr_overflow_exits_one(tmp_path, capsys):

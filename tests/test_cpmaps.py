@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,16 @@ def test_povm_on_diagonal_input_with_eii_effects():
 def test_povm_rejects_non_psd_effect():
     with pytest.raises(SpecError):
         DiagonalPOVM((np.diag([1.0, -0.5]),))
+
+
+@pytest.mark.parametrize("first", [[1e308, -1e308], [-1e308, 1.0], [-1.0, 1e308]])
+def test_povm_refuses_an_effect_whose_eigenvalues_overflow(first):
+    # Each first effect has a negative eigenvalue. Its Hermitian part
+    # overflows, which used to give NaN eigenvalues that passed the PSD test.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpecError, match="^effect 0 has eigenvalues that overflow"):
+            DiagonalPOVM([np.diag(first), np.eye(2)])
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])

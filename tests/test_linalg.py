@@ -46,6 +46,13 @@ def test_interval_validate_rejects_empty_and_nonfinite():
     assert Interval(1.0, 1.0).validate() == (1.0, 1.0)
 
 
+def test_interval_validate_rejects_a_width_that_overflows():
+    # Both ends are finite, but hi - lo is not: every grid on it would be NaN.
+    with pytest.raises(ValueError, match=r"interval width hi - lo = inf overflows"):
+        as_interval((-1e308, 1e308))
+    assert as_interval((-8e307, 8e307)) == (-8e307, 8e307)
+
+
 def test_interval_clamp():
     iv = as_interval((-1.0, 2.0))
     assert np.allclose(iv.clamp([-5.0, 0.5, 7.0]), [-1.0, 0.5, 2.0])

@@ -448,3 +448,38 @@ def test_instance_from_json_rejects_nonfinite_numbers_naming_the_field(theorem, 
     payload[key] = json.loads(value)
     with pytest.raises(SerializationError, match=f"field '{key}'"):
         instance_from_json(payload)
+
+
+def _two_term_sum(n):
+    return map_to_json(WeightedSum(((0.5, Congruence(np.eye(n))), (0.5, Congruence(np.eye(n))))))
+
+
+@pytest.mark.parametrize("where", ["thm1 maps", "thm1 sum terms", "jensen-map sum terms"])
+def test_a_malformed_map_term_is_named_by_its_path(where):
+    theorem = where.split()[0]
+    payload = _generated(theorem)
+    n = payload["A"]["n"]
+    if where == "thm1 maps":
+        terms, path = payload["maps"], "maps"
+    elif where == "thm1 sum terms":
+        payload["maps"] = [{"alpha": 1.0, "map": _two_term_sum(n)}]
+        terms, path = payload["maps"][0]["map"]["terms"], "maps[0].map.terms"
+    else:
+        payload["map"] = _two_term_sum(n)
+        terms, path = payload["map"]["terms"], "map.terms"
+    instance_from_json(payload)
+    del terms[0]["alpha"]
+    with pytest.raises(SerializationError) as info:
+        instance_from_json(payload)
+    assert str(info.value) == f"field '{path}[0].alpha' is missing"
+    terms[0] = 5
+    with pytest.raises(SerializationError) as info:
+        instance_from_json(payload)
+    assert str(info.value) == f"field '{path}[0]' is not a JSON object"
+
+
+def test_a_malformed_sum_term_is_named_below_the_map():
+    obj = _two_term_sum(2)
+    del obj["terms"][1]["map"]
+    with pytest.raises(SerializationError, match=r"^field 'terms\[1\]\.map' is missing$"):
+        map_from_json(obj)
