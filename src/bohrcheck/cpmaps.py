@@ -113,12 +113,17 @@ class DiagonalPOVM:
     def __post_init__(self):
         effs = _frozen(require_hermitian, self.effects, rtol=PSD_TOL, stack="effect")
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            w = np.linalg.eigvalsh(hermitize(effs))
-            # An overflowed entry gives NaN or inf eigenvalues: no PSD decision.
-            low = ~np.isfinite(w).all(axis=-1) | (w[:, 0] < -PSD_TOL * np.maximum(1.0, w[:, -1]))
+            h = hermitize(effs)
+            # An entry that overflows, in h or in its eigenvalues, allows no
+            # PSD decision; LAPACK, which may not converge on it, sees zeros.
+            over = ~np.isfinite(h).all(axis=(-2, -1))
+            h[over] = 0.0
+            w = np.linalg.eigvalsh(h)
+            over |= ~np.isfinite(w).all(axis=-1)
+            low = over | (w[:, 0] < -PSD_TOL * np.maximum(1.0, w[:, -1]))
         if low.any():
             i = int(np.argmax(low))
-            if np.isfinite(w[i]).all():
+            if not over[i]:
                 raise SpecError(f"effect {i} has eigenvalue {w[i, 0]:.3e}, not PSD within tolerance")
             raise SpecError(f"effect {i} has eigenvalues that overflow; it cannot be shown PSD")
         object.__setattr__(self, "effects", effs)

@@ -348,6 +348,16 @@ def _short_vector(m: int, rng, unit: bool) -> np.ndarray:
     return v
 
 
+def _family_shape(cfg: CampaignConfig, rng) -> tuple[int, int]:
+    """Matrix size n, then family length ell, of a family generator."""
+    return _draw_int(rng, cfg.n_range), _draw_int(rng, cfg.ell_range)
+
+
+def _scaled_ginibre(n: int, ell: int, rng) -> list[np.ndarray]:
+    """ell complex Ginibre n x n matrices, each scaled by its own U(0.3, 1.5)."""
+    return [float(rng.uniform(0.3, 1.5)) * complex_gaussian((n, n), rng) for _ in range(ell)]
+
+
 # --- per-theorem generators ---------------------------------------------------
 
 
@@ -378,18 +388,14 @@ def _gen_jensen_map(cfg, rng, trial: int) -> dict:
     n = _draw_int(rng, cfg.n_range)
     m = _draw_int(rng, cfg.m_range)
     variant = cfg.variant or ("subunital" if trial % 2 == 0 else "unital")
-    if variant == "subunital":
-        spec = _subunital_spec(n, m, rng)
-        domain = cfg.spectrum
-        f = _draw_function(cfg, rng, domain)
-        x = _short_vector(m, rng, unit=False)
-    else:
-        spec = normalize_unital(_subunital_spec(n, m, rng))
+    spec, domain = _subunital_spec(n, m, rng), cfg.spectrum
+    if variant == "unital":
+        spec = normalize_unital(spec)
         # The unital profile has no condition at 0, so exercise domains
         # that exclude it about a third of the time.
-        domain = (1.0, 3.0) if rng.uniform() < 1.0 / 3.0 else cfg.spectrum
-        f = _draw_function(cfg, rng, domain)
-        x = _short_vector(m, rng, unit=True)
+        domain = (1.0, 3.0) if rng.uniform() < 1.0 / 3.0 else domain
+    f = _draw_function(cfg, rng, domain)
+    x = _short_vector(m, rng, unit=variant == "unital")
     a = random_hermitian(n, domain, rng)
     return {"f": f, "a": a, "spec": spec, "x": x, "variant": variant}
 
@@ -415,8 +421,7 @@ def _gen_thm1(cfg, rng, trial) -> dict:
 
 
 def _gen_cornew(cfg, rng, trial) -> dict:
-    n = _draw_int(rng, cfg.n_range)
-    ell = _draw_int(rng, cfg.ell_range)
+    n, ell = _family_shape(cfg, rng)
     alphas = rng.uniform(0.2, 2.0, size=ell)
     blocks = random_map_family(ell, n, n, alphas, rng)
     mats = random_hermitian(n, cfg.spectrum, rng, ell)
@@ -435,8 +440,7 @@ def _gen_cornew(cfg, rng, trial) -> dict:
 
 
 def _gen_cor45(cfg, rng, trial) -> dict:
-    n = _draw_int(rng, cfg.n_range)
-    ell = _draw_int(rng, cfg.ell_range)
+    n, ell = _family_shape(cfg, rng)
     r = _draw_r(cfg, rng)
     p = rng.uniform(0.3, 3.0, size=ell)
     conj = p ** (1.0 / (1.0 - r))
@@ -449,8 +453,7 @@ def _gen_cor45(cfg, rng, trial) -> dict:
 
 
 def _gen_zh(cfg, rng, trial) -> dict:
-    n = _draw_int(rng, cfg.n_range)
-    ell = _draw_int(rng, cfg.ell_range)
+    n, ell = _family_shape(cfg, rng)
     r = _draw_r(cfg, rng, hi_cap=2.0)
     p = _sum_to_one_weights(ell, rng)
     mats = random_hermitian(n, cfg.spectrum, rng, ell)
@@ -458,29 +461,22 @@ def _gen_zh(cfg, rng, trial) -> dict:
 
 
 def _gen_prop_r2(cfg, rng, trial) -> dict:
-    n = _draw_int(rng, cfg.n_range)
-    ell = _draw_int(rng, cfg.ell_range)
+    n, ell = _family_shape(cfg, rng)
     r = _draw_r(cfg, rng, lo_cap=2.0)
     p = _sum_to_one_weights(ell, rng)
-    mats = [
-        float(rng.uniform(0.3, 1.5)) * complex_gaussian((n, n), rng) for _ in range(ell)
-    ]
+    mats = _scaled_ginibre(n, ell, rng)
     return {"a_list": mats, "p": p, "r": r}
 
 
 def _gen_sumsq(cfg, rng, trial) -> dict:
-    n = _draw_int(rng, cfg.n_range)
-    ell = _draw_int(rng, cfg.ell_range)
+    n, ell = _family_shape(cfg, rng)
     p = _sum_to_one_weights(ell, rng)
-    mats = [
-        float(rng.uniform(0.3, 1.5)) * complex_gaussian((n, n), rng) for _ in range(ell)
-    ]
+    mats = _scaled_ginibre(n, ell, rng)
     return {"a_list": mats, "p": p}
 
 
 def _gen_inc_convex(cfg, rng, trial) -> dict:
-    n = _draw_int(rng, cfg.n_range)
-    ell = _draw_int(rng, cfg.ell_range)
+    n, ell = _family_shape(cfg, rng)
     p = _sum_to_one_weights(ell, rng)
     ids = ("expm1", "relu", "linear", "half_pow")
     fid = ids[_draw_int(rng, (0, len(ids) - 1))]
@@ -580,8 +576,8 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
     draws a non-finite instance (which the digest refuses with
     :class:`~bohrcheck.serialize.NonFiniteError`), gets a
     ``generation_failed`` line; one whose checker raises
-    :class:`NumericalError` or ``numpy.linalg.LinAlgError`` (an eigensolver
-    that did not converge on overflowed input) gets an error line and counts
+    :class:`NumericalError` or ``numpy.linalg.LinAlgError`` (an A*A that
+    overflows, or an eigensolver that fails) gets an error line and counts
     under ``errors``; any other exception aborts the campaign. The payloads of violating and of
     error trials are persisted next to the report file, as
     ``<stem>.violation-NNNNNN.json`` (``{"instance", "report"}``) and

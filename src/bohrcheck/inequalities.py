@@ -236,6 +236,13 @@ def _finite(theorem_id: str, m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _eigvalsh(theorem_id: str, m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix that a checker formed;
+    one that overflowed is refused before LAPACK sees it, which would fail
+    to converge on it or answer NaN."""
+    return np.linalg.eigvalsh(_finite(theorem_id, m))
+
+
 def _descending(values) -> np.ndarray:
     return np.sort(np.asarray(values, dtype=float))[::-1]
 
@@ -245,9 +252,9 @@ def _mix(weights, mats) -> np.ndarray:
     return hermitize(sum(w * m for w, m in zip(weights, mats)))
 
 
-def _top_sums(m: np.ndarray) -> np.ndarray:
+def _top_sums(theorem_id: str, m: np.ndarray) -> np.ndarray:
     """Top-k eigenvalue sums of a Hermitian matrix, k = 1..n."""
-    return np.cumsum(_descending(np.linalg.eigvalsh(m)))
+    return np.cumsum(_descending(_eigvalsh(theorem_id, m)))
 
 
 def _bohr_right(pw: np.ndarray, mats: np.ndarray, r: float) -> np.ndarray:
@@ -379,7 +386,7 @@ def check_jensen_map(
         "spectrum within domain": f.covers(eig.eigenvalues),
     }
     if variant == "subunital":
-        wi = np.linalg.eigvalsh(applied_to_identity(spec))
+        wi = _eigvalsh("jensen-map", applied_to_identity(spec))
         hyps["Phi(I) > 0"] = bool(wi[0] > OPERATOR_HYP_TOL * max(1.0, float(wi[-1])))
         hyps["Phi(I) <= I"] = bool(wi[-1] <= 1.0 + OPERATOR_HYP_TOL)
         hyps["0 in domain"] = f.flag("zero_in_J")
@@ -425,7 +432,7 @@ def check_thm_weak_major(
 
     eig = eig_descending(am)
     alphas = [alpha for alpha, _ in pairs]
-    wi = np.linalg.eigvalsh(_mix(alphas, (applied_to_identity(spec) for _, spec in pairs)))
+    wi = _eigvalsh("thm1", _mix(alphas, (applied_to_identity(spec) for _, spec in pairs)))
     hyps = {
         "weights nonnegative": all(alpha >= 0 for alpha in alphas),
         "combined map subunital": bool(
@@ -438,14 +445,14 @@ def check_thm_weak_major(
     }
     # A's dimension is checked once, by apply_map; map_dims matched the rest.
     images = [apply_map(pairs[0][1], am)] + [spec._apply(am) for _, spec in pairs[1:]]
-    mu = np.linalg.eigvalsh(_mix(alphas, images))
+    mu = _eigvalsh("thm1", _mix(alphas, images))
     hyps["mixed spectrum within domain"] = f.covers(mu)
     if not all(hyps.values()):
         return _na_report("thm1", hyps, tol)
 
     lhs = np.cumsum(_descending(f(f.domain.clamp(mu))))
     fa = apply_fun(f, eig)
-    rhs = _top_sums(_mix(alphas, (spec._apply(fa) for _, spec in pairs)))
+    rhs = _top_sums("thm1", _mix(alphas, (spec._apply(fa) for _, spec in pairs)))
     return _graded_report("thm1", lhs, rhs, hyps, tol)
 
 
@@ -463,8 +470,8 @@ def check_cor_congruence(
     mats, aw, blocks = _family(a_list, alpha, x_list)
 
     xh = blocks.conj().swapaxes(-1, -2)
-    wg = np.linalg.eigvalsh(_mix(aw, xh @ blocks))
-    mu = np.linalg.eigvalsh(hermitize(sum(xh @ mats @ blocks)))
+    wg = _eigvalsh("cornew", _mix(aw, xh @ blocks))
+    mu = _eigvalsh("cornew", hermitize(sum(xh @ mats @ blocks)))
     eig = eig_descending(mats)
     hyps = {
         "weights positive": bool(np.all(aw > 0)),
@@ -481,7 +488,7 @@ def check_cor_congruence(
 
     lhs = np.cumsum(_descending(f(f.domain.clamp(mu))))
     weights = [a_i * float(f(f.domain.clamp(1.0 / a_i))) for a_i in aw]
-    rhs = _top_sums(_mix(weights, xh @ apply_fun(f, eig) @ blocks))
+    rhs = _top_sums("cornew", _mix(weights, xh @ apply_fun(f, eig) @ blocks))
     return _graded_report("cornew", lhs, rhs, hyps, tol)
 
 
@@ -515,7 +522,7 @@ def check_eigen_bohr(
     if all(hyps.values()):
         conj = pw ** (1.0 / (1.0 - r))
         total = np.sum(conj)
-        wg = np.linalg.eigvalsh(_mix(conj, xh @ blocks))
+        wg = _eigvalsh("cor45", _mix(conj, xh @ blocks))
         hyps["sum p_i^(1/(1-r)) X_i*X_i <= (sum p_i^(1/(1-r))) I"] = bool(
             wg[-1] <= total * (1.0 + OPERATOR_HYP_TOL)
         )
@@ -525,9 +532,9 @@ def check_eigen_bohr(
         return _na_report("cor45", hyps, tol)
 
     mixed = hermitize(sum(xh @ mats @ blocks))
-    lhs = np.cumsum(_descending(np.abs(np.linalg.eigvalsh(mixed)) ** r))
+    lhs = np.cumsum(_descending(np.abs(_eigvalsh("cor45", mixed)) ** r))
     const = float(total ** (r - 1.0)) * rhs_scale
-    rhs = const * _top_sums(_mix(pw, xh @ abs_power(mats, r) @ blocks))
+    rhs = const * _top_sums("cor45", _mix(pw, xh @ abs_power(mats, r) @ blocks))
     extras = {"constant": const}
     if rhs_scale != 1.0:
         extras["rhs_scale"] = rhs_scale
@@ -550,9 +557,9 @@ def check_norm_bohr(a_list, p, r, tol: float | None = None) -> CheckReport:
     if not all(hyps.values()):
         return _na_report("zh", hyps, tol)
 
-    wl = np.linalg.eigvalsh(abs_power(_finite("zh", hermitize(sum(mats))), r))
+    wl = _eigvalsh("zh", abs_power(_finite("zh", hermitize(sum(mats))), r))
     lhs = np.cumsum(_descending(wl))
-    wr = np.linalg.eigvalsh(_bohr_right(pw, mats, r))
+    wr = _eigvalsh("zh", _bohr_right(pw, mats, r))
     rhs = np.cumsum(_descending(wr))
 
     # Both matrices are PSD: clip roundoff; the Schatten sums run in
@@ -585,7 +592,7 @@ def check_pointwise_bohr_r2(a_list, p, r, tol: float | None = None) -> CheckRepo
         return _na_report("prop-r2", hyps, tol)
 
     lhs = singular_values(_finite("prop-r2", sum(mats))) ** r
-    rhs = _descending(np.linalg.eigvalsh(_bohr_right(pw, mats, r)))
+    rhs = _descending(_eigvalsh("prop-r2", _bohr_right(pw, mats, r)))
     return _graded_report(
         "prop-r2", lhs, rhs, hyps, tol, comparison="pointwise"
     )
@@ -619,8 +626,8 @@ def check_sum_square(a_list, p, tol: float | None = None) -> CheckReport:
     dispersion = hermitize(
         sum(w * (m.conj().T @ m) for w, m in zip(pw, mats)) - mean.conj().T @ mean
     )
-    min_spread = float(np.linalg.eigvalsh(spread)[0])
-    min_disp = float(np.linalg.eigvalsh(dispersion)[0])
+    min_spread = float(_eigvalsh("sumsq", spread)[0])
+    min_disp = float(_eigvalsh("sumsq", dispersion)[0])
     residual = frob(dispersion - 0.5 * spread)
     budget = 1e-11 * max(1.0, frob(dispersion), 0.5 * frob(spread))
     lhs = [-min_spread, -min_disp, residual / budget]
@@ -656,12 +663,12 @@ def check_increasing_convex_eigen(
     if not all(hyps.values()):
         return _na_report("inc-convex", hyps, tol)
 
-    mu = np.linalg.eigvalsh(_mix(pw, mats))
+    mu = _eigvalsh("inc-convex", _mix(pw, mats))
     hyps["mixture spectrum within domain"] = f.covers(mu)
     if not all(hyps.values()):
         return _na_report("inc-convex", hyps, tol)
     lhs = _descending(f(f.domain.clamp(mu)))
-    rhs = _descending(np.linalg.eigvalsh(_mix(pw, apply_fun(f, eig))))
+    rhs = _descending(_eigvalsh("inc-convex", _mix(pw, apply_fun(f, eig))))
     return _graded_report(
         "inc-convex", lhs, rhs, hyps, tol, comparison="pointwise"
     )

@@ -96,6 +96,36 @@ def _finite(x) -> float:
     return v
 
 
+#: How a refusal names the JSON type of each value that json.loads returns.
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _json_type(v) -> str:
+    return _JSON_TYPES.get(type(v), type(v).__name__)
+
+
+def _json_object(v, keys, what: str) -> dict:
+    """``v`` if it is a JSON object holding each of ``keys``; ``what`` names it."""
+    if not isinstance(v, dict):
+        raise SerializationError(f"expected a {what} object, got {_json_type(v)}")
+    for key in keys:
+        if key not in v:
+            raise SerializationError(f"{what} object is missing {key!r}")
+    return v
+
+
+#: The types of an array: a JSON array, or a tuple or numpy array in Python.
+_ARRAYS = frozenset((list, tuple, np.ndarray))
+
+
+def _items(v, what: str = "a JSON array"):
+    """``v`` if it is an array; anything else is refused, naming ``what``."""
+    if type(v) not in _ARRAYS:
+        raise SerializationError(f"expected {what}, got {_json_type(v)}")
+    return v
+
+
 def _count(v) -> int:
     """A JSON integer, refusing the ``true``, ``1.9`` and ``"2"`` that ``int`` takes."""
     if not isinstance(v, int) or isinstance(v, bool):
@@ -130,18 +160,25 @@ def _re_im_to_json(v: np.ndarray) -> dict:
 
 def _re_im_from_json(obj, ndim: int, what: str) -> np.ndarray:
     """Complex ``ndim``-d array of a re/im object, exact for signed zeros."""
-    try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SerializationError(f"malformed {what} object: {exc}") from exc
-    if re.ndim != ndim or re.shape != im.shape:
-        raise SerializationError(f"{what} shape mismatch: re {re.shape}, im {im.shape}")
+    obj = _json_object(obj, ("re", "im"), what)
+    parts = _items(obj["re"], "'re' as a JSON array"), _items(obj["im"], "'im' as a JSON array")
+    rows = parts if ndim == 1 else [*parts[0], *parts[1]]
+    if not set(map(type, rows)) <= _ARRAYS:  # a matrix row that is not an array
+        bad = next(row for row in rows if type(row) not in _ARRAYS)
+        raise SerializationError(f"expected each {what} row as an array, got {_json_type(bad)}")
     # numpy reads true and "2" as numbers; JSON does not.
-    parts = (obj["re"], obj["im"]) if ndim == 1 else (*obj["re"], *obj["im"])
-    for t in set(map(type, itertools.chain(*parts))):
+    for t in set(map(type, itertools.chain(*rows))):
         if t is bool or not issubclass(t, (int, float)):
             raise SerializationError(f"{what} has a {t.__name__} entry, not a JSON number")
+    try:
+        re = np.asarray(parts[0], dtype=float)
+        im = np.asarray(parts[1], dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise SerializationError(f"malformed {what} object: {exc}") from exc
+    except ValueError as exc:  # the one other refusal left: a ragged matrix
+        raise SerializationError(f"{what} rows differ in length") from exc
+    if re.ndim != ndim or re.shape != im.shape:
+        raise SerializationError(f"{what} shape mismatch: re {re.shape}, im {im.shape}")
     # Not re + 1j * im, which turns a real part of -0.0 into 0.0.
     v = re.astype(complex)
     v.imag = im
@@ -180,10 +217,8 @@ def scalar_to_json(z) -> dict:
 
 
 def scalar_from_json(obj) -> complex:
-    try:
-        return complex(_finite(obj["re"]), _finite(obj["im"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed complex scalar: {exc}") from exc
+    obj = _json_object(obj, ("re", "im"), "complex scalar")
+    return complex(_decoded(_finite, obj, "re"), _decoded(_finite, obj, "im"))
 
 
 def function_to_json(spec: ConvexFunctionSpec) -> dict:
@@ -194,14 +229,13 @@ def function_to_json(spec: ConvexFunctionSpec) -> dict:
 
 
 def function_from_json(obj) -> ConvexFunctionSpec:
+    obj = _json_object(obj, ("id", "J"), "function")
+    domain = _decoded(_each(_finite), obj, "J")
+    if len(domain) != 2:
+        raise SerializationError(f"field 'J': expected [lo, hi], got {len(domain)} numbers")
+    r = None if obj.get("r") is None else _decoded(_finite, obj, "r")
     try:
-        fid = str(obj["id"])
-        lo, hi = _decoded(_each(_finite), obj, "J")
-        r = None if obj.get("r") is None else _decoded(_finite, obj, "r")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed function object: {exc}") from exc
-    try:
-        return make_function_spec(fid, (lo, hi), r)
+        return make_function_spec(str(obj["id"]), domain, r)
     except (KeyError, ValueError) as exc:
         raise SerializationError(f"cannot build function spec: {exc}") from exc
 
@@ -259,6 +293,7 @@ def map_from_json(obj) -> MapSpec:
     if not isinstance(kind, str) or kind not in _MAP_KINDS:
         raise SerializationError(f"unknown map kind {kind!r}")
     cls, fields = _MAP_KINDS[kind]
+    _json_object(obj, [key for key, _, _ in fields], f"{kind!r} map")
     try:
         return cls(**{attr: _decoded(decode, obj, key) for key, attr, (_, decode, _) in fields})
     except _EntryError:
@@ -285,7 +320,7 @@ def _weighted_maps_to_json(weighted_maps) -> list[dict]:
 
 def _weighted_maps_from_json(terms) -> list[tuple[float, MapSpec]]:
     out = []
-    for i, t in enumerate(terms):
+    for i, t in enumerate(_items(terms)):
         if not isinstance(t, dict):
             raise _EntryError(f"[{i}]", "is not a JSON object")
         try:
@@ -304,8 +339,8 @@ def _pack_terms(h, terms) -> None:
 
 
 def _each(convert):
-    """Lift a one-value conversion to lists."""
-    return lambda items: [convert(x) for x in items]
+    """Lift a one-value conversion to arrays; anything else is refused."""
+    return lambda items: [convert(x) for x in _items(items)]
 
 
 # A codec is an (encode, decode, pack) triple for one payload field; pack

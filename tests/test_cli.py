@@ -243,14 +243,15 @@ def test_check_bohr_overflow_exits_one(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_check_eigensolver_failure_exits_one(tmp_path, capsys):
-    # |A_i|^r overflows at r in [800, 900], and the eigensolver does not
-    # converge on the non-finite sum: an input error, not a verdict.
+    # |A_i|^r overflows at r in [800, 900], and the non-finite sum is
+    # refused before an eigensolver sees it: an input error, not a verdict.
     cfg = CampaignConfig("cor45", 1, 3, r_range=(800.0, 900.0))
     payload = instance_to_json("cor45", **generate_instance(cfg, 0))
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(payload))
     assert main(["check", "--in", str(path)]) == 1
-    assert "bohrcheck: error: Eigenvalues did not converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "bohrcheck: error: cor45: the sum of the matrices is not finite\n"
 
 
 def test_check_error_artifact_exits_one(tmp_path, capsys):

@@ -106,14 +106,18 @@ def test_povm_rejects_non_psd_effect():
         DiagonalPOVM((np.diag([1.0, -0.5]),))
 
 
-@pytest.mark.parametrize("first", [[1e308, -1e308], [-1e308, 1.0], [-1.0, 1e308]])
+@pytest.mark.parametrize(
+    "first", [[1e308, -1e308], [-1e308, 1.0], [-1.0, 1e308], [1.0, 1e308, 1.0]]
+)
 def test_povm_refuses_an_effect_whose_eigenvalues_overflow(first):
-    # Each first effect has a negative eigenvalue. Its Hermitian part
-    # overflows, which used to give NaN eigenvalues that passed the PSD test.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(SpecError, match="^effect 0 has eigenvalues that overflow"):
-            DiagonalPOVM([np.diag(first), np.eye(2)])
+    # Each first effect's Hermitian part overflows. The first three have a
+    # negative eigenvalue and used to give NaN eigenvalues that passed the
+    # PSD test; on the last, which is PSD, LAPACK did not converge.
+    for dtype in (float, complex):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecError, match="^effect 0 has eigenvalues that overflow"):
+                DiagonalPOVM([np.diag(first).astype(dtype), np.eye(len(first))])
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])

@@ -708,8 +708,8 @@ def test_numerical_error_is_a_trial_error_not_an_abort(tmp_path):
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("theorem", ["cor45", "prop-r2"])
 def test_eigensolver_failure_is_a_trial_error_not_an_abort(tmp_path, theorem):
-    # |A_i|^r overflows at r in [800, 900]; the eigensolver then fails to
-    # converge on the non-finite sum, or a side comes out infinite.
+    # |A_i|^r overflows at r in [800, 900]; the non-finite sum is refused
+    # before an eigensolver sees it, or a side comes out infinite.
     out = tmp_path / "extreme.jsonl"
     res = run_campaign(CampaignConfig(theorem, 40, 3, r_range=(800.0, 900.0)), out)
     lines = out.read_text().splitlines()
@@ -717,7 +717,10 @@ def test_eigensolver_failure_is_a_trial_error_not_an_abort(tmp_path, theorem):
     assert json.loads(lines[-1])["summary"] == res.summary
     assert res.summary["violations"] == 0
     kinds = {r.error.split(":")[0] for r in res.records if r.error}
-    assert kinds == {"LinAlgError", "NumericalError"}
+    assert kinds == {"NumericalError"}
+    assert f"NumericalError: {theorem}: the sum of the matrices is not finite" in {
+        r.error for r in res.records
+    }
     assert res.summary["errors"] == sum(r.error is not None for r in res.records)
 
 
