@@ -86,6 +86,14 @@ class ConvexFunctionSpec:
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=float))
 
+    # Pickled with its flags as a dict, which no rescan rebuilds, and
+    # loaded with them read-only again.
+    def __getstate__(self):
+        return {**self.__dict__, "flags": dict(self.flags)}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, flags=types.MappingProxyType(state["flags"]))
+
     def flag(self, name: str) -> bool:
         if name not in FLAG_NAMES:
             raise KeyError(f"unknown hypothesis flag {name!r}")
@@ -201,16 +209,44 @@ def scan_function_flags(fn, domain, grid_size: int = DEFAULT_SCAN_GRID) -> Funct
 
 # --- registry ---------------------------------------------------------------
 
+# Kernels f(t, r) on float arrays, defined at module level so that a spec,
+# which binds r with functools.partial, pickles by reference.
+
+
+def _abs_pow(t, r):
+    return np.abs(t) ** r
+
+
+def _half_pow(t, r):
+    # t^(r/2) is defined for t >= 0 only; the clip only guards roundoff.
+    return np.clip(t, 0.0, None) ** (r / 2.0)
+
+
+def _square(t, r):
+    return np.square(t)
+
+
+def _expm1(t, r):
+    return np.expm1(t)
+
+
+def _relu(t, r):
+    return np.maximum(t, 0.0)
+
+
+def _linear(t, r):
+    return t + 0.0  # + 0.0 turns -0.0 into 0.0
+
+
 #: id -> (kernel f(t, r) on float arrays, takes r, needs a nonnegative
 #: domain). A spec binds r once; kernels that take none ignore it.
 _REGISTRY: dict[str, tuple[Callable, bool, bool]] = {
-    "abs_pow": (lambda t, r: np.abs(t) ** r, True, False),
-    # t^(r/2) is defined for t >= 0 only; the clip only guards roundoff.
-    "half_pow": (lambda t, r: np.clip(t, 0.0, None) ** (r / 2.0), True, True),
-    "square": (lambda t, r: np.square(t), False, False),
-    "expm1": (lambda t, r: np.expm1(t), False, False),
-    "relu": (lambda t, r: np.maximum(t, 0.0), False, False),
-    "linear": (lambda t, r: t + 0.0, False, False),  # + 0.0 turns -0.0 into 0.0
+    "abs_pow": (_abs_pow, True, False),
+    "half_pow": (_half_pow, True, True),
+    "square": (_square, False, False),
+    "expm1": (_expm1, False, False),
+    "relu": (_relu, False, False),
+    "linear": (_linear, False, False),
 }
 
 

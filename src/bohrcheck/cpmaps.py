@@ -78,6 +78,15 @@ def _frozen(validate, a, **kwargs) -> np.ndarray:
     return m
 
 
+def _read_only_state(spec, state: dict) -> None:
+    """``__setstate__`` of the kinds that hold arrays: unpickled arrays come
+    back writeable, so they are made read-only again, as ``_frozen`` made them."""
+    for value in state.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    spec.__dict__.update(state)
+
+
 @dataclass(frozen=True, eq=False)
 class Congruence:
     """A -> X* A X, mapping n x n inputs to m x m outputs via X (n x m)."""
@@ -86,6 +95,8 @@ class Congruence:
 
     def __post_init__(self):
         object.__setattr__(self, "x", _frozen(as_complex_matrix, self.x))
+
+    __setstate__ = _read_only_state
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -128,6 +139,8 @@ class DiagonalPOVM:
             raise SpecError(f"effect {i} has eigenvalues that overflow; it cannot be shown PSD")
         object.__setattr__(self, "effects", effs)
 
+    __setstate__ = _read_only_state
+
     @property
     def dims(self) -> tuple[int, int]:
         return self.effects.shape[:2]
@@ -162,6 +175,8 @@ class BlockExtraction:
         if not 0 <= self.index < self.block_count:
             raise SpecError(f"block index {self.index} outside [0, {self.block_count})")
         object.__setattr__(self, "x", _frozen(as_complex_matrix, self.x))
+
+    __setstate__ = _read_only_state
 
     @property
     def dims(self) -> tuple[int, int]:

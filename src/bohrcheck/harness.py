@@ -8,7 +8,9 @@ plus a summary line. Timestamps and elapsed times never enter the output,
 so two runs of the same config produce identical bytes. Violating
 instances are additionally persisted as standalone JSON files next to the
 report for replay, and so are the inputs of trials that end in a
-numerical error.
+numerical error. A long campaign runs its later trials in forked workers,
+one per usable CPU, and writes their records in index order, so its bytes
+do not depend on how many CPUs it used.
 
 :data:`THEOREM_TABLE` names each theorem's checker and generator. A
 generator returns checker arguments; :func:`run_instance` decodes a
@@ -25,7 +27,10 @@ from __future__ import annotations
 import contextvars
 import json
 import math
+import os
+import pickle
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -567,6 +572,95 @@ def _trial(cfg: CampaignConfig, trial: int) -> TrialRecord:
     return TrialRecord(trial, stream, digest, theorem, args, report, error)
 
 
+#: Fewest trials that pay for one forked worker: a fork and its join cost
+#: about 3-4 ms, and a trial 0.1-1 ms.
+_TRIALS_PER_WORKER = 64
+
+
+def _shards(trials: int) -> list[range]:
+    """Contiguous trial ranges in index order, one per process: one range
+    per usable CPU, as long as each worker past the parent's gets
+    :data:`_TRIALS_PER_WORKER` trials. There is one range where fork is
+    missing, or unsafe because other threads run (a fork copies only the
+    calling thread, not the locks the others hold)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    jobs = 1 + min(cpus - 1, trials // _TRIALS_PER_WORKER)
+    if jobs > 1:
+        import multiprocessing  # only here: a serial campaign does not pay for it
+        import threading
+
+        if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+            jobs = 1
+    bounds = [trials * j // jobs for j in range(jobs + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _worker(cfg: CampaignConfig, trials: range, conn) -> None:
+    """A forked worker: the records of ``trials`` under a spec memo of its
+    own, then the exception that stopped them (or None), as one message.
+    The process then leaves through ``os._exit``, so buffers that the
+    parent had open at the fork (its JSONL sink) are never flushed twice."""
+    _campaign_specs.set({})
+    records, error = [], None
+    try:
+        for k in trials:
+            records.append(_trial(cfg, k))
+    except Exception as exc:  # the parent raises it after the records before it
+        try:
+            error = pickle.loads(pickle.dumps(exc))
+        except Exception:  # an exception that does not survive the pipe
+            error = HarnessError(f"trial {k} raised {type(exc).__name__}: {exc}")
+    conn.send((records, error))
+
+
+def _records(cfg: CampaignConfig) -> Iterator[TrialRecord]:
+    """The trial records of ``cfg`` in index order, each ``_trial(cfg, k)``.
+
+    With more than one range from :func:`_shards`, a forked worker runs
+    each range after the first while this process runs the first, and
+    its records arrive pickled; the first exception in index order is
+    raised after the records before it, as the serial loop raises it. A
+    worker that dies without reporting raises :class:`HarnessError`.
+    Every worker is joined on the way out, and terminated first when the
+    campaign stops early.
+    """
+    own, *later = _shards(cfg.trials)
+    workers = []
+    try:
+        if later:
+            import multiprocessing
+
+            ctx = multiprocessing.get_context("fork")
+            for trials in later:
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_worker, args=(cfg, trials, send))
+                proc.start()
+                send.close()  # the worker's end is then the only one: its death reads as EOF
+                workers.append((trials, proc, recv))
+        for k in own:
+            yield _trial(cfg, k)
+        for trials, proc, recv in workers:
+            try:
+                records, error = recv.recv()
+            except EOFError:
+                proc.join()
+                raise HarnessError(
+                    f"the worker of trials {trials.start}-{trials.stop - 1} exited "
+                    f"with code {proc.exitcode} without reporting"
+                ) from None
+            yield from records
+            if error is not None:
+                raise error
+    except BaseException:  # GeneratorExit too, when the consumer stops early
+        for _, proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for _, proc, recv in workers:
+            proc.join()
+            recv.close()
+
+
 def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> CampaignResult:
     """Run a campaign; optionally stream JSONL records to out_path.
 
@@ -581,7 +675,9 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
     under ``errors``; any other exception aborts the campaign. The payloads of violating and of
     error trials are persisted next to the report file, as
     ``<stem>.violation-NNNNNN.json`` (``{"instance", "report"}``) and
-    ``<stem>.error-NNNNNN.json`` (``{"instance", "error"}``).
+    ``<stem>.error-NNNNNN.json`` (``{"instance", "error"}``). Every write
+    comes from :func:`_records`, which may run later trials in forked
+    workers; the bytes, and an abort's line prefix, are the serial loop's.
     """
     records: list[TrialRecord] = []
     violation_paths: list[str] = []
@@ -590,13 +686,14 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
     out = Path(out_path) if out_path is not None else None
     sink = open(out, "w", encoding="utf-8") if out is not None else None
     token = _campaign_specs.set({})
+    stream = _records(cfg)
     try:
-        for trial in range(cfg.trials):
-            record = _trial(cfg, trial)
+        for record in stream:
             records.append(record)
             if sink is None:
                 continue
             sink.write(record.to_json_line() + "\n")
+            trial = record.trial_index
             if record.report is not None and record.report.violated:
                 body = {"instance": record.payload, "report": record.report.to_json()}
                 violation_paths.append(_write_artifact(out, "violation", trial, body))
@@ -607,6 +704,7 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
         if sink is not None:
             sink.write(json.dumps({"summary": summary}, separators=(",", ":")) + "\n")
     finally:
+        stream.close()  # joins the workers, and first stops them if a write failed
         _campaign_specs.reset(token)
         if sink is not None:
             sink.close()

@@ -105,6 +105,13 @@ def _json_type(v) -> str:
     return _JSON_TYPES.get(type(v), type(v).__name__)
 
 
+def _text(v) -> str:
+    """A JSON string, refusing the ``true`` and ``[]`` that ``str`` takes."""
+    if not isinstance(v, str):
+        raise SerializationError(f"expected a JSON string, got {_json_type(v)}")
+    return v
+
+
 def _json_object(v, keys, what: str) -> dict:
     """``v`` if it is a JSON object holding each of ``keys``; ``what`` names it."""
     if not isinstance(v, dict):
@@ -134,11 +141,12 @@ def _count(v) -> int:
 
 
 class _EntryError(SerializationError):
-    """A list entry that is not an object, or lacks a key, at ``path`` below
-    its field (``[0].alpha``); each enclosing :func:`_decoded` prefixes its key."""
+    """A malformed list entry, or a key or value of one, at ``path`` below
+    its field (``[0].alpha``); each enclosing :func:`_decoded` prefixes its
+    key. ``problem`` follows the quoted path: `` is missing``, ``: <reason>``."""
 
     def __init__(self, path: str, problem: str):
-        super().__init__(f"field {path!r} {problem}")
+        super().__init__(f"field {path!r}{problem}")
         self.path, self.problem = path, problem
 
 
@@ -169,7 +177,8 @@ def _re_im_from_json(obj, ndim: int, what: str) -> np.ndarray:
     # numpy reads true and "2" as numbers; JSON does not.
     for t in set(map(type, itertools.chain(*rows))):
         if t is bool or not issubclass(t, (int, float)):
-            raise SerializationError(f"{what} has a {t.__name__} entry, not a JSON number")
+            name = _JSON_TYPES.get(t, t.__name__)
+            raise SerializationError(f"expected {what} entries as JSON numbers, got {name}")
     try:
         re = np.asarray(parts[0], dtype=float)
         im = np.asarray(parts[1], dtype=float)
@@ -234,9 +243,12 @@ def function_from_json(obj) -> ConvexFunctionSpec:
     if len(domain) != 2:
         raise SerializationError(f"field 'J': expected [lo, hi], got {len(domain)} numbers")
     r = None if obj.get("r") is None else _decoded(_finite, obj, "r")
+    fid = _decoded(_text, obj, "id")
     try:
-        return make_function_spec(str(obj["id"]), domain, r)
-    except (KeyError, ValueError) as exc:
+        return make_function_spec(fid, domain, r)
+    except KeyError as exc:  # str() of a KeyError would quote its text again
+        raise SerializationError(f"cannot build function spec: {exc.args[0]}") from exc
+    except ValueError as exc:
         raise SerializationError(f"cannot build function spec: {exc}") from exc
 
 
@@ -319,17 +331,22 @@ def _weighted_maps_to_json(weighted_maps) -> list[dict]:
 
 
 def _weighted_maps_from_json(terms) -> list[tuple[float, MapSpec]]:
-    out = []
-    for i, t in enumerate(_items(terms)):
-        if not isinstance(t, dict):
-            raise _EntryError(f"[{i}]", "is not a JSON object")
-        try:
-            out.append((_finite(t["alpha"]), map_from_json(t["map"])))
-        except KeyError as exc:  # map_from_json lets none through
-            raise _EntryError(f"[{i}].{exc.args[0]}", "is missing") from exc
-        except _EntryError as exc:
-            raise _EntryError(f"[{i}].map.{exc.path}", exc.problem) from exc
-    return out
+    return [(_term(_finite, t, i, "alpha"), _term(map_from_json, t, i, "map"))
+            for i, t in enumerate(_items(terms))]
+
+
+def _term(decode, t, i: int, key: str):
+    """``decode(t[key])`` of term ``t`` at index ``i``; a refusal names its path."""
+    if not isinstance(t, dict):
+        raise _EntryError(f"[{i}]", " is not a JSON object")
+    if key not in t:
+        raise _EntryError(f"[{i}].{key}", " is missing")
+    try:
+        return decode(t[key])
+    except _EntryError as exc:  # a sum's own terms, below this one
+        raise _EntryError(f"[{i}].{key}.{exc.path}", exc.problem) from exc
+    except SerializationError as exc:
+        raise _EntryError(f"[{i}].{key}", f": {exc}") from exc
 
 
 def _pack_terms(h, terms) -> None:
@@ -348,7 +365,7 @@ def _each(convert):
 # packer of their own: :func:`_pack_map` packs them together.
 _FLOAT = (float, _finite, _pack_real)
 _COUNT = (int, _count, None)
-_TEXT = (str, str, _pack_text)
+_TEXT = (str, _text, _pack_text)
 _WEIGHTS = (_each(float), _each(_finite), _pack_real)
 _SCALAR = (scalar_to_json, scalar_from_json, _pack_complex)
 _VECTOR = (vector_to_json, vector_from_json, _pack_complex)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -268,7 +269,9 @@ def test_scan_flags_match_the_pairwise_scan(domains, grid_sizes):
 
 
 def test_fingerprint_campaign_specs_keep_their_pairwise_flags(monkeypatch, tmp_path):
-    # Every spec that the fingerprint campaigns build at 100 trials.
+    # Every spec that the fingerprint campaigns build at 100 trials. One
+    # usable CPU keeps every trial in this process, where the scans are seen.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     path = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
     loader = importlib.util.spec_from_file_location("fingerprint_tool", path)
     tool = importlib.util.module_from_spec(loader)

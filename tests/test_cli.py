@@ -216,7 +216,7 @@ def test_check_a_povm_that_overflows_exits_one(tmp_path, capsys):
     path.write_text(json.dumps(OVERFLOWING_POVM))
     assert main(["check", "--in", str(path)]) == 1
     out, err = capsys.readouterr()
-    assert err.startswith("bohrcheck: error: field 'maps': cannot build 'povm' map: effect 0 ")
+    assert err.startswith("bohrcheck: error: field 'maps[0].map': cannot build 'povm' map: effect 0 ")
     assert "violated" not in out + err
 
 

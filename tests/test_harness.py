@@ -1,14 +1,25 @@
 """Campaign configuration, generators, JSONL stream, replay, and demo."""
 
+import contextlib
 import json
+import multiprocessing
+import os
+import pickle
 import re
+import signal
+import subprocess
+import sys
+import threading
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bohrcheck.harness as harness_mod
 from bohrcheck import serialize
-from bohrcheck.cpmaps import DiagonalPOVM
+from bohrcheck.cpmaps import BlockExtraction, Congruence, DiagonalPOVM, WeightedSum
 from bohrcheck.inequalities import NumericalError
 from bohrcheck.harness import (
     THEOREM_TABLE,
@@ -16,8 +27,10 @@ from bohrcheck.harness import (
     GenerationError,
     HarnessError,
     TrialRecord,
+    _TRIALS_PER_WORKER,
     _draw_int,
     _random_leaf_spec,
+    _shards,
     _trial,
     demo,
     demo_table,
@@ -782,6 +795,260 @@ def test_campaign_persists_error_payloads_for_replay(tmp_path):
     )
     # Without an output path nothing is written, so there is nothing to list.
     assert run_campaign(CampaignConfig("vasic", 5, 3, r_range=(800.0, 900.0))).error_paths == []
+
+
+# --- sharded campaigns --------------------------------------------------------------
+
+#: A campaign this long runs in the parent and one forked worker wherever
+#: two CPUs are usable, and in no more processes than that.
+SHARDED = _TRIALS_PER_WORKER
+
+needs_two_cpus = pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) < 2, reason="needs two usable CPUs"
+)
+
+
+def _one_cpu(monkeypatch):
+    """Force the serial loop, as ``taskset -c 0`` does."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def _assert_no_children():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # not even a zombie is left
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError, rather than hang, when the block outlives ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _campaign_files(cfg, folder):
+    """The campaign's result and every file it wrote, by name."""
+    folder.mkdir()
+    res = run_campaign(cfg, folder / "c.jsonl")
+    return res, {p.name: p.read_bytes() for p in sorted(folder.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "cpus, trials, jobs",
+    [
+        (1, 10_000, 1),
+        (2, SHARDED - 1, 1),
+        (2, SHARDED, 2),
+        (2, 10_000, 2),
+        (4, 2 * SHARDED + 1, 3),
+        (4, 10_000, 4),
+        (8, 3 * SHARDED, 4),
+    ],
+)
+def test_shards_are_contiguous_ranges_one_per_usable_cpu(monkeypatch, cpus, trials, jobs):
+    # Each worker past the parent's range takes at least SHARDED trials.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    shards = _shards(trials)
+    assert len(shards) == jobs
+    assert [k for r in shards for k in r] == list(range(trials))
+    assert max(map(len, shards)) - min(map(len, shards)) <= 1
+
+
+@pytest.mark.parametrize("why", ["no fork", "other threads"])
+def test_without_a_safe_fork_a_campaign_is_one_range(monkeypatch, why):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert len(_shards(1000)) == 4
+    if why == "no fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    else:
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+    assert _shards(1000) == [range(1000)]
+
+
+def test_a_serial_campaign_and_replay_do_not_import_multiprocessing(tmp_path):
+    code = (
+        "import sys\n"
+        "from bohrcheck import harness\n"
+        f"res = harness.run_campaign(harness.CampaignConfig('thm1', 1, 1), {str(tmp_path / 'a.jsonl')!r})\n"
+        "harness.replay(res.records[0].payload)\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    src = str(Path(harness_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@needs_two_cpus
+@pytest.mark.parametrize(
+    "cfg",
+    [pytest.param(CampaignConfig(t, SHARDED, 11), id=t) for t in ALL_THEOREMS]
+    + [
+        pytest.param(CampaignConfig("cor45", SHARDED, 5, rhs_scale=0.4), id="cor45-violations"),
+        pytest.param(CampaignConfig("cor45", SHARDED, 1, spectrum=(0.0, 1.5e308)), id="cor45-errors"),
+    ],
+)
+def test_a_sharded_campaign_writes_the_serial_bytes(cfg, tmp_path, monkeypatch):
+    assert len(_shards(cfg.trials)) == 2
+    sharded, files = _campaign_files(cfg, tmp_path / "sharded")
+    _assert_no_children()
+    _one_cpu(monkeypatch)
+    serial, serial_files = _campaign_files(cfg, tmp_path / "serial")
+    assert files == serial_files
+    assert [r.to_json_line() for r in sharded.records] == [r.to_json_line() for r in serial.records]
+    assert sharded.summary == serial.summary
+    artifacts = sorted(set(files) - {"c.jsonl"})
+    assert sorted(Path(p).name for p in sharded.violation_paths + sharded.error_paths) == artifacts
+    if cfg.rhs_scale != 1.0 or cfg.spectrum[1] > 1e300:
+        # The worker's range writes artifacts too.
+        assert any(int(name[-11:-5]) >= SHARDED // 2 for name in artifacts)
+
+
+@needs_two_cpus
+def test_a_worker_never_flushes_the_parents_buffers(tmp_path):
+    # A worker that left through interpreter shutdown would flush every
+    # buffered file it inherited, so the text would be written twice.
+    path = tmp_path / "buffered.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("once\n")  # still in the buffer at the fork
+        run_campaign(CampaignConfig("bohr", SHARDED, 1))
+    assert path.read_text(encoding="utf-8") == "once\n"
+    _assert_no_children()
+
+
+class _Unpicklable(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("where", ["parent", "worker"])
+def test_an_aborting_trial_gives_the_serial_prefix_and_exception(where, tmp_path, monkeypatch):
+    at = SHARDED // 4 if where == "parent" else SHARDED * 3 // 4
+    real = harness_mod.generate_instance
+
+    def boom(cfg, trial):
+        if trial == at:
+            raise RuntimeError(f"boom at {trial}")
+        return real(cfg, trial)
+
+    monkeypatch.setattr(harness_mod, "generate_instance", boom)
+    cfg = CampaignConfig("cor45", SHARDED, 5, rhs_scale=0.4)  # violation artifacts on both sides
+    runs = []
+    for forced_serial in (False, True):
+        if forced_serial:
+            _one_cpu(monkeypatch)
+        folder = tmp_path / str(forced_serial)
+        folder.mkdir()
+        with _deadline(60), pytest.raises(RuntimeError) as info:
+            run_campaign(cfg, folder / "c.jsonl")
+        _assert_no_children()
+        files = {p.name: p.read_bytes() for p in folder.iterdir()}
+        runs.append((type(info.value), str(info.value), files))
+    assert runs[0] == runs[1]
+    assert runs[0][:2] == (RuntimeError, f"boom at {at}")
+    assert runs[0][2]["c.jsonl"].count(b"\n") == at  # no summary line
+    assert len(runs[0][2]) > 1
+
+
+@needs_two_cpus
+def test_an_exception_that_cannot_cross_the_pipe_is_named(monkeypatch):
+    real = harness_mod.generate_instance
+
+    def boom(cfg, trial):
+        if trial == SHARDED - 1:
+            raise _Unpicklable(1, 2)
+        return real(cfg, trial)
+
+    monkeypatch.setattr(harness_mod, "generate_instance", boom)
+    with _deadline(30), pytest.raises(HarnessError) as info:
+        run_campaign(CampaignConfig("bohr", SHARDED, 1))
+    assert str(info.value) == f"trial {SHARDED - 1} raised _Unpicklable: 1 and 2"
+    _assert_no_children()
+
+
+@needs_two_cpus
+def test_a_worker_that_dies_unreported_names_its_range(monkeypatch):
+    parent, real = os.getpid(), harness_mod.generate_instance
+
+    def die(cfg, trial):
+        if trial == SHARDED - 1 and os.getpid() != parent:
+            os._exit(3)
+        return real(cfg, trial)
+
+    monkeypatch.setattr(harness_mod, "generate_instance", die)
+    message = f"the worker of trials {SHARDED // 2}-{SHARDED - 1} exited with code 3 without reporting"
+    with _deadline(30), pytest.raises(HarnessError, match=f"^{message}$"):
+        run_campaign(CampaignConfig("bohr", SHARDED, 1))
+    _assert_no_children()
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("stop", ["own trial raises", "write fails"])
+def test_a_campaign_that_stops_early_terminates_its_worker(stop, tmp_path, monkeypatch):
+    # The worker would take half a minute; the campaign must not wait for it.
+    parent, real = os.getpid(), harness_mod.generate_instance
+
+    def slow(cfg, trial):
+        if os.getpid() != parent:
+            time.sleep(1)
+        elif trial == 3 and stop == "own trial raises":
+            raise KeyError("stop")
+        return real(cfg, trial)
+
+    def line(record):
+        if record.trial_index == 3:
+            raise OSError("disk full")
+        return real_line(record)
+
+    real_line = TrialRecord.to_json_line
+    monkeypatch.setattr(harness_mod, "generate_instance", slow)
+    monkeypatch.setattr(TrialRecord, "to_json_line", line)
+    with _deadline(10), pytest.raises(KeyError if stop == "own trial raises" else OSError):
+        run_campaign(CampaignConfig("bohr", SHARDED, 1), tmp_path / "c.jsonl")
+    _assert_no_children()
+
+
+def _map_arrays(spec):
+    if isinstance(spec, WeightedSum):
+        return [a for _, sub in spec.terms for a in _map_arrays(sub)]
+    return [v for v in vars(spec).values() if isinstance(v, np.ndarray)]
+
+
+@pytest.mark.parametrize("theorem", ALL_THEOREMS)
+def test_a_pickled_record_keeps_its_digest_line_and_read_only_specs(theorem):
+    for rec in run_campaign(CampaignConfig(theorem, 6, seed=9)).records:
+        back = pickle.loads(pickle.dumps(rec))
+        assert back.digest == rec.digest == serialize.digest(theorem, back.args)
+        assert back.to_json_line() == rec.to_json_line()
+        assert json.dumps(back.payload) == json.dumps(rec.payload)
+        maps = [s for _, s in back.args.get("weighted_maps", [])]
+        maps += [back.args["spec"]] if "spec" in back.args else []
+        for a in (a for m in maps for a in _map_arrays(m)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        if "f" in back.args:
+            assert dict(back.args["f"].flags) == dict(rec.args["f"].flags)
+            with pytest.raises(TypeError):
+                back.args["f"].flags["convex_on_J"] = False
+
+
+def test_every_map_kind_unpickles_read_only():
+    x = np.eye(2, dtype=complex)
+    kinds = [Congruence(x), DiagonalPOVM([x, x]), BlockExtraction(0, 2, x)]
+    for spec in kinds + [WeightedSum(((1.0, Congruence(np.ones((4, 2)))), (0.5, kinds[2])))]:
+        arrays = _map_arrays(pickle.loads(pickle.dumps(spec)))
+        assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 # --- replay ---------------------------------------------------------------------------

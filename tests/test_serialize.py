@@ -154,11 +154,11 @@ def test_function_round_trip():
         (matrix_from_json, {"n": 1.0, "re": [[0.5]], "im": [[0.0]]},
          "field 'n': expected an integer, got 1.0"),
         (matrix_from_json, {"n": 1, "re": [["0.5"]], "im": [[0.0]]},
-         "matrix has a str entry, not a JSON number"),
+         "expected matrix entries as JSON numbers, got a string"),
         (matrix_from_json, {"n": 1, "re": [[0.5]], "im": [[False]]},
-         "matrix has a bool entry, not a JSON number"),
+         "expected matrix entries as JSON numbers, got a boolean"),
         (vector_from_json, {"re": [True, 1.5], "im": [0.0, 0.0]},
-         "vector has a bool entry, not a JSON number"),
+         "expected vector entries as JSON numbers, got a boolean"),
         (vector_from_json, {"re": [10**400], "im": [0.0]}, "malformed vector object"),
     ],
 )
@@ -446,7 +446,8 @@ def test_instance_from_json_rejects_nonfinite_numbers_naming_the_field(theorem, 
         value %= json.dumps(matrix_to_json(np.eye(2)))
     payload = _generated(theorem)
     payload[key] = json.loads(value)
-    with pytest.raises(SerializationError, match=f"field '{key}'"):
+    # A map term's weight is named by its path below the field.
+    with pytest.raises(SerializationError, match=rf"field '{key}(\.terms)?(\[0\]\.alpha)?'"):
         instance_from_json(payload)
 
 
@@ -483,3 +484,71 @@ def test_a_malformed_sum_term_is_named_below_the_map():
     del obj["terms"][1]["map"]
     with pytest.raises(SerializationError, match=r"^field 'terms\[1\]\.map' is missing$"):
         map_from_json(obj)
+
+
+@pytest.mark.parametrize("where", ["thm1 maps", "thm1 sum terms", "jensen-map sum terms"])
+def test_a_malformed_term_value_is_named_by_its_path(where):
+    # A term's map or weight that is present but malformed is named below
+    # the field too, not only a missing key or a term that is no object.
+    theorem = where.split()[0]
+    payload = _generated(theorem)
+    n = payload["A"]["n"]
+    if where == "thm1 maps":
+        terms, path = payload["maps"], "maps"
+    elif where == "thm1 sum terms":
+        payload["maps"] = [{"alpha": 1.0, "map": _two_term_sum(n)}]
+        terms, path = payload["maps"][0]["map"]["terms"], "maps[0].map.terms"
+    else:
+        payload["map"] = _two_term_sum(n)
+        terms, path = payload["map"]["terms"], "map.terms"
+    for key, value, problem in [
+        ("map", None, "unknown map kind None"),
+        ("map", {"kind": "congruence", "X": 5}, "cannot build 'congruence' map: field 'X': "
+         "expected a matrix object, got a number"),
+        ("alpha", True, "expected a JSON number, got True"),
+    ]:
+        old, terms[0][key] = terms[0][key], value
+        with pytest.raises(SerializationError) as info:
+            instance_from_json(payload)
+        assert str(info.value) == f"field '{path}[0].{key}': {problem}"
+        terms[0][key] = old
+    instance_from_json(payload)
+
+
+@pytest.mark.parametrize(
+    "fid, message",
+    [
+        (True, "field 'id': expected a JSON string, got a boolean"),
+        ([], "field 'id': expected a JSON string, got an array"),
+        (None, "field 'id': expected a JSON string, got null"),
+        ("nosuch", "cannot build function spec: unknown function id 'nosuch'; known: "
+         "abs_pow, expm1, half_pow, linear, relu, square"),
+    ],
+)
+def test_a_function_id_is_a_known_json_string(fid, message):
+    # str() used to look true up as 'True', and the KeyError text of an
+    # unknown id came back quoted twice.
+    with pytest.raises(SerializationError) as info:
+        function_from_json({"id": fid, "J": [-1.0, 1.0]})
+    assert str(info.value) == message
+
+
+def test_a_variant_is_a_json_string():
+    payload = dict(_generated("jensen-map"), variant=True)
+    with pytest.raises(SerializationError) as info:
+        instance_from_json(payload)
+    assert str(info.value) == "field 'variant': expected a JSON string, got a boolean"
+
+
+@pytest.mark.parametrize(
+    "entry, name",
+    [(None, "null"), ({}, "an object"), ([1.0], "an array"), ("1", "a string"), (False, "a boolean")],
+)
+def test_a_matrix_entry_is_named_by_its_json_type(entry, name):
+    obj = {"n": 2, "re": [[1.0, entry], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    with pytest.raises(SerializationError) as info:
+        matrix_from_json(obj)
+    assert str(info.value) == f"expected matrix entries as JSON numbers, got {name}"
+    with pytest.raises(SerializationError) as info:
+        vector_from_json({"re": [1.0, 0.0], "im": [entry, 0.0]})
+    assert str(info.value) == f"expected vector entries as JSON numbers, got {name}"
