@@ -17,9 +17,8 @@ generator returns checker arguments; :func:`run_instance` decodes a
 payload with :func:`serialize.instance_from_json` and calls the checker.
 This module is the only one that digests instances, and it stamps the
 digest on every report it returns: a campaign digests and checks the
-generated arguments and encodes a payload only to write an artifact (or
-when :attr:`TrialRecord.payload` is read); replay digests the arguments it
-decoded.
+generated arguments, keeps the outcome, and draws an instance again only
+to write an artifact; replay digests the arguments it decoded.
 """
 
 from __future__ import annotations
@@ -158,19 +157,18 @@ def _is_int(v) -> bool:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One campaign trial: the checker arguments, their digest, stream id,
-    and the report.
+    """One campaign trial's outcome. A record holds no instance: ``stream``
+    is read from ``config``, and :attr:`args` and :attr:`payload` are drawn
+    again from ``(config, trial_index)`` on each access.
 
-    ``report`` is None when generation failed (``args`` is None too) or
-    when the checker raised :class:`NumericalError` or
+    ``digest`` is None exactly when generation failed. ``report`` is None
+    then, and when the checker raised :class:`NumericalError` or
     ``numpy.linalg.LinAlgError``; ``error`` then carries the reason.
     """
 
+    config: CampaignConfig
     trial_index: int
-    stream: str
     digest: str | None
-    theorem: str
-    args: dict | None
     report: CheckReport | None
     error: str | None = None
 
@@ -178,13 +176,21 @@ class TrialRecord:
     _encoder = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
     @property
+    def stream(self) -> str:
+        return f"{stream_key(self.config.seed, self.trial_index):016x}"
+
+    @property
+    def args(self) -> dict | None:
+        return None if self.digest is None else generate_instance(self.config, self.trial_index)
+
+    @property
     def payload(self) -> dict | None:
-        """The instance payload of ``args``, encoded on each access."""
-        return None if self.args is None else serialize.instance_to_json(self.theorem, **self.args)
+        args = self.args
+        return None if args is None else serialize.instance_to_json(self.config.theorem, **args)
 
     def to_json_line(self) -> str:
         obj = {"trial": self.trial_index, "stream": self.stream}
-        if self.args is None:
+        if self.digest is None:
             obj.update(generation_failed=True, error=self.error or "unknown")
         elif self.report is None:
             obj.update(digest=self.digest, error=self.error)
@@ -528,10 +534,7 @@ def generate_instance(cfg: CampaignConfig, trial: int) -> dict:
 
 def _write_artifact(out_path: Path, kind: str, trial: int, obj: dict) -> str:
     """Write ``obj`` as ``<stem>.<kind>-NNNNNN.json`` next to the report."""
-    stem = out_path.name
-    if stem.endswith(".jsonl"):
-        stem = stem[: -len(".jsonl")]
-    path = out_path.with_name(f"{stem}.{kind}-{trial:06d}.json")
+    path = out_path.with_name(f"{out_path.name.removesuffix('.jsonl')}.{kind}-{trial:06d}.json")
     path.write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     return str(path)
 
@@ -546,8 +549,8 @@ def _summary(theorem: str, records: list[TrialRecord]) -> dict:
         "held": sum(rep.holds for rep in reports),
         "not_applicable": sum(rep.not_applicable for rep in reports),
         "violations": sum(rep.violated for rep in reports),
-        "generation_failures": sum(rec.args is None for rec in records),
-        "errors": sum(rec.args is not None and rec.report is None for rec in records),
+        "generation_failures": sum(rec.digest is None for rec in records),
+        "errors": sum(rec.digest is not None and rec.report is None for rec in records),
         "min_slack_overall": min(
             (rep.min_slack for rep in reports if rep.min_slack is not None), default=None
         ),
@@ -557,19 +560,18 @@ def _summary(theorem: str, records: list[TrialRecord]) -> dict:
 
 def _trial(cfg: CampaignConfig, trial: int) -> TrialRecord:
     """Trial ``trial`` of the campaign ``cfg``: a pure function of the two,
-    since the trial draws from its own stream."""
-    theorem, stream = cfg.theorem, f"{stream_key(cfg.seed, trial):016x}"
-    args = digest = report = error = None
+    since the trial draws from its own stream; the record drops its instance."""
+    digest = report = error = None
     try:
         args = generate_instance(cfg, trial)
-        digest = serialize.digest(theorem, args)
-        report = _check(theorem, args, cfg.tol_override, cfg.rhs_scale, digest)
+        digest = serialize.digest(cfg.theorem, args)
+        report = _check(cfg.theorem, args, cfg.tol_override, cfg.rhs_scale, digest)
     except (GenerationError, serialize.NonFiniteError) as exc:
         # The digest refuses an instance whose draw overflowed.
-        args, error = None, str(exc)
+        digest, error = None, str(exc)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         error = f"{type(exc).__name__}: {exc}"
-    return TrialRecord(trial, stream, digest, theorem, args, report, error)
+    return TrialRecord(cfg, trial, digest, report, error)
 
 
 #: Fewest trials that pay for one forked worker: a fork and its join cost
@@ -672,16 +674,15 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
     ``generation_failed`` line; one whose checker raises
     :class:`NumericalError` or ``numpy.linalg.LinAlgError`` (an A*A that
     overflows, or an eigensolver that fails) gets an error line and counts
-    under ``errors``; any other exception aborts the campaign. The payloads of violating and of
-    error trials are persisted next to the report file, as
-    ``<stem>.violation-NNNNNN.json`` (``{"instance", "report"}``) and
-    ``<stem>.error-NNNNNN.json`` (``{"instance", "error"}``). Every write
-    comes from :func:`_records`, which may run later trials in forked
-    workers; the bytes, and an abort's line prefix, are the serial loop's.
+    under ``errors``; any other exception aborts the campaign. The payloads
+    of violating and of error trials, drawn again here, are persisted next
+    to the report file, as ``<stem>.violation-NNNNNN.json`` (``{"instance",
+    "report"}``) and ``<stem>.error-NNNNNN.json`` (``{"instance", "error"}``).
+    Every record comes from :func:`_records`, which may run later trials in
+    forked workers; the bytes, and an abort's line prefix, are the serial
+    loop's.
     """
-    records: list[TrialRecord] = []
-    violation_paths: list[str] = []
-    error_paths: list[str] = []
+    records, violation_paths, error_paths = [], [], []
 
     out = Path(out_path) if out_path is not None else None
     sink = open(out, "w", encoding="utf-8") if out is not None else None
@@ -693,13 +694,12 @@ def run_campaign(cfg: CampaignConfig, out_path: str | Path | None = None) -> Cam
             if sink is None:
                 continue
             sink.write(record.to_json_line() + "\n")
-            trial = record.trial_index
             if record.report is not None and record.report.violated:
                 body = {"instance": record.payload, "report": record.report.to_json()}
-                violation_paths.append(_write_artifact(out, "violation", trial, body))
-            elif record.report is None and record.args is not None:
+                violation_paths.append(_write_artifact(out, "violation", record.trial_index, body))
+            elif record.report is None and record.digest is not None:
                 body = {"instance": record.payload, "error": record.error}
-                error_paths.append(_write_artifact(out, "error", trial, body))
+                error_paths.append(_write_artifact(out, "error", record.trial_index, body))
         summary = _summary(cfg.theorem, records)
         if sink is not None:
             sink.write(json.dumps({"summary": summary}, separators=(",", ":")) + "\n")

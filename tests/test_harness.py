@@ -1,6 +1,7 @@
 """Campaign configuration, generators, JSONL stream, replay, and demo."""
 
 import contextlib
+import gc
 import json
 import multiprocessing
 import os
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 import bohrcheck.harness as harness_mod
-from bohrcheck import serialize
+from bohrcheck import calculus, serialize
 from bohrcheck.cpmaps import BlockExtraction, Congruence, DiagonalPOVM, WeightedSum
 from bohrcheck.inequalities import NumericalError
 from bohrcheck.harness import (
@@ -263,14 +265,21 @@ def _spec_key(f):
     return (f.id, f.domain.lo.hex(), f.domain.hi.hex(), None if f.r is None else f.r.hex())
 
 
-def test_trials_of_one_campaign_share_a_spec_per_key():
+def test_trials_of_one_campaign_share_a_spec_per_key(monkeypatch):
+    # A record draws its instance again outside the campaign, so the
+    # sharing shows in the builds the campaign itself makes: one per key.
+    built = []
+
+    def counting(fid, domain, r=None):
+        built.append((fid, domain, r))
+        return calculus.make_function_spec(fid, domain, r)
+
+    monkeypatch.setattr(harness_mod, "make_function_spec", counting)
     res = run_campaign(CampaignConfig("jensen-map", 60, seed=5))
-    by_key = {}
-    for rec in res.records:
-        by_key.setdefault(_spec_key(rec.args["f"]), []).append(rec.args["f"])
-    assert len(by_key) < len(res.records)  # square, expm1 and relu recur
-    for specs in by_key.values():
-        assert all(f is specs[0] for f in specs)
+    campaign_builds = len(built)
+    keys = {_spec_key(rec.args["f"]) for rec in res.records}
+    assert len(keys) < len(res.records)  # square, expm1 and relu recur
+    assert campaign_builds == len(keys)
 
 
 def test_campaigns_do_not_share_specs():
@@ -401,19 +410,22 @@ def test_run_instance_reports_a_ragged_family_in_the_checkers_words():
 def test_trial_record_json_line_shapes():
     rep = run_instance({"theorem": "bohr", "z": {"re": 1.0, "im": 0.0},
                         "w": {"re": 1.0, "im": 0.0}, "p": 2.0})
-    ok = TrialRecord(4, "00ab", "0123456789abcdef", "bohr", {}, rep)
+    cfg = CampaignConfig("bohr", 8, seed=3)
+    ok = TrialRecord(cfg, 4, "0123456789abcdef", rep)
     obj = json.loads(ok.to_json_line())
     assert obj["trial"] == 4 and obj["digest"] == "0123456789abcdef"
+    assert obj["stream"] == f"{stream_key(3, 4):016x}"
     assert "elapsed" not in obj["report"]
 
-    bad = TrialRecord(5, "00ac", None, "bohr", None, None, "rejection cap hit")
-    assert bad.payload is None
+    bad = TrialRecord(cfg, 5, None, None, "rejection cap hit")
+    assert bad.args is None and bad.payload is None
     obj = json.loads(bad.to_json_line())
     assert obj["generation_failed"] is True and obj["error"] == "rejection cap hit"
 
-    err = TrialRecord(6, "00ad", "00000000000000ff", "bohr", {}, None, "NumericalError: x")
+    err = TrialRecord(cfg, 6, "00000000000000ff", None, "NumericalError: x")
     obj = json.loads(err.to_json_line())
-    assert obj == {"trial": 6, "stream": "00ad", "digest": "00000000000000ff", "error": "NumericalError: x"}
+    stream = f"{stream_key(3, 6):016x}"
+    assert obj == {"trial": 6, "stream": stream, "digest": "00000000000000ff", "error": "NumericalError: x"}
 
 
 # --- campaigns -----------------------------------------------------------------------
@@ -906,6 +918,10 @@ def test_a_sharded_campaign_writes_the_serial_bytes(cfg, tmp_path, monkeypatch):
     serial, serial_files = _campaign_files(cfg, tmp_path / "serial")
     assert files == serial_files
     assert [r.to_json_line() for r in sharded.records] == [r.to_json_line() for r in serial.records]
+    assert sharded.records == serial.records  # records hold no arrays, so they compare
+    for rec in sharded.records:  # the worker's range too: each instance is drawn again alike
+        if rec.digest is not None:
+            assert serialize.digest(cfg.theorem, rec.args) == rec.digest
     assert sharded.summary == serial.summary
     artifacts = sorted(set(files) - {"c.jsonl"})
     assert sorted(Path(p).name for p in sharded.violation_paths + sharded.error_paths) == artifacts
@@ -1027,20 +1043,85 @@ def _map_arrays(spec):
 
 @pytest.mark.parametrize("theorem", ALL_THEOREMS)
 def test_a_pickled_record_keeps_its_digest_line_and_read_only_specs(theorem):
+    # A record pickles without its instance; the arguments, pickled on
+    # their own, load with read-only specs.
     for rec in run_campaign(CampaignConfig(theorem, 6, seed=9)).records:
         back = pickle.loads(pickle.dumps(rec))
+        assert back == rec
         assert back.digest == rec.digest == serialize.digest(theorem, back.args)
         assert back.to_json_line() == rec.to_json_line()
-        assert json.dumps(back.payload) == json.dumps(rec.payload)
-        maps = [s for _, s in back.args.get("weighted_maps", [])]
-        maps += [back.args["spec"]] if "spec" in back.args else []
+        args = pickle.loads(pickle.dumps(rec.args))
+        assert serialize.digest(theorem, args) == rec.digest
+        assert json.dumps(serialize.instance_to_json(theorem, **args)) == json.dumps(rec.payload)
+        maps = [s for _, s in args.get("weighted_maps", [])]
+        maps += [args["spec"]] if "spec" in args else []
         for a in (a for m in maps for a in _map_arrays(m)):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
-        if "f" in back.args:
-            assert dict(back.args["f"].flags) == dict(rec.args["f"].flags)
+        if "f" in args:
+            assert dict(args["f"].flags) == dict(rec.args["f"].flags)
             with pytest.raises(TypeError):
-                back.args["f"].flags["convex_on_J"] = False
+                args["f"].flags["convex_on_J"] = False
+
+
+@needs_two_cpus
+def test_a_spec_that_cannot_be_pickled_still_shards(tmp_path, monkeypatch):
+    # A kernel outside the module's namespace makes its spec unpicklable.
+    # A worker sends outcomes only, so such a spec never crosses the pipe.
+    monkeypatch.setitem(calculus._REGISTRY, "square", (lambda t, r: np.square(t), False, False))
+    with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+        pickle.dumps(calculus.make_function_spec("square", (-1.0, 1.0)))
+    cfg = CampaignConfig("jensen-map", 2 * SHARDED, 3)
+    assert len(_shards(cfg.trials)) == 2
+    with _deadline(60):
+        sharded, files = _campaign_files(cfg, tmp_path / "sharded")
+    _assert_no_children()
+    assert any(rec.args["f"].id == "square" for rec in sharded.records[SHARDED:])
+    _one_cpu(monkeypatch)
+    serial, serial_files = _campaign_files(cfg, tmp_path / "serial")
+    assert files == serial_files
+    assert sharded.records == serial.records
+
+
+def test_a_campaign_draws_an_instance_again_only_for_an_artifact(tmp_path, monkeypatch):
+    # Lines and the summary read the digest; only an artifact needs a payload.
+    calls, real = [], harness_mod.generate_instance
+
+    def counting(cfg, trial):
+        calls.append(trial)
+        return real(cfg, trial)
+
+    monkeypatch.setattr(harness_mod, "generate_instance", counting)
+    cfg = CampaignConfig("cor45", 40, seed=5, rhs_scale=0.4)
+    res = run_campaign(cfg, tmp_path / "c.jsonl")
+    again = sorted(int(Path(p).name[-11:-5]) for p in res.violation_paths + res.error_paths)
+    assert again and len(again) < cfg.trials
+    assert calls == sorted([*range(cfg.trials), *again])  # each artifact right after its trial
+
+
+def _retained_bytes_per_record(cfg):
+    """Bytes a campaign result holds once its run is over, per record."""
+    run_campaign(cfg)  # imports and one-time caches are not a record's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        res = run_campaign(cfg)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        count = len(res.records)
+        del res
+        gc.collect()
+        return (held - tracemalloc.get_traced_memory()[0]) / count
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("theorem", ["thm1", "jensen-map", "cor45"])
+def test_a_record_holds_no_instance(theorem, monkeypatch):
+    # A record that kept its matrices held 4.5-7 KB on these theorems;
+    # its outcome alone is about 1.0-1.3 KB.
+    _one_cpu(monkeypatch)
+    assert _retained_bytes_per_record(CampaignConfig(theorem, 300, seed=2)) < 3000
 
 
 def test_every_map_kind_unpickles_read_only():
