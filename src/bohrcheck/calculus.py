@@ -86,14 +86,6 @@ class ConvexFunctionSpec:
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=float))
 
-    # Pickled with its flags as a dict, which no rescan rebuilds, and
-    # loaded with them read-only again.
-    def __getstate__(self):
-        return {**self.__dict__, "flags": dict(self.flags)}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state, flags=types.MappingProxyType(state["flags"]))
-
     def flag(self, name: str) -> bool:
         if name not in FLAG_NAMES:
             raise KeyError(f"unknown hypothesis flag {name!r}")
@@ -209,8 +201,7 @@ def scan_function_flags(fn, domain, grid_size: int = DEFAULT_SCAN_GRID) -> Funct
 
 # --- registry ---------------------------------------------------------------
 
-# Kernels f(t, r) on float arrays, defined at module level so that a spec,
-# which binds r with functools.partial, pickles by reference.
+# Kernels f(t, r) on float arrays; a spec binds r with functools.partial.
 
 
 def _abs_pow(t, r):

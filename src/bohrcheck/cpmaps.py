@@ -78,15 +78,6 @@ def _frozen(validate, a, **kwargs) -> np.ndarray:
     return m
 
 
-def _read_only_state(spec, state: dict) -> None:
-    """``__setstate__`` of the kinds that hold arrays: unpickled arrays come
-    back writeable, so they are made read-only again, as ``_frozen`` made them."""
-    for value in state.values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    spec.__dict__.update(state)
-
-
 @dataclass(frozen=True, eq=False)
 class Congruence:
     """A -> X* A X, mapping n x n inputs to m x m outputs via X (n x m)."""
@@ -95,8 +86,6 @@ class Congruence:
 
     def __post_init__(self):
         object.__setattr__(self, "x", _frozen(as_complex_matrix, self.x))
-
-    __setstate__ = _read_only_state
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -139,8 +128,6 @@ class DiagonalPOVM:
             raise SpecError(f"effect {i} has eigenvalues that overflow; it cannot be shown PSD")
         object.__setattr__(self, "effects", effs)
 
-    __setstate__ = _read_only_state
-
     @property
     def dims(self) -> tuple[int, int]:
         return self.effects.shape[:2]
@@ -175,8 +162,6 @@ class BlockExtraction:
         if not 0 <= self.index < self.block_count:
             raise SpecError(f"block index {self.index} outside [0, {self.block_count})")
         object.__setattr__(self, "x", _frozen(as_complex_matrix, self.x))
-
-    __setstate__ = _read_only_state
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -284,27 +269,41 @@ def choi_matrix(spec: MapSpec) -> np.ndarray:
     """Choi matrix C = sum_ij E_ij (x) Phi(E_ij), shape (n*m, n*m).
 
     Block (i, j) of C is Phi(E_ij); C is Hermitian for the kinds here
-    because they are *-preserving.
+    because they are *-preserving. A C with an entry that overflows is
+    refused with :class:`SpecError`.
     """
     n, m = map_dims(spec)
     c = np.zeros((n * m, n * m), dtype=complex)
     basis = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            basis[i, j] = 1.0
-            c[i * m : (i + 1) * m, j * m : (j + 1) * m] = apply_map(spec, basis)
-            basis[i, j] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for i in range(n):
+            for j in range(n):
+                basis[i, j] = 1.0
+                c[i * m : (i + 1) * m, j * m : (j + 1) * m] = apply_map(spec, basis)
+                basis[i, j] = 0.0
+    if not np.isfinite(c).all():
+        raise SpecError(_CHOI_OVERFLOWS)
     return c
+
+
+#: Why a Choi matrix is refused when an entry, its Hermitian part, its norm
+#: or an eigenvalue is not finite, as a POVM effect is.
+_CHOI_OVERFLOWS = "Choi matrix overflows; complete positivity cannot be decided"
 
 
 def _choi_eigh(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Ascending eigenpairs of a Choi matrix and whether it is PSD within
     PSD_TOL (relative to max(1, top eigenvalue)); the one place where a
-    Choi matrix is checked Hermitian."""
-    if frob(c - c.conj().T) > PSD_TOL * max(1.0, frob(c)):
-        raise SpecError("Choi matrix is not Hermitian; the map is not *-preserving")
-    w, v = np.linalg.eigh(hermitize(c))
-    return w, v, bool(w[0] >= -PSD_TOL * max(1.0, float(w[-1])))
+    Choi matrix is checked Hermitian, and for overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        h, norm = hermitize(c), frob(c)
+        if np.isfinite(h).all() and math.isfinite(norm):
+            if frob(c - c.conj().T) > PSD_TOL * max(1.0, norm):
+                raise SpecError("Choi matrix is not Hermitian; the map is not *-preserving")
+            w, v = np.linalg.eigh(h)
+            if np.isfinite(w).all():
+                return w, v, bool(w[0] >= -PSD_TOL * max(1.0, float(w[-1])))
+    raise SpecError(_CHOI_OVERFLOWS)
 
 
 def is_completely_positive(spec: MapSpec) -> bool:

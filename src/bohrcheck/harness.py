@@ -28,7 +28,9 @@ import json
 import math
 import os
 import pickle
+import signal
 import sys
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -587,32 +589,40 @@ def _shards(trials: int) -> list[range]:
     calling thread, not the locks the others hold)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     jobs = 1 + min(cpus - 1, trials // _TRIALS_PER_WORKER)
-    if jobs > 1:
-        import multiprocessing  # only here: a serial campaign does not pay for it
-        import threading
-
-        if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
-            jobs = 1
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        jobs = 1
     bounds = [trials * j // jobs for j in range(jobs + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _worker(cfg: CampaignConfig, trials: range, conn) -> None:
+def _worker(cfg: CampaignConfig, trials: range, parent: int, pipe: int, workers) -> None:
     """A forked worker: the records of ``trials`` under a spec memo of its
-    own, then the exception that stopped them (or None), as one message.
-    The process then leaves through ``os._exit``, so buffers that the
-    parent had open at the fork (its JSONL sink) are never flushed twice."""
-    _campaign_specs.set({})
-    records, error = [], None
+    own, then the exception that stopped them (or None), pickled as one
+    message to ``pipe``. It closes the read ends of ``workers``, its own
+    too, so a write that no one reads fails, and stops once ``parent`` has
+    gone. It leaves through ``os._exit`` (code 0 once it has reported), so
+    buffers that the parent had open at the fork are never flushed twice."""
+    code = 1
     try:
-        for k in trials:
-            records.append(_trial(cfg, k))
-    except Exception as exc:  # the parent raises it after the records before it
+        for *_, recv in workers:
+            recv.close()
+        _campaign_specs.set({})
+        records, error = [], None
         try:
-            error = pickle.loads(pickle.dumps(exc))
-        except Exception:  # an exception that does not survive the pipe
-            error = HarnessError(f"trial {k} raised {type(exc).__name__}: {exc}")
-    conn.send((records, error))
+            for k in trials:
+                if os.getppid() != parent:
+                    return
+                records.append(_trial(cfg, k))
+        except Exception as exc:  # the parent raises it after the records before it
+            try:
+                error = pickle.loads(pickle.dumps(exc))
+            except Exception:  # an exception that does not survive the pipe
+                error = HarnessError(f"trial {k} raised {type(exc).__name__}: {exc}")
+        with os.fdopen(pipe, "wb") as send:
+            pickle.dump((records, error), send)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _records(cfg: CampaignConfig) -> Iterator[TrialRecord]:
@@ -620,46 +630,43 @@ def _records(cfg: CampaignConfig) -> Iterator[TrialRecord]:
 
     With more than one range from :func:`_shards`, a forked worker runs
     each range after the first while this process runs the first, and
-    its records arrive pickled; the first exception in index order is
-    raised after the records before it, as the serial loop raises it. A
-    worker that dies without reporting raises :class:`HarnessError`.
-    Every worker is joined on the way out, and terminated first when the
-    campaign stops early.
-    """
+    its records arrive pickled through a pipe of its own; the first
+    exception in index order is raised after the records before it, as
+    the serial loop raises it. A worker that exits without a whole message
+    raises :class:`HarnessError`. Each worker is reaped once, and killed
+    first when the campaign stops early."""
     own, *later = _shards(cfg.trials)
-    workers = []
+    workers, parent = [], os.getpid()  # (trials, pid, read end) of each one not yet reaped
     try:
-        if later:
-            import multiprocessing
-
-            ctx = multiprocessing.get_context("fork")
-            for trials in later:
-                recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_worker, args=(cfg, trials, send))
-                proc.start()
-                send.close()  # the worker's end is then the only one: its death reads as EOF
-                workers.append((trials, proc, recv))
+        for trials in later:
+            recv, send = os.pipe()
+            workers.append((trials, os.fork(), os.fdopen(recv, "rb")))
+            if workers[-1][1] == 0:
+                _worker(cfg, trials, parent, send, workers)
+            os.close(send)  # the worker's end is then the only one: its death reads as EOF
         for k in own:
             yield _trial(cfg, k)
-        for trials, proc, recv in workers:
+        while workers:
+            trials, pid, recv = workers[0]
             try:
-                records, error = recv.recv()
-            except EOFError:
-                proc.join()
+                records, error = pickle.load(recv)
+            except (EOFError, pickle.UnpicklingError):  # a message cut short
+                records = None
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            recv.close()
+            del workers[0]
+            if records is None:
                 raise HarnessError(
                     f"the worker of trials {trials.start}-{trials.stop - 1} exited "
-                    f"with code {proc.exitcode} without reporting"
-                ) from None
+                    f"with code {code} without reporting"
+                )
             yield from records
             if error is not None:
                 raise error
-    except BaseException:  # GeneratorExit too, when the consumer stops early
-        for _, proc, _ in workers:
-            proc.terminate()
-        raise
-    finally:
-        for _, proc, recv in workers:
-            proc.join()
+    finally:  # GeneratorExit too, when the consumer stops early
+        for _, pid, recv in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
             recv.close()
 
 

@@ -452,6 +452,36 @@ def test_dilate_rejects_transpose_wire_and_bad_json(tmp_path, capsys):
     assert f"bohrcheck: error: {mapfile}: invalid JSON at line 1, column 7: " in err
 
 
+#: Map files whose Choi matrix overflows: an entry, or its Hermitian part.
+OVERFLOWING_MAPS = {
+    "congruence 1e308": {"kind": "congruence", "X": {"n": 2, "re": [[1e308, 1e308]] * 2, "im": [[0, 0]] * 2}},
+    "congruence 1e200": {"kind": "congruence", "X": {"n": 2, "re": [[1e200, 0], [0, 1e200]], "im": [[0, 0]] * 2}},
+    "sum alpha 1e308": {
+        "kind": "sum",
+        "terms": [
+            {"alpha": 1e308, "map": {"kind": "congruence", "X": {"n": 1, "re": [[1.0]], "im": [[0.0]]}}},
+            {"alpha": 1.0, "map": {"kind": "congruence", "X": {"n": 1, "re": [[1.0]], "im": [[0.0]]}}},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWING_MAPS)
+def test_dilate_refuses_a_map_whose_choi_matrix_overflows(name, tmp_path):
+    # In a process of its own, so that any numpy warning reaches stderr.
+    mapfile = tmp_path / "map.json"
+    mapfile.write_text(json.dumps(OVERFLOWING_MAPS[name]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bohrcheck.cli", "dilate", "--map", str(mapfile), "--out", str(tmp_path / "o.json")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "bohrcheck: error: Choi matrix overflows; complete positivity cannot be decided\n"
+    assert not (tmp_path / "o.json").exists()
+
+
 # --- demo and packaging ------------------------------------------------------
 
 

@@ -526,6 +526,24 @@ def test_stinespring_represent_matches_apply():
         )
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Congruence(np.full((2, 2), 1e308)),  # entries of the Choi matrix overflow
+        Congruence(1e200 * np.eye(2)),
+        WeightedSum(((1e308, Congruence(np.eye(1))), (1.0, Congruence(np.eye(1))))),  # its Hermitian part
+        Congruence(np.diag([1e100, 1.0])),  # its norm
+    ],
+    ids=["entries", "entries 1e200", "hermitian part", "norm"],
+)
+def test_a_choi_matrix_that_overflows_is_refused_without_a_warning(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for decide in (is_completely_positive, stinespring):
+            with pytest.raises(SpecError, match="^Choi matrix overflows; complete positivity cannot be decided$"):
+                decide(spec)
+
+
 def test_stinespring_rejects_transpose():
     with pytest.raises(SpecError):
         stinespring(Transpose(3))

@@ -3,7 +3,6 @@
 import contextlib
 import gc
 import json
-import multiprocessing
 import os
 import pickle
 import re
@@ -21,7 +20,7 @@ import pytest
 
 import bohrcheck.harness as harness_mod
 from bohrcheck import calculus, serialize
-from bohrcheck.cpmaps import BlockExtraction, Congruence, DiagonalPOVM, WeightedSum
+from bohrcheck.cpmaps import DiagonalPOVM, WeightedSum
 from bohrcheck.inequalities import NumericalError
 from bohrcheck.harness import (
     THEOREM_TABLE,
@@ -826,7 +825,6 @@ def _one_cpu(monkeypatch):
 
 
 def _assert_no_children():
-    assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):  # not even a zombie is left
         os.waitpid(-1, os.WNOHANG)
 
@@ -880,25 +878,35 @@ def test_without_a_safe_fork_a_campaign_is_one_range(monkeypatch, why):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     assert len(_shards(1000)) == 4
     if why == "no fork":
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
     else:
         monkeypatch.setattr(threading, "active_count", lambda: 2)
     assert _shards(1000) == [range(1000)]
 
 
+def _run_python(code, **kwargs):
+    """Start ``code`` in a new interpreter that imports this checkout's bohrcheck."""
+    src = str(Path(harness_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.Popen([sys.executable, "-c", code], text=True, env=env, **kwargs)
+
+
 def test_a_serial_campaign_and_replay_do_not_import_multiprocessing(tmp_path):
+    # Nor does a sharded one: its workers are plain forks.
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "from bohrcheck import harness\n"
         f"res = harness.run_campaign(harness.CampaignConfig('thm1', 1, 1), {str(tmp_path / 'a.jsonl')!r})\n"
         "harness.replay(res.records[0].payload)\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        f"assert len(harness._shards({SHARDED})) == 2\n"
+        f"harness.run_campaign(harness.CampaignConfig('bohr', {SHARDED}, 1))\n"
         "print('multiprocessing' in sys.modules)\n"
     )
-    src = str(Path(harness_mod.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    proc = _run_python(code, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert out == "False\n"
 
 
 @needs_two_cpus
@@ -930,6 +938,67 @@ def test_a_sharded_campaign_writes_the_serial_bytes(cfg, tmp_path, monkeypatch):
         assert any(int(name[-11:-5]) >= SHARDED // 2 for name in artifacts)
 
 
+def test_three_workers_write_the_serial_bytes(tmp_path, monkeypatch):
+    # Four usable CPUs: the parent's range and three forked workers.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    cfg = CampaignConfig("cor45", 4 * SHARDED, 5, rhs_scale=0.4)
+    assert len(_shards(cfg.trials)) == 4
+    with _deadline(120):
+        sharded, files = _campaign_files(cfg, tmp_path / "sharded")
+    _assert_no_children()
+    _one_cpu(monkeypatch)
+    serial, serial_files = _campaign_files(cfg, tmp_path / "serial")
+    assert files == serial_files
+    assert len(files) == 1 + 78  # the report and its violation artifacts
+    assert sharded.records == serial.records
+    assert sharded.summary == serial.summary
+    assert [Path(p).name for p in sharded.violation_paths] == sorted(set(files) - {"c.jsonl"})
+
+
+def _running(pid):
+    """Whether process ``pid`` still runs; a zombie has finished."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
+def test_a_worker_leaves_once_its_parent_is_killed():
+    # Each worker trial sleeps, so the worker would outlive its parent by
+    # 63 trials of a quarter second; it checks for its parent before each.
+    code = (
+        "import os, time\n"
+        "from bohrcheck import harness\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "parent, real = os.getpid(), harness.generate_instance\n"
+        "def slow(cfg, trial):\n"
+        "    if os.getpid() != parent:\n"
+        f"        if trial == {SHARDED}:\n"
+        "            print(os.getpid(), flush=True)\n"
+        "        time.sleep(0.25)\n"
+        "    return real(cfg, trial)\n"
+        "harness.generate_instance = slow\n"
+        f"harness.run_campaign(harness.CampaignConfig('bohr', {2 * SHARDED}, 1))\n"
+    )
+    proc, worker = _run_python(code, stdout=subprocess.PIPE), None
+    try:
+        with _deadline(60):
+            worker = int(proc.stdout.readline())
+        proc.kill()
+        proc.wait()
+        gone_by = time.monotonic() + 2.0
+        while _running(worker) and time.monotonic() < gone_by:
+            time.sleep(0.02)
+        assert not _running(worker)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        if worker is not None and _running(worker):
+            os.kill(worker, signal.SIGKILL)
+
+
 @needs_two_cpus
 def test_a_worker_never_flushes_the_parents_buffers(tmp_path):
     # A worker that left through interpreter shutdown would flush every
@@ -939,6 +1008,21 @@ def test_a_worker_never_flushes_the_parents_buffers(tmp_path):
         fh.write("once\n")  # still in the buffer at the fork
         run_campaign(CampaignConfig("bohr", SHARDED, 1))
     assert path.read_text(encoding="utf-8") == "once\n"
+    _assert_no_children()
+
+
+@needs_two_cpus
+def test_the_pipes_of_a_sharded_campaign_bypass_the_modules_open(tmp_path, monkeypatch):
+    # A profiler may wrap the module's open to count the report's bytes;
+    # only the report goes through it, in the parent and in the worker.
+    def report_only(file, *args, **kwargs):
+        assert isinstance(file, Path), f"opened {file!r}"
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(harness_mod, "open", report_only, raising=False)
+    with _deadline(30):
+        res = run_campaign(CampaignConfig("bohr", SHARDED, 1), tmp_path / "c.jsonl")
+    assert len(res.records) == SHARDED
     _assert_no_children()
 
 
@@ -1010,6 +1094,21 @@ def test_a_worker_that_dies_unreported_names_its_range(monkeypatch):
 
 
 @needs_two_cpus
+def test_a_worker_whose_message_is_cut_short_names_its_range(monkeypatch):
+    def cut_short(obj, file):  # only a worker dumps, and this one dies halfway
+        data = pickle.dumps(obj)
+        file.write(data[: len(data) // 2])
+        file.flush()
+        os._exit(5)
+
+    monkeypatch.setattr(pickle, "dump", cut_short)
+    message = f"the worker of trials {SHARDED // 2}-{SHARDED - 1} exited with code 5 without reporting"
+    with _deadline(30), pytest.raises(HarnessError, match=f"^{message}$"):
+        run_campaign(CampaignConfig("bohr", SHARDED, 1))
+    _assert_no_children()
+
+
+@needs_two_cpus
 @pytest.mark.parametrize("stop", ["own trial raises", "write fails"])
 def test_a_campaign_that_stops_early_terminates_its_worker(stop, tmp_path, monkeypatch):
     # The worker would take half a minute; the campaign must not wait for it.
@@ -1043,15 +1142,14 @@ def _map_arrays(spec):
 
 @pytest.mark.parametrize("theorem", ALL_THEOREMS)
 def test_a_pickled_record_keeps_its_digest_line_and_read_only_specs(theorem):
-    # A record pickles without its instance; the arguments, pickled on
-    # their own, load with read-only specs.
+    # A record pickles without its instance, which it draws again, with
+    # read-only specs, from its config and trial index.
     for rec in run_campaign(CampaignConfig(theorem, 6, seed=9)).records:
         back = pickle.loads(pickle.dumps(rec))
         assert back == rec
         assert back.digest == rec.digest == serialize.digest(theorem, back.args)
         assert back.to_json_line() == rec.to_json_line()
-        args = pickle.loads(pickle.dumps(rec.args))
-        assert serialize.digest(theorem, args) == rec.digest
+        args = back.args
         assert json.dumps(serialize.instance_to_json(theorem, **args)) == json.dumps(rec.payload)
         maps = [s for _, s in args.get("weighted_maps", [])]
         maps += [args["spec"]] if "spec" in args else []
@@ -1122,14 +1220,6 @@ def test_a_record_holds_no_instance(theorem, monkeypatch):
     # its outcome alone is about 1.0-1.3 KB.
     _one_cpu(monkeypatch)
     assert _retained_bytes_per_record(CampaignConfig(theorem, 300, seed=2)) < 3000
-
-
-def test_every_map_kind_unpickles_read_only():
-    x = np.eye(2, dtype=complex)
-    kinds = [Congruence(x), DiagonalPOVM([x, x]), BlockExtraction(0, 2, x)]
-    for spec in kinds + [WeightedSum(((1.0, Congruence(np.ones((4, 2)))), (0.5, kinds[2])))]:
-        arrays = _map_arrays(pickle.loads(pickle.dumps(spec)))
-        assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 # --- replay ---------------------------------------------------------------------------
