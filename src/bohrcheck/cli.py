@@ -13,6 +13,7 @@ both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -52,6 +53,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="bohrcheck",

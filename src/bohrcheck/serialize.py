@@ -13,8 +13,8 @@ An instance payload is one flat JSON object per theorem with a "theorem"
 key. :data:`INSTANCE_SCHEMA` describes each theorem's payload once, as
 ordered (payload key, checker argument, codec) triples;
 :func:`instance_to_json` and :func:`instance_from_json` are the only
-encoder and decoder of payloads; decoding is exact and rejects
-non-finite numbers, naming the payload key.
+encoder and decoder of payloads; decoding is exact, and a refusal names
+the refused node by its path, ``field 'maps[0].map.X': ...``.
 
 :func:`digest` hashes checker arguments, not their JSON text, with BLAKE2b
 cut to 64 bits (:data:`DIGEST_ALG`, RFC 7693): the theorem id, then each
@@ -112,13 +112,10 @@ def _text(v) -> str:
     return v
 
 
-def _json_object(v, keys, what: str) -> dict:
-    """``v`` if it is a JSON object holding each of ``keys``; ``what`` names it."""
+def _json_object(v, what: str) -> dict:
+    """``v`` if it is a JSON object; ``what`` names it."""
     if not isinstance(v, dict):
         raise SerializationError(f"expected a {what} object, got {_json_type(v)}")
-    for key in keys:
-        if key not in v:
-            raise SerializationError(f"{what} object is missing {key!r}")
     return v
 
 
@@ -126,10 +123,10 @@ def _json_object(v, keys, what: str) -> dict:
 _ARRAYS = frozenset((list, tuple, np.ndarray))
 
 
-def _items(v, what: str = "a JSON array"):
-    """``v`` if it is an array; anything else is refused, naming ``what``."""
+def _items(v):
+    """``v`` if it is an array; anything else is refused."""
     if type(v) not in _ARRAYS:
-        raise SerializationError(f"expected {what}, got {_json_type(v)}")
+        raise SerializationError(f"expected an array, got {_json_type(v)}")
     return v
 
 
@@ -141,24 +138,37 @@ def _count(v) -> int:
 
 
 class _EntryError(SerializationError):
-    """A malformed list entry, or a key or value of one, at ``path`` below
-    its field (``[0].alpha``); each enclosing :func:`_decoded` prefixes its
-    key. ``problem`` follows the quoted path: `` is missing``, ``: <reason>``."""
+    """A refusal of the value at ``path`` (``maps[0].alpha``); each enclosing
+    :func:`_at` prefixes its step. ``problem`` follows the quoted path:
+    `` is missing``, ``: <reason>``."""
 
     def __init__(self, path: str, problem: str):
         super().__init__(f"field {path!r}{problem}")
         self.path, self.problem = path, problem
 
 
-def _decoded(decode, obj, key):
-    """``decode(obj[key])``; a malformed value raises naming ``key``, a
-    malformed entry of it naming its path (``maps[0].alpha``)."""
+def _at(step: str | int, decode, value):
+    """``decode(value)``, the one place that names a refusal: ``step`` (a key,
+    or entry ``i`` as ``[i]``) goes in front of the path of a refusal below it."""
     try:
-        return decode(obj[key])
-    except _EntryError as exc:
-        raise _EntryError(key + ("" if exc.path[0] == "[" else ".") + exc.path, exc.problem) from exc
+        return decode(value)
     except (TypeError, ValueError) as exc:
-        raise SerializationError(f"field {key!r}: {exc}") from exc
+        step = f"[{step}]" if isinstance(step, int) else step
+        if isinstance(exc, _EntryError):  # named below: its path goes after the step
+            raise _EntryError(step + ("" if exc.path[0] == "[" else ".") + exc.path, exc.problem) from exc
+        raise _EntryError(step, f": {exc}") from exc
+
+
+def _decoded(decode, obj, key):
+    """``decode(obj[key])``; a refusal is named by its path from ``key``."""
+    if key not in obj:
+        raise _EntryError(key, " is missing")
+    return _at(key, decode, obj[key])
+
+
+def _each(convert):
+    """Lift a one-value conversion to arrays, naming entry i as ``[i]``."""
+    return lambda items: [_at(i, convert, x) for i, x in enumerate(_items(items))]
 
 
 def _re_im_to_json(v: np.ndarray) -> dict:
@@ -168,12 +178,12 @@ def _re_im_to_json(v: np.ndarray) -> dict:
 
 def _re_im_from_json(obj, ndim: int, what: str) -> np.ndarray:
     """Complex ``ndim``-d array of a re/im object, exact for signed zeros."""
-    obj = _json_object(obj, ("re", "im"), what)
-    parts = _items(obj["re"], "'re' as a JSON array"), _items(obj["im"], "'im' as a JSON array")
+    obj = _json_object(obj, what)
+    parts = _decoded(_items, obj, "re"), _decoded(_items, obj, "im")
     rows = parts if ndim == 1 else [*parts[0], *parts[1]]
-    if not set(map(type, rows)) <= _ARRAYS:  # a matrix row that is not an array
-        bad = next(row for row in rows if type(row) not in _ARRAYS)
-        raise SerializationError(f"expected each {what} row as an array, got {_json_type(bad)}")
+    if not set(map(type, rows)) <= _ARRAYS:  # a matrix row that is not an array: name it
+        for key in ("re", "im"):
+            _decoded(_each(_items), obj, key)
     # numpy reads true and "2" as numbers; JSON does not.
     for t in set(map(type, itertools.chain(*rows))):
         if t is bool or not issubclass(t, (int, float)):
@@ -226,7 +236,7 @@ def scalar_to_json(z) -> dict:
 
 
 def scalar_from_json(obj) -> complex:
-    obj = _json_object(obj, ("re", "im"), "complex scalar")
+    obj = _json_object(obj, "complex scalar")
     return complex(_decoded(_finite, obj, "re"), _decoded(_finite, obj, "im"))
 
 
@@ -238,10 +248,10 @@ def function_to_json(spec: ConvexFunctionSpec) -> dict:
 
 
 def function_from_json(obj) -> ConvexFunctionSpec:
-    obj = _json_object(obj, ("id", "J"), "function")
+    obj = _json_object(obj, "function")
     domain = _decoded(_each(_finite), obj, "J")
     if len(domain) != 2:
-        raise SerializationError(f"field 'J': expected [lo, hi], got {len(domain)} numbers")
+        raise _EntryError("J", f": expected [lo, hi], got {len(domain)} numbers")
     r = None if obj.get("r") is None else _decoded(_finite, obj, "r")
     fid = _decoded(_text, obj, "id")
     try:
@@ -305,11 +315,9 @@ def map_from_json(obj) -> MapSpec:
     if not isinstance(kind, str) or kind not in _MAP_KINDS:
         raise SerializationError(f"unknown map kind {kind!r}")
     cls, fields = _MAP_KINDS[kind]
-    _json_object(obj, [key for key, _, _ in fields], f"{kind!r} map")
+    args = {attr: _decoded(decode, obj, key) for key, attr, (_, decode, _) in fields}
     try:
-        return cls(**{attr: _decoded(decode, obj, key) for key, attr, (_, decode, _) in fields})
-    except _EntryError:
-        raise
+        return cls(**args)
     except (KeyError, TypeError, ValueError, SpecError) as exc:
         raise SerializationError(f"cannot build {kind!r} map: {exc}") from exc
 
@@ -330,34 +338,15 @@ def _weighted_maps_to_json(weighted_maps) -> list[dict]:
     return [{"alpha": float(alpha), "map": map_to_json(spec)} for alpha, spec in weighted_maps]
 
 
-def _weighted_maps_from_json(terms) -> list[tuple[float, MapSpec]]:
-    return [(_term(_finite, t, i, "alpha"), _term(map_from_json, t, i, "map"))
-            for i, t in enumerate(_items(terms))]
-
-
-def _term(decode, t, i: int, key: str):
-    """``decode(t[key])`` of term ``t`` at index ``i``; a refusal names its path."""
-    if not isinstance(t, dict):
-        raise _EntryError(f"[{i}]", " is not a JSON object")
-    if key not in t:
-        raise _EntryError(f"[{i}].{key}", " is missing")
-    try:
-        return decode(t[key])
-    except _EntryError as exc:  # a sum's own terms, below this one
-        raise _EntryError(f"[{i}].{key}.{exc.path}", exc.problem) from exc
-    except SerializationError as exc:
-        raise _EntryError(f"[{i}].{key}", f": {exc}") from exc
+def _weighted_term(t) -> tuple[float, MapSpec]:
+    t = _json_object(t, "term")
+    return _decoded(_finite, t, "alpha"), _decoded(map_from_json, t, "map")
 
 
 def _pack_terms(h, terms) -> None:
     _pack_real(h, [alpha for alpha, _ in terms])
     for _, spec in terms:
         _pack_map(h, spec)
-
-
-def _each(convert):
-    """Lift a one-value conversion to arrays; anything else is refused."""
-    return lambda items: [convert(x) for x in _items(items)]
 
 
 # A codec is an (encode, decode, pack) triple for one payload field; pack
@@ -373,7 +362,7 @@ _MATRIX = (matrix_to_json, matrix_from_json, _pack_complex)
 _MATRICES = (_each(matrix_to_json), _each(matrix_from_json), _pack_complex)
 _FUNCTION = (function_to_json, function_from_json, _pack_function)
 _MAP = (map_to_json, map_from_json, _pack_map)
-_WEIGHTED_MAPS = (_weighted_maps_to_json, _weighted_maps_from_json, _pack_terms)
+_WEIGHTED_MAPS = (_weighted_maps_to_json, _each(_weighted_term), _pack_terms)
 
 #: Wire format of every map kind: wire kind -> (class, fields), the fields
 #: as (wire key, class attribute, codec) triples in wire key order.
@@ -463,12 +452,8 @@ def instance_from_json(payload) -> tuple[str, dict]:
     if not isinstance(payload, dict) or "theorem" not in payload:
         raise SerializationError("instance payload must carry a 'theorem' field")
     theorem = canonical_theorem(payload["theorem"])
-    fields = INSTANCE_SCHEMA[theorem]
-    try:
-        args = {arg: _decoded(decode, payload, key) for key, arg, (_, decode, _) in fields}
-    except KeyError as exc:
-        raise SerializationError(f"instance for {theorem!r} is missing field {exc}") from exc
-    return theorem, args
+    return theorem, {arg: _decoded(decode, payload, key)
+                     for key, arg, (_, decode, _) in INSTANCE_SCHEMA[theorem]}
 
 
 #: Name of the digest algorithm, recorded in every campaign summary.

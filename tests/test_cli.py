@@ -158,7 +158,8 @@ def test_check_nonfinite_float_field_exits_one_naming_it(tmp_path, capsys, key, 
     path.write_text(json.dumps(payload))
     assert main(["check", "--in", str(path)]) == 1
     err = capsys.readouterr().err
-    assert f"bohrcheck: error: field '{key}': expected a finite number, got inf" in err
+    named = f"{key}[0]" if isinstance(value, list) else key
+    assert f"bohrcheck: error: field '{named}': expected a finite number, got inf" in err
 
 
 BOHR = {"theorem": "bohr", "p": 2.0, "z": {"re": 1.0, "im": 0.0}, "w": {"re": 1.0, "im": 0.0}}
@@ -171,27 +172,27 @@ JENSEN_VEC = {
 
 
 @pytest.mark.parametrize(
-    "base, field, value",
+    "base, named, value",
     [
         (BOHR, "p", "2"),
         (BOHR, "p", 10**400),
-        (BOHR, "z", {"re": True, "im": "0"}),
-        (BOHR, "w", {"re": "1e0", "im": False}),
-        (JENSEN_VEC, "f", {"id": "abs_pow", "J": [-3.0, 3.0], "r": "2"}),
-        (JENSEN_VEC, "f", {"id": "abs_pow", "J": ["-3", True], "r": 2.0}),
-        (JENSEN_VEC, "A", {"n": True, "re": [[0.5]], "im": [[0.0]]}),
+        (BOHR, "z.re", {"re": True, "im": "0"}),
+        (BOHR, "w.re", {"re": "1e0", "im": False}),
+        (JENSEN_VEC, "f.r", {"id": "abs_pow", "J": [-3.0, 3.0], "r": "2"}),
+        (JENSEN_VEC, "f.J[0]", {"id": "abs_pow", "J": ["-3", True], "r": 2.0}),
+        (JENSEN_VEC, "A.n", {"n": True, "re": [[0.5]], "im": [[0.0]]}),
         (JENSEN_VEC, "A", {"n": 1, "re": [["0.5"]], "im": [[False]]}),
     ],
 )
-def test_check_a_number_that_is_not_a_json_number_exits_one(tmp_path, capsys, base, field, value):
+def test_check_a_number_that_is_not_a_json_number_exits_one(tmp_path, capsys, base, named, value):
     # float(), np.asarray(dtype=float) and == read each of these as a number,
-    # so the payload replayed as held.
+    # so the payload replayed as held. The refusal names the first one's path.
     assert run_instance(base).holds
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(dict(base, **{field: value})))
+    path.write_text(json.dumps(dict(base, **{named.split(".")[0]: value})))
     assert main(["check", "--in", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"bohrcheck: error: field '{field}': ") and "Traceback" not in err
+    assert err.startswith(f"bohrcheck: error: field '{named}': ") and "Traceback" not in err
 
 
 #: A thm1 payload whose one map is a "POVM" with effects diag(1e308, -1e308)

@@ -8,14 +8,16 @@ one node at a time: the node is deleted, or replaced by each value of
 run through ``bohrcheck dilate``. Every case must end in a result or in an
 exception that ``cli.main`` turns into a clean error line (a ValueError,
 HarnessError, GenerationError or OSError), with no warning, and the
-message must not leak a LAPACK failure or a Python internal. References:
+message must not leak a LAPACK failure or a Python internal. A payload's
+decode refusal names at most one path, on the mutated node's line (RFC
+6901's JSON Pointer names a node the same way, by its path). References:
 Zeller et al., *The Fuzzing Book* (mutation-based fuzzing); MacIver et
 al., "Hypothesis", JOSS 4(43), 2019.
 """
 
 import copy
-import functools
 import json
+import re
 import warnings
 
 import pytest
@@ -29,7 +31,7 @@ from bohrcheck.harness import (
     replay,
     run_instance,
 )
-from bohrcheck.serialize import THEOREMS, instance_to_json
+from bohrcheck.serialize import THEOREMS, SerializationError, instance_to_json
 
 #: JSON values each node is replaced by; 10**400 is beyond the float range.
 REPLACEMENTS = (True, False, None, "2", 10**400, 1e308, -1e308, 0, -1, 2.5, [], {},
@@ -55,7 +57,7 @@ def _paths(node, path=()):
 
 
 def _mutants(payload, under=()):
-    """(description, mutated copy) for every deletion and replacement of a
+    """(path, value, mutated copy) for every deletion and replacement of a
     node at or below the path ``under``."""
     for path in _paths(payload):
         if path[: len(under)] != under:
@@ -69,7 +71,7 @@ def _mutants(payload, under=()):
                 del parent[path[-1]]
             else:
                 parent[path[-1]] = copy.deepcopy(value)
-            yield f"{path} = {value!r}"[:120], mutant
+            yield path, value, mutant
 
 
 def _payloads(theorem):
@@ -79,11 +81,28 @@ def _payloads(theorem):
     return [instance_to_json(theorem, **generate_instance(cfg, trial)) for trial in range(cfg.trials)]
 
 
-def _assert_clean(cases, run):
-    """Run ``run`` on each (description, mutant) of ``cases``, with every
-    warning an error, and fail on the faults the module docstring names."""
+def _misnamed(message, path):
+    """Why a refusal ``message`` fails to name its place, or None: it must
+    carry at most one ``field '<path>'`` label, and that path must lie on
+    the line of the mutated node at ``path``, above it or below it."""
+    labels = re.findall(r"field '([^']*)'", message)
+    if len(labels) > 1:
+        return f"{len(labels)} labels"
+    named = re.findall(r"[^.\[\]]+", labels[0]) if labels else []
+    common = min(len(named), len(path))
+    if named[:common] != [str(step) for step in path[:common]]:
+        return f"names {labels[0]!r}"
+    return None
+
+
+def _assert_clean(cases, run, paths=False):
+    """Run ``run`` on each (path, value, mutant) of ``cases``, with every
+    warning an error, and fail on the faults the module docstring names;
+    with ``paths``, also on each SerializationError that :func:`_misnamed`
+    faults."""
     count, faults = 0, []
-    for case, mutant in cases:
+    for path, value, mutant in cases:
+        case = f"{path} = {value!r}"[:120]
         count += 1
         try:
             with warnings.catch_warnings():
@@ -92,6 +111,8 @@ def _assert_clean(cases, run):
         except (HarnessError, GenerationError, OSError, ValueError) as exc:
             if any(leak in str(exc) for leak in LEAKS):
                 faults.append(f"{case}: {type(exc).__name__}: {exc}")
+            elif paths and isinstance(exc, SerializationError) and (why := _misnamed(str(exc), path)):
+                faults.append(f"{case}: {why}: {exc}")
         except Exception as exc:  # noqa: BLE001 - every other kind is the fault reported
             faults.append(f"{case}: uncaught {type(exc).__name__}: {exc}")
     assert count > 100
@@ -100,17 +121,14 @@ def _assert_clean(cases, run):
 
 @pytest.mark.parametrize("theorem", THEOREMS)
 def test_every_mutated_payload_ends_in_a_report_or_a_clean_refusal(theorem):
-    _assert_clean((case for payload in _payloads(theorem) for case in _mutants(payload)), run_instance)
+    cases = (case for payload in _payloads(theorem) for case in _mutants(payload))
+    _assert_clean(cases, run_instance, paths=True)
 
 
 @pytest.mark.parametrize("theorem", THEOREMS)
 def test_every_mutated_stored_report_replays_or_is_refused_cleanly(theorem):
     artifacts = [{"instance": p, "report": run_instance(p).to_json()} for p in _payloads(theorem)]
-    cases = (
-        (case, mutant)
-        for artifact in artifacts
-        for case, mutant in _mutants(artifact, under=("report",))
-    )
+    cases = (case for artifact in artifacts for case in _mutants(artifact, under=("report",)))
     _assert_clean(cases, replay)
 
 
@@ -118,9 +136,7 @@ class _ErrorLine(ValueError):
     """The one clean error line that ``cli.main`` printed."""
 
 
-def test_every_mutated_map_file_dilates_or_is_refused_cleanly(tmp_path, capsys, monkeypatch):
-    # Building the argument parser takes most of a case; one serves them all.
-    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+def test_every_mutated_map_file_dilates_or_is_refused_cleanly(tmp_path, capsys):
     maps = [payload["map"] for payload in _payloads("jensen-map")]
     maps += [term["map"] for payload in _payloads("thm1") for term in payload["maps"]]
     mapfile, outfile = tmp_path / "map.json", tmp_path / "dilation.json"

@@ -394,7 +394,7 @@ def test_run_instance_requires_theorem_field():
 
 
 def test_run_instance_reports_missing_field():
-    with pytest.raises(SerializationError, match="missing field"):
+    with pytest.raises(SerializationError, match="^field 'p' is missing$"):
         run_instance({"theorem": "bohr", "z": {"re": 1.0, "im": 0.0}})
 
 
