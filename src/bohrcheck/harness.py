@@ -576,8 +576,8 @@ def _trial(cfg: CampaignConfig, trial: int) -> TrialRecord:
     return TrialRecord(cfg, trial, digest, report, error)
 
 
-#: Fewest trials that pay for one forked worker: a fork and its join cost
-#: about 3-4 ms, and a trial 0.1-1 ms.
+#: Fewest trials that pay for one forked worker: an os.fork round trip
+#: takes about 1.8 ms and a trial 0.1-1 ms; this counts trials, not cost.
 _TRIALS_PER_WORKER = 64
 
 
@@ -596,30 +596,26 @@ def _shards(trials: int) -> list[range]:
 
 
 def _worker(cfg: CampaignConfig, trials: range, parent: int, pipe: int, workers) -> None:
-    """A forked worker: the records of ``trials`` under a spec memo of its
-    own, then the exception that stopped them (or None), pickled as one
-    message to ``pipe``. It closes the read ends of ``workers``, its own
-    too, so a write that no one reads fails, and stops once ``parent`` has
-    gone. It leaves through ``os._exit`` (code 0 once it has reported), so
-    buffers that the parent had open at the fork are never flushed twice."""
+    """A forked worker: the records of ``trials`` it finished, up to the end
+    of the range or the first trial that raised, pickled as one list to
+    ``pipe``. It closes the read ends of ``workers``, its own too, so a
+    write that no one reads fails, and stops once ``parent`` has gone. It
+    leaves through ``os._exit`` (code 0 once it has reported), so buffers
+    that the parent had open at the fork are never flushed twice."""
     code = 1
     try:
         for *_, recv in workers:
             recv.close()
-        _campaign_specs.set({})
-        records, error = [], None
+        records = []
         try:
             for k in trials:
                 if os.getppid() != parent:
                     return
                 records.append(_trial(cfg, k))
-        except Exception as exc:  # the parent raises it after the records before it
-            try:
-                error = pickle.loads(pickle.dumps(exc))
-            except Exception:  # an exception that does not survive the pipe
-                error = HarnessError(f"trial {k} raised {type(exc).__name__}: {exc}")
+        except Exception:  # the parent runs this trial again, and the rest
+            pass
         with os.fdopen(pipe, "wb") as send:
-            pickle.dump((records, error), send)
+            pickle.dump(records, send)
         code = 0
     finally:
         os._exit(code)
@@ -629,12 +625,12 @@ def _records(cfg: CampaignConfig) -> Iterator[TrialRecord]:
     """The trial records of ``cfg`` in index order, each ``_trial(cfg, k)``.
 
     With more than one range from :func:`_shards`, a forked worker runs
-    each range after the first while this process runs the first, and
-    its records arrive pickled through a pipe of its own; the first
-    exception in index order is raised after the records before it, as
-    the serial loop raises it. A worker that exits without a whole message
-    raises :class:`HarnessError`. Each worker is reaped once, and killed
-    first when the campaign stops early."""
+    each range after the first while this process runs the first. A
+    worker pickles the records it finished through a pipe of its own, and
+    this process runs the rest of the range itself: a trial that raises
+    raises here, as the serial loop raises it. A worker that exits without
+    a whole message raises :class:`HarnessError`. Each worker is reaped
+    once, and killed first when the campaign stops early."""
     own, *later = _shards(cfg.trials)
     workers, parent = [], os.getpid()  # (trials, pid, read end) of each one not yet reaped
     try:
@@ -649,7 +645,7 @@ def _records(cfg: CampaignConfig) -> Iterator[TrialRecord]:
         while workers:
             trials, pid, recv = workers[0]
             try:
-                records, error = pickle.load(recv)
+                records = pickle.load(recv)
             except (EOFError, pickle.UnpicklingError):  # a message cut short
                 records = None
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -661,8 +657,7 @@ def _records(cfg: CampaignConfig) -> Iterator[TrialRecord]:
                     f"with code {code} without reporting"
                 )
             yield from records
-            if error is not None:
-                raise error
+            yield from (_trial(cfg, k) for k in trials[len(records):])
     finally:  # GeneratorExit too, when the consumer stops early
         for _, pid, recv in workers:
             os.kill(pid, signal.SIGKILL)

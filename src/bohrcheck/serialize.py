@@ -213,7 +213,7 @@ def matrix_to_json(a) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     m = _re_im_from_json(obj, 2, "matrix")
-    n = _decoded(_count, obj, "n") if "n" in obj else None
+    n = _decoded(_count, obj, "n")
     if m.shape[0] != n or m.shape[1] < 1:
         raise SerializationError(f"matrix shape mismatch: n={n!r}, re and im {m.shape}")
     return m
@@ -311,9 +311,9 @@ def map_to_json(spec: MapSpec) -> dict:
 
 
 def map_from_json(obj) -> MapSpec:
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    if not isinstance(kind, str) or kind not in _MAP_KINDS:
-        raise SerializationError(f"unknown map kind {kind!r}")
+    kind = _decoded(_text, _json_object(obj, "map"), "kind")
+    if kind not in _MAP_KINDS:
+        raise _EntryError("kind", f": unknown map kind {kind!r}")
     cls, fields = _MAP_KINDS[kind]
     args = {attr: _decoded(decode, obj, key) for key, attr, (_, decode, _) in fields}
     try:

@@ -1062,7 +1062,9 @@ def test_an_aborting_trial_gives_the_serial_prefix_and_exception(where, tmp_path
 
 
 @needs_two_cpus
-def test_an_exception_that_cannot_cross_the_pipe_is_named(monkeypatch):
+def test_an_unpicklable_exception_is_raised_as_the_serial_loop_raises_it(monkeypatch):
+    # The worker sends the records before the trial; the parent runs the
+    # trial again, so the exception itself never crosses the pipe.
     real = harness_mod.generate_instance
 
     def boom(cfg, trial):
@@ -1071,10 +1073,33 @@ def test_an_exception_that_cannot_cross_the_pipe_is_named(monkeypatch):
         return real(cfg, trial)
 
     monkeypatch.setattr(harness_mod, "generate_instance", boom)
-    with _deadline(30), pytest.raises(HarnessError) as info:
-        run_campaign(CampaignConfig("bohr", SHARDED, 1))
-    assert str(info.value) == f"trial {SHARDED - 1} raised _Unpicklable: 1 and 2"
+    for forced_serial in (False, True):
+        if forced_serial:
+            _one_cpu(monkeypatch)
+        with _deadline(30), pytest.raises(_Unpicklable) as info:
+            run_campaign(CampaignConfig("bohr", SHARDED, 1))
+        assert str(info.value) == "1 and 2"
+        _assert_no_children()
+
+
+@needs_two_cpus
+def test_a_failure_only_a_worker_sees_is_run_again_by_the_parent(tmp_path, monkeypatch):
+    parent, real = os.getpid(), harness_mod.generate_instance
+
+    def flaky(cfg, trial):
+        if trial == SHARDED - 1 and os.getpid() != parent:
+            raise RuntimeError("only in the worker")
+        return real(cfg, trial)
+
+    monkeypatch.setattr(harness_mod, "generate_instance", flaky)
+    cfg = CampaignConfig("cor45", SHARDED, 5, rhs_scale=0.4)
+    with _deadline(60):
+        sharded, files = _campaign_files(cfg, tmp_path / "sharded")
     _assert_no_children()
+    _one_cpu(monkeypatch)
+    serial, serial_files = _campaign_files(cfg, tmp_path / "serial")
+    assert files == serial_files
+    assert sharded.records == serial.records
 
 
 @needs_two_cpus

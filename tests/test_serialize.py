@@ -107,7 +107,7 @@ def test_matrix_from_json_validation():
         matrix_from_json({"n": 1, "re": [[float("nan")]], "im": [[0.0]]})
     with pytest.raises(SerializationError, match="matrix shape mismatch"):
         matrix_from_json({"n": 1, "re": [[]], "im": [[]]})
-    with pytest.raises(SerializationError, match="^matrix shape mismatch: n=None"):
+    with pytest.raises(SerializationError, match="^field 'n' is missing$"):
         matrix_from_json({"re": [[1.0]], "im": [[0.0]]})
 
 
@@ -502,7 +502,7 @@ def test_a_malformed_term_value_is_named_by_its_path(where):
         payload["map"] = _two_term_sum(n)
         terms, path = payload["map"]["terms"], "map.terms"
     for key, value, named, problem in [
-        ("map", None, "map", "unknown map kind None"),
+        ("map", None, "map", "expected a map object, got null"),
         ("map", {"kind": "congruence", "X": 5}, "map.X", "expected a matrix object, got a number"),
         ("alpha", True, "alpha", "expected a JSON number, got True"),
     ]:
@@ -533,6 +533,12 @@ DELETED = object()
         ("cor45", ("X",), DELETED, "field 'X' is missing"),
         ("jensen-vec", ("f", "J", 1), None, "field 'f.J[1]': expected a JSON number, got None"),
         ("jensen-vec", ("f", "J"), [1.0], "field 'f.J': expected [lo, hi], got 1 numbers"),
+        ("cor45", ("A", 0, "n"), DELETED, "field 'A[0].n' is missing"),
+        ("thm1", ("maps", 0, "map", "kind"), DELETED, "field 'maps[0].map.kind' is missing"),
+        ("thm1", ("maps", 0, "map", "kind"), 5,
+         "field 'maps[0].map.kind': expected a JSON string, got a number"),
+        ("thm1", ("maps", 0, "map", "kind"), "nope", "field 'maps[0].map.kind': unknown map kind 'nope'"),
+        ("thm1", ("maps", 0, "map"), None, "field 'maps[0].map': expected a map object, got null"),
     ],
 )
 def test_a_refusal_names_one_path(theorem, node, value, message):
